@@ -38,7 +38,8 @@ def _csv_text(header: Sequence[str], rows) -> str:
 def _report_csv(report: dict) -> str:
     rows = []
     for row in report["rows"]:
-        rows.append([row["node"], row["kind"], row["n_params"],
+        rows.append([row["node"].replace(",", ";"), row["kind"],
+                     row["n_params"],
                      f"{row['log_lik']:.6f}", f"{row['aic']:.6f}"])
     rows.append(["total", "", report["total_params"], "",
                  f"{report['total_aic']:.6f}"])
@@ -100,7 +101,7 @@ def _cmd_search(args) -> None:
                                        config=config)
     _write_text(args.out, serialize_model(model, data.column_names))
     if args.trace is not None:
-        rows = [[t["move"], t["parent"],
+        rows = [[t["move"], t["parent"].replace(",", ";"),
                  "{" + ";".join(map(str, t["node"])) + "}",
                  f"{t['delta_aic']:.6f}"] for t in trace]
         _write_text(args.trace,
@@ -111,14 +112,12 @@ def _cmd_search(args) -> None:
 def _cmd_pmf(args) -> None:
     model, names = _read_model(args.model)
     data = load_counts_csv(args.obs)
-    if data.column_names != names:
+    if set(data.column_names) != set(names):
         raise UsageError("observation columns do not match the model's "
                          f"leaves: {data.column_names} vs {names}")
-    rows = []
-    for i in range(data.n_sites):
-        value = model.joint_log_pmf(data.rows[i])
-        logp = value.log_magnitude if value.sign > 0 else float("-inf")
-        rows.append([i + 1, f"{logp:.12g}"])
+    order = [data.column_names.index(name) for name in names]
+    values = model.joint_log_pmf_many(data.rows[:, order])
+    rows = [[i + 1, f"{logp:.12g}"] for i, logp in enumerate(values)]
     _write_text(args.out, _csv_text(["row", "log_pmf"], rows))
 
 

@@ -19,8 +19,9 @@ from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, UsageError
 from .model import TreePolyaModel
-from .polya import Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec
-from .tree import PartitionTree
+from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
+                    sumlaw_log_pmf_many)
+from .tree import PartitionTree, incidence_matrix
 
 __all__ = [
     "FitResult", "SearchConfig", "node_data",
@@ -64,11 +65,8 @@ def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
     """Child-subsum matrix (n_sites x J_A) for one internal node."""
     if tree.is_leaf(node):
         raise UsageError("node data is defined for internal nodes only")
-    cols = []
-    for cid in tree.children(node):
-        idx = [j - 1 for j in tree.subset(cid)]
-        cols.append(counts[:, idx].sum(axis=1))
-    return np.column_stack(cols)
+    children = tree.incidence[list(tree.children(node))]
+    return (counts @ children.T).astype(counts.dtype)
 
 
 # ---------------------------------------------------------------------
@@ -133,8 +131,7 @@ def fit_sum_law(totals, family: str, tol: float = 1e-10,
     if family == "poisson":
         if ybar == 0:
             raise DomainError("all-zero totals cannot be fitted by Poisson")
-        ll = float(np.sum(totals * math.log(ybar) - ybar
-                          - gammaln(totals + 1)))
+        ll = float(sumlaw_log_pmf_many(totals, Poisson(ybar)).sum())
         return FitResult("poisson", {"rate": ybar}, ll, 1)
 
     if family == "binomial":
@@ -145,10 +142,7 @@ def fit_sum_law(totals, family: str, tol: float = 1e-10,
         worse_streak = 0
         while worse_streak < 30:
             prob = min(ybar / size, 1.0 - 1e-12)
-            ll = float(np.sum(gammaln(size + 1) - gammaln(totals + 1)
-                              - gammaln(size - totals + 1))
-                       + totals.sum() * math.log(prob)
-                       + (n * size - totals.sum()) * math.log1p(-prob))
+            ll = float(sumlaw_log_pmf_many(totals, Binomial(size, prob)).sum())
             if best is None or ll > best[0]:
                 best = (ll, size, prob)
                 worse_streak = 0
@@ -459,15 +453,11 @@ class _FitCache:
         self.config = config
         self.cache: Dict[frozenset, float] = {}
 
-    def _matrix(self, children: Sequence[Tuple[int, ...]]) -> np.ndarray:
-        cols = [self.counts[:, [j - 1 for j in sub]].sum(axis=1)
-                for sub in children]
-        return np.column_stack(cols)
-
     def node_aic(self, children: Sequence[Tuple[int, ...]]) -> float:
         key = frozenset(children)
         if key not in self.cache:
-            data = self._matrix(sorted(children))
+            data = self.counts @ incidence_matrix(
+                sorted(children), self.counts.shape[1]).T
             try:
                 fit = fit_node_dm(data, tol=self.config.dm_tol,
                                   max_iter=self.config.dm_max_iter)

@@ -11,24 +11,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, polya_pmf,
-                    polya_sample_many, polya_uni_pmf, sumlaw_factorial_moment,
-                    sumlaw_log_pmf, sumlaw_sample_many, sumlaw_support_max,
-                    sumlaw_truncation_point)
-from .special import (LogValue, ln_gen_factorial, pfq_convergent,
-                      pfq_terminating)
+from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, count_array,
+                    polya_log_pmf_many, polya_sample_many,
+                    sumlaw_factorial_moment, sumlaw_log_pmf,
+                    sumlaw_log_pmf_many, sumlaw_sample_many,
+                    sumlaw_support_max, sumlaw_truncation_point)
+from .special import LogValue, pfq_convergent, pfq_terminating
 from .tree import PartitionTree
 
 __all__ = [
     "TreePolyaModel", "MarginalChain", "ChainStage", "PathConstants",
     "absorb_binomials", "marginal_pmf",
 ]
+
+
+def _classify(excess: float) -> str:
+    if abs(excess) < 1e-12:
+        return "null"
+    return "over" if excess > 0 else "under"
 
 
 @dataclass(frozen=True)
@@ -75,77 +81,85 @@ class TreePolyaModel:
             raise ValidationError(
                 f"splits given for nodes {sorted(self.splits)} but internal "
                 f"nodes are {sorted(internal)}")
-        for nid in internal:
-            spec = self.splits[nid]
-            arity = len(self.tree.children(nid))
-            if spec.arity != arity:
-                raise ValidationError(
-                    f"node {nid} {self.tree.subset(nid)} has {arity} "
-                    f"children but a {spec.arity}-component split")
-        self._check_hypergeometric_support()
+        self._top_down()
 
-    def _check_hypergeometric_support(self):
+    def _top_down(self):
+        """One pass from the root: checks each split's arity and support,
+        and stores the sum-law moments and, per node, the path constants
+        gamma, delta and the dispersion sign its path's splits force."""
+        tree = self.tree
+        mu1, mu2 = (sumlaw_factorial_moment(r, self.sum_law) for r in (1, 2))
+        gamma, delta = np.ones(len(tree)), np.ones(len(tree))
+        implied = [None] * len(tree)
+        implied[tree.ROOT] = _classify(mu2 - mu1 ** 2)
         # conservative bound: every node inherits the sum law's maximum,
         # tightened to theta_C below a hypergeometric split
-        bounds = {self.tree.ROOT: sumlaw_support_max(self.sum_law)}
-        for nid in self._topo_order():
-            if self.tree.is_leaf(nid):
+        bounds = {tree.ROOT: sumlaw_support_max(self.sum_law)}
+        for nid in tree.preorder():
+            if tree.is_leaf(nid):
                 continue
             spec = self.splits[nid]
+            arity = len(tree.children(nid))
+            if spec.arity != arity:
+                raise ValidationError(
+                    f"node {nid} {tree.subset(nid)} has {arity} "
+                    f"children but a {spec.arity}-component split")
             bound = bounds[nid]
             if spec.c == -1:
                 if bound is None:
                     raise ValidationError(
-                        f"node {nid} {self.tree.subset(nid)} uses a "
+                        f"node {nid} {tree.subset(nid)} uses a "
                         "hypergeometric split under an unbounded total")
                 if spec.total < bound:
                     raise ValidationError(
-                        f"node {nid} {self.tree.subset(nid)}: |theta|="
+                        f"node {nid} {tree.subset(nid)}: |theta|="
                         f"{spec.total} is below the maximal total {bound}")
-            for cid, theta_c in zip(self.tree.children(nid), spec.theta):
-                child_bound = bound
-                if spec.c == -1:
-                    child_bound = int(round(theta_c)) if bound is None \
-                        else min(bound, int(round(theta_c)))
-                bounds[cid] = child_bound
-
-    def _topo_order(self) -> List[int]:
-        order, stack = [], [self.tree.ROOT]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(reversed(self.tree.children(nid)))
-        return order
+            sign = implied[nid]
+            if spec.c != 0:
+                forced = "over" if spec.c == 1 else "under"
+                sign = forced if sign in ("null", forced) else None
+            for cid, theta_c in zip(tree.children(nid), spec.theta):
+                gamma[cid] = gamma[nid] * theta_c / spec.total
+                delta[cid] = delta[nid] * (theta_c + spec.c) \
+                    / (spec.total + spec.c)
+                implied[cid] = sign
+                bounds[cid] = bound if spec.c != -1 \
+                    else min(bound, int(round(theta_c)))
+        for name, value in (("_mu", (mu1, mu2)), ("_gamma", gamma),
+                            ("_delta", delta), ("_implied", implied)):
+            object.__setattr__(self, name, value)
 
     # -- joint law ----------------------------------------------------
 
-    def node_subsums(self, y) -> Dict[int, int]:
-        y = np.asarray(y)
-        return {nid: int(y[[j - 1 for j in self.tree.subset(nid)]].sum())
-                for nid in range(len(self.tree))}
+    def joint_log_pmf_many(self, rows) -> np.ndarray:
+        """Log joint p.m.f. of each row of an (n, J) count array in leaf
+        order; ``-inf`` for rows of zero mass."""
+        rows = count_array(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.tree.leaf_count:
+            raise UsageError(f"observations of shape {rows.shape} do not "
+                             f"match {self.tree.leaf_count} leaves")
+        sums = rows @ self.tree.incidence.T
+        return (sumlaw_log_pmf_many(sums[:, self.tree.ROOT], self.sum_law)
+                + self._splits_log_pmf(sums))
+
+    def _splits_log_pmf(self, sums: np.ndarray) -> np.ndarray:
+        """Sum over internal nodes of each split's log p.m.f. at its child
+        subsums; ``sums`` has one column per node id."""
+        out = np.zeros(sums.shape[0])
+        for nid in self.tree.internal_ids:
+            out += polya_log_pmf_many(sums[:, list(self.tree.children(nid))],
+                                      self.splits[nid])
+        return out
 
     def joint_log_pmf(self, y) -> LogValue:
-        y = np.asarray(y)
-        if y.shape != (self.tree.leaf_count,):
-            raise UsageError(
-                f"observation of length {y.shape} does not match "
-                f"{self.tree.leaf_count} leaves")
-        if np.any(y < 0):
-            return LogValue.ZERO
-        sums = self.node_subsums(y)
-        out = sumlaw_log_pmf(sums[self.tree.ROOT], self.sum_law)
-        for nid in self.tree.internal_ids:
-            if out.sign == 0:
-                return LogValue.ZERO
-            child_counts = [sums[c] for c in self.tree.children(nid)]
-            out = out * polya_pmf(child_counts, self.splits[nid])
-        return out
+        return LogValue.from_log(
+            self.joint_log_pmf_many(np.reshape(y, (1, -1)))[0])
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws; returns shape (size, J) in leaf order."""
         totals = {self.tree.ROOT: sumlaw_sample_many(self.sum_law, size, rng)}
         out = np.zeros((size, self.tree.leaf_count), dtype=np.int64)
-        for nid in self._topo_order():
+        for nid in self.tree.preorder():
             if self.tree.is_leaf(nid):
                 out[:, self.tree.subset(nid)[0] - 1] = totals[nid]
                 continue
@@ -167,24 +181,14 @@ class TreePolyaModel:
         return spec.theta[idx], spec
 
     def path_constants(self, node: int) -> PathConstants:
-        gamma, delta = 1.0, 1.0
-        nid = node
-        while nid != self.tree.ROOT:
-            theta, spec = self._edge_weight(nid)
-            gamma *= theta / spec.total
-            delta *= (theta + spec.c) / (spec.total + spec.c)
-            nid = self.tree.parent(nid)
-        return PathConstants(gamma, delta)
+        return PathConstants(float(self._gamma[node]),
+                             float(self._delta[node]))
 
     def marginal_chain(self, node: int) -> MarginalChain:
         """Thinning-stage representation of the law of a node's subsum."""
-        stages = []
-        nid = node
-        while nid != self.tree.ROOT:
-            theta, spec = self._edge_weight(nid)
-            stages.append(ChainStage(spec.c, theta, spec.total - theta))
-            nid = self.tree.parent(nid)
-        return MarginalChain(tuple(stages), self.sum_law)
+        edges = map(self._edge_weight, self.tree.root_path(node)[:-1])
+        return MarginalChain(tuple(ChainStage(spec.c, theta, spec.total - theta)
+                                   for theta, spec in edges), self.sum_law)
 
     def leaf_marginal_chain(self, leaf_label: int) -> MarginalChain:
         return self.marginal_chain(self.tree.leaf_node(leaf_label))
@@ -194,81 +198,62 @@ class TreePolyaModel:
         r = np.asarray(r, dtype=np.int64)
         if r.shape != (self.tree.leaf_count,):
             raise UsageError("moment order vector must have one entry per leaf")
+        if np.any(r < 0):
+            raise DomainError("moment orders must be nonnegative")
         total = sumlaw_factorial_moment(int(r.sum()), self.sum_law)
-        if total == 0.0:
-            return 0.0
-        acc = LogValue.from_float(total)
-        for nid in self.tree.internal_ids:
-            spec = self.splits[nid]
-            r_a = 0
-            for cid, theta_c in zip(self.tree.children(nid), spec.theta):
-                r_c = int(r[[j - 1 for j in self.tree.subset(cid)]].sum())
-                r_a += r_c
-                acc = acc * ln_gen_factorial(theta_c, r_c, spec.c)
-                if acc.sign == 0:
-                    return 0.0
-            acc = acc / ln_gen_factorial(spec.total, r_a, spec.c)
-        return acc.to_float()
+        # the product over splits of (theta_C)_(r_C) / (|theta|)_(r_A) is
+        # their p.m.f. at the subsums of r times prod_j r_j! / |r|!
+        log = (self._splits_log_pmf((self.tree.incidence @ r)[None, :])[0]
+               + gammaln(r + 1).sum() - gammaln(r.sum() + 1))
+        return total * math.exp(log)
 
     def node_factorial_moment(self, node: int, r: int) -> float:
         """r-th factorial moment of the subsum at a node (root path
         product)."""
         total = sumlaw_factorial_moment(r, self.sum_law)
-        if total == 0.0:
-            return 0.0
-        acc = LogValue.from_float(total)
-        nid = node
-        while nid != self.tree.ROOT:
-            theta, spec = self._edge_weight(nid)
-            num = ln_gen_factorial(theta, r, spec.c)
-            if num.sign == 0:
-                return 0.0
-            acc = acc * num / ln_gen_factorial(spec.total, r, spec.c)
-            nid = self.tree.parent(nid)
-        return acc.to_float()
+        path = self.tree.root_path(node)
+        # (theta_C)_r / (|theta|)_r is the split's probability of giving
+        # all of r to the child C
+        for child, parent in zip(path, path[1:]):
+            y = [r if c == child else 0 for c in self.tree.children(parent)]
+            total *= math.exp(polya_log_pmf_many([y], self.splits[parent])[0])
+        return total
+
+    def _moments(self) -> tuple:
+        """Mean, variance and Var - E of every node subsum, by node id."""
+        mu1, mu2 = self._mu
+        gamma, delta = self._gamma, self._delta
+        excess = gamma * (delta * mu2 - gamma * mu1 ** 2)
+        return gamma * mu1, excess + gamma * mu1, excess
 
     def node_mean(self, node: int) -> float:
-        return self.node_factorial_moment(node, 1)
+        return float(self._moments()[0][node])
 
     def node_variance(self, node: int) -> float:
-        # Var = E[X(X-1)] + E[X](1 - E[X]); log-space stable pieces
-        m1 = self.node_factorial_moment(node, 1)
-        m2 = self.node_factorial_moment(node, 2)
-        return m2 + m1 * (1.0 - m1)
+        return float(self._moments()[1][node])
 
     # -- covariance / correlation -------------------------------------
 
     def _pair_bracket(self, s: int) -> float:
         """Common factor of covariances separated at ancestor node s."""
-        mu1 = sumlaw_factorial_moment(1, self.sum_law)
-        mu2 = sumlaw_factorial_moment(2, self.sum_law)
+        mu1, mu2 = self._mu
         spec = self.splits[s]
-        consts = self.path_constants(s)
         return (spec.total / (spec.total + spec.c)) \
-            * (consts.delta / consts.gamma) * mu2 - mu1 ** 2
+            * (self._delta[s] / self._gamma[s]) * mu2 - mu1 ** 2
 
     def covariance(self, i: int, j: int) -> float:
         """Covariance of the leaf counts for 1-based labels i and j."""
-        if i == j:
-            return self.node_variance(self.tree.leaf_node(i))
         node_i = self.tree.leaf_node(i)
-        node_j = self.tree.leaf_node(j)
-        s, _, _ = self.tree.common_ancestor(node_i, node_j)
-        gi = self.path_constants(node_i).gamma
-        gj = self.path_constants(node_j).gamma
-        return gi * gj * self._pair_bracket(s)
+        if i == j:
+            return self.node_variance(node_i)
+        return self.node_covariance(node_i, self.tree.leaf_node(j))
 
     def node_covariance(self, a: int, b: int) -> float:
         """Covariance of two disjoint node subsums."""
-        sub_a, sub_b = set(self.tree.subset(a)), set(self.tree.subset(b))
-        if sub_a & sub_b:
+        if set(self.tree.subset(a)) & set(self.tree.subset(b)):
             raise UsageError("node subsets must be disjoint")
-        s = a
-        while not sub_b <= set(self.tree.subset(s)):
-            s = self.tree.parent(s)
-        ga = self.path_constants(a).gamma
-        gb = self.path_constants(b).gamma
-        return ga * gb * self._pair_bracket(s)
+        s, _, _ = self.tree.common_ancestor(a, b)
+        return float(self._gamma[a] * self._gamma[b] * self._pair_bracket(s))
 
     def covariance_ratio(self, c_a1: int, c_a2: int, c_b: int):
         """Ratio of covariances against a third node; equals the weight
@@ -294,29 +279,25 @@ class TreePolyaModel:
                 self.node_covariance(c_a2, c_b))
 
     def correlation_matrix(self) -> np.ndarray:
-        mu1 = sumlaw_factorial_moment(1, self.sum_law)
-        mu2 = sumlaw_factorial_moment(2, self.sum_law)
-        j_count = self.tree.leaf_count
-        lam = np.zeros(j_count)
-        for j in range(1, j_count + 1):
-            consts = self.path_constants(self.tree.leaf_node(j))
-            var = consts.gamma * (consts.delta * mu2
-                                  + mu1 * (1.0 - consts.gamma * mu1))
-            if var <= 0:
-                raise DomainError(
-                    f"leaf {j} has non-positive variance; correlation "
-                    "undefined")
-            lam[j - 1] = math.sqrt(consts.gamma / (consts.delta * mu2 + mu1
-                                                   * (1.0 - consts.gamma * mu1)))
-        out = np.eye(j_count)
-        for i in range(1, j_count + 1):
-            for j in range(i + 1, j_count + 1):
-                ni, nj = self.tree.leaf_node(i), self.tree.leaf_node(j)
-                s, _, _ = self.tree.common_ancestor(ni, nj)
-                bracket = self._pair_bracket(s)
-                value = 0.0 if bracket == 0.0 \
-                    else lam[i - 1] * lam[j - 1] * bracket
-                out[i - 1, j - 1] = out[j - 1, i - 1] = value
+        tree = self.tree
+        _, var, _ = self._moments()
+        leaves = sorted(tree.leaf_ids, key=lambda nid: tree.subset(nid)[0])
+        bad = np.flatnonzero(var[leaves] <= 0)
+        if bad.size:
+            raise DomainError(f"leaf {bad[0] + 1} has non-positive variance; "
+                              "correlation undefined")
+        lam = self._gamma[leaves] / np.sqrt(var[leaves])  # in label order
+        out = np.eye(tree.leaf_count)
+        # a leaf pair is separated at exactly one node: the blocks of
+        # leaves under two distinct children of it
+        for s in tree.internal_ids:
+            bracket = self._pair_bracket(s)
+            cols = [np.array(tree.subset(c)) - 1 for c in tree.children(s)]
+            for k, left in enumerate(cols):
+                for right in cols[k + 1:]:
+                    block = bracket * np.outer(lam[left], lam[right])
+                    out[np.ix_(left, right)] = block
+                    out[np.ix_(right, left)] = block.T
         return out
 
     def dispersion_report(self) -> dict:
@@ -325,34 +306,12 @@ class TreePolyaModel:
         Each entry is 'under', 'null', or 'over'; ``implied`` carries the
         sign forced by the split kinds along the path when one is forced.
         """
-        mu1 = sumlaw_factorial_moment(1, self.sum_law)
-        mu2 = sumlaw_factorial_moment(2, self.sum_law)
-
-        def classify(excess):
-            if abs(excess) < 1e-12:
-                return "null"
-            return "over" if excess > 0 else "under"
-
-        report = {"sum_law": classify(mu2 - mu1 ** 2), "nodes": {}}
-        for nid in range(len(self.tree)):
-            consts = self.path_constants(nid)
-            excess = consts.gamma * (consts.delta * mu2
-                                     - consts.gamma * mu1 ** 2)
-            implied = report["sum_law"]
-            node = nid
-            while node != self.tree.ROOT and implied is not None:
-                _, spec = self._edge_weight(node)
-                if spec.c == 1:
-                    implied = "over" if implied in ("null", "over") else None
-                elif spec.c == -1:
-                    implied = "under" if implied in ("null", "under") else None
-                node = self.tree.parent(node)
-            report["nodes"][nid] = {
-                "subset": self.tree.subset(nid),
-                "dispersion": classify(excess),
-                "implied": implied,
-            }
-        return report
+        _, _, excess = self._moments()
+        return {"sum_law": self._implied[self.tree.ROOT],
+                "nodes": {nid: {"subset": self.tree.subset(nid),
+                                "dispersion": _classify(excess[nid]),
+                                "implied": self._implied[nid]}
+                          for nid in range(len(self.tree))}}
 
     @property
     def parameter_count(self) -> int:
@@ -474,8 +433,7 @@ def _chain_marginal_vector(chain: MarginalChain, tail: float) -> np.ndarray:
     root down; every intermediate quantity is a probability, so the
     computation is cancellation-free."""
     n_max = sumlaw_truncation_point(chain.terminal, tail)
-    dist = np.array([sumlaw_log_pmf(k, chain.terminal).to_float()
-                     for k in range(n_max + 1)])
+    dist = np.exp(sumlaw_log_pmf_many(np.arange(n_max + 1), chain.terminal))
     for st in reversed(chain.stages):  # root side first
         dist = _stage_kernel(st, n_max) @ dist
     dist.setflags(write=False)

@@ -13,15 +13,17 @@ from typing import Optional, Union
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError
-from .special import LogValue, ln_gen_factorial
+from .special import LogValue, ln_gen_factorial_many
 
 __all__ = [
     "SplitSpec",
     "Dirac", "Binomial", "Poisson", "NegativeBinomial", "SumLaw",
-    "polya_pmf", "polya_uni_pmf", "polya_sample", "polya_sample_many",
-    "sumlaw_log_pmf", "sumlaw_factorial_moment", "sumlaw_sample",
+    "polya_pmf", "polya_log_pmf_many", "polya_uni_pmf", "polya_sample",
+    "polya_sample_many", "sumlaw_log_pmf", "sumlaw_log_pmf_many",
+    "sumlaw_factorial_moment", "sumlaw_sample",
     "sumlaw_sample_many", "sumlaw_support_max", "sumlaw_truncation_point",
 ]
 
@@ -123,50 +125,55 @@ def sumlaw_support_max(law: SumLaw) -> Optional[int]:
     return None
 
 
-def sumlaw_log_pmf(n: int, law: SumLaw) -> LogValue:
-    if n < 0 or n != int(n):
-        return LogValue.ZERO
+def count_array(y) -> np.ndarray:
+    """Counts as floats; NaN or infinite entries are a usage error."""
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise UsageError("counts must be finite numbers")
+    return y
+
+
+def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
+    """Log p.m.f. of a sum law at each total; ``-inf`` for zero mass."""
+    n = np.asarray(n, dtype=float)
+    ok = (n >= 0) & (n == np.floor(n))
+    k = np.where(ok, n, 0.0)
     if isinstance(law, Dirac):
-        return LogValue.ONE if n == law.m else LogValue.ZERO
-    if isinstance(law, Binomial):
-        if n > law.size:
-            return LogValue.ZERO
-        log_choose = (math.lgamma(law.size + 1) - math.lgamma(n + 1)
-                      - math.lgamma(law.size - n + 1))
-        return LogValue(1, log_choose + n * math.log(law.prob)
-                        + (law.size - n) * math.log1p(-law.prob))
-    if isinstance(law, Poisson):
-        return LogValue(1, n * math.log(law.rate) - law.rate
-                        - math.lgamma(n + 1))
-    if isinstance(law, NegativeBinomial):
-        log_rising = math.lgamma(law.alpha + n) - math.lgamma(law.alpha)
-        return LogValue(1, log_rising - math.lgamma(n + 1)
-                        + n * math.log(law.p) + law.alpha * math.log1p(-law.p))
-    raise UsageError(f"unknown sum law {law!r}")
+        out = np.where(k == law.m, 0.0, -np.inf)
+    elif isinstance(law, Binomial):  # the falling factorial is 0 past size
+        out = (ln_gen_factorial_many(law.size, k, -1) - gammaln(k + 1)
+               + k * math.log(law.prob)
+               + (law.size - k) * math.log1p(-law.prob))
+    elif isinstance(law, Poisson):
+        out = k * math.log(law.rate) - law.rate - gammaln(k + 1)
+    elif isinstance(law, NegativeBinomial):
+        out = (ln_gen_factorial_many(law.alpha, k, 1) - gammaln(k + 1)
+               + k * math.log(law.p) + law.alpha * math.log1p(-law.p))
+    else:
+        raise UsageError(f"unknown sum law {law!r}")
+    return np.where(ok, out, -np.inf)
+
+
+def sumlaw_log_pmf(n: int, law: SumLaw) -> LogValue:
+    return LogValue.from_log(sumlaw_log_pmf_many(count_array(n), law))
 
 
 def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
     """r-th factorial moment E[(N)(N-1)...(N-r+1)]."""
     if r < 0:
         raise DomainError("moment order must be nonnegative")
-    if r == 0:
-        return 1.0
-    if isinstance(law, Dirac):
-        if r > law.m:
-            return 0.0
-        return math.exp(math.lgamma(law.m + 1) - math.lgamma(law.m - r + 1))
-    if isinstance(law, Binomial):
-        if r > law.size:
-            return 0.0
-        return math.exp(math.lgamma(law.size + 1)
-                        - math.lgamma(law.size - r + 1)) * law.prob ** r
     if isinstance(law, Poisson):
         return law.rate ** r
-    if isinstance(law, NegativeBinomial):
-        log_rising = math.lgamma(law.alpha + r) - math.lgamma(law.alpha)
-        return math.exp(log_rising + r * (math.log(law.p)
-                                          - math.log1p(-law.p)))
-    raise UsageError(f"unknown sum law {law!r}")
+    if isinstance(law, Dirac):
+        log = ln_gen_factorial_many(law.m, r, -1)
+    elif isinstance(law, Binomial):
+        log = ln_gen_factorial_many(law.size, r, -1) + r * math.log(law.prob)
+    elif isinstance(law, NegativeBinomial):
+        log = ln_gen_factorial_many(law.alpha, r, 1) \
+            + r * (math.log(law.p) - math.log1p(-law.p))
+    else:
+        raise UsageError(f"unknown sum law {law!r}")
+    return math.exp(log)
 
 
 def sumlaw_sample_many(law: SumLaw, size: int,
@@ -206,35 +213,34 @@ def sumlaw_truncation_point(law: SumLaw, tail: float = 1e-14) -> int:
 # Pólya kernels
 
 
+def polya_log_pmf_many(y, spec: SplitSpec) -> np.ndarray:
+    """Log p.m.f. of the singular Pólya split at each row of an
+    (n, arity) count array; ``-inf`` for rows of zero mass."""
+    y = np.asarray(y, dtype=float)
+    theta = np.array(spec.theta)
+    ok = np.all((y >= 0) & (y == np.floor(y)), axis=1)
+    if spec.c == -1:
+        ok &= np.all(y <= np.round(theta), axis=1)
+    y = np.where(ok[:, None], y, 0.0)
+    n = y.sum(axis=1)
+    out = (gammaln(n + 1) - gammaln(y + 1).sum(axis=1)
+           + ln_gen_factorial_many(theta, y, spec.c).sum(axis=1)
+           - ln_gen_factorial_many(spec.total, n, spec.c))
+    return np.where(ok, out, -np.inf)
+
+
 def polya_pmf(y, spec: SplitSpec) -> LogValue:
     """Log p.m.f. of the singular Pólya split at a count vector."""
-    y = [int(v) for v in y]
-    if len(y) != spec.arity:
-        raise UsageError(f"count vector has {len(y)} components, split "
-                         f"has {spec.arity}")
-    if any(v < 0 for v in y):
-        return LogValue.ZERO
-    n = sum(y)
-    if n == 0:
-        return LogValue.ONE
-    denom = ln_gen_factorial(spec.total, n, spec.c)
-    if denom.sign == 0:
-        raise DomainError(f"total {n} outside the support of a "
-                          f"hypergeometric split with |theta|={spec.total}")
-    out = LogValue(1, math.lgamma(n + 1)) / denom
-    for theta_j, y_j in zip(spec.theta, y):
-        out = out * ln_gen_factorial(theta_j, y_j, spec.c)
-        if out.sign == 0:
-            return LogValue.ZERO
-        out = out / LogValue(1, math.lgamma(y_j + 1))
-    return out
+    y = count_array(y)
+    if y.shape != (spec.arity,):
+        raise UsageError(f"count vector has shape {y.shape}, split "
+                         f"has {spec.arity} components")
+    return LogValue.from_log(polya_log_pmf_many(y[None, :], spec)[0])
 
 
 def polya_uni_pmf(y: int, n: int, theta: float, tau: float,
                   c: int) -> LogValue:
     """Univariate (non-singular) Pólya p.m.f. at y out of a total n."""
-    if y < 0 or y > n:
-        return LogValue.ZERO
     return polya_pmf((y, n - y), SplitSpec(c, (theta, tau)))
 
 

@@ -1,8 +1,8 @@
-"""Numerically stable scalar primitives.
+"""Numerically stable primitives.
 
-Signed log-space reals, generalized factorial products, and generalized
-hypergeometric series in both the terminating and the convergent regime.
-All probability assembly elsewhere in the package goes through these.
+Signed log-space reals, generalized factorial products (as arrays, with
+a checked scalar form), and generalized hypergeometric series in both
+the terminating and the convergent regime.
 """
 
 from __future__ import annotations
@@ -11,11 +11,15 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
+import numpy as np
+from scipy.special import gammaln
+
 from .exceptions import ConvergenceError, DomainError, UsageError
 
 __all__ = [
     "LogValue",
     "ln_gen_factorial",
+    "ln_gen_factorial_many",
     "pfq_terminating",
     "pfq_convergent",
 ]
@@ -41,6 +45,11 @@ class LogValue:
         if x == 0.0:
             return LogValue.ZERO
         return LogValue(1 if x > 0 else -1, math.log(abs(x)))
+
+    @staticmethod
+    def from_log(x: float) -> "LogValue":
+        """Positive value with log ``x``; exact zero for ``x = -inf``."""
+        return LogValue.ZERO if x == -math.inf else LogValue(1, float(x))
 
     def to_float(self) -> float:
         if self.sign == 0:
@@ -70,6 +79,18 @@ def _is_nonpos_int(x: float) -> bool:
     return x <= _INT_TOL and abs(x - round(x)) <= _INT_TOL
 
 
+def ln_gen_factorial_many(theta, n, c: int) -> np.ndarray:
+    """Unchecked elementwise :func:`ln_gen_factorial` as a float array;
+    ``-inf`` where c = -1 and n exceeds the base."""
+    if c == 0:
+        return n * np.log(theta)
+    if c == 1:
+        return gammaln(theta + n) - gammaln(theta)
+    t = np.round(theta)
+    return np.where(n <= t, gammaln(t + 1) - gammaln(np.maximum(t - n, 0) + 1),
+                    -np.inf)
+
+
 def ln_gen_factorial(theta: float, n: int, c: int) -> LogValue:
     """Log of the product prod_{j=0}^{n-1} (theta + j*c).
 
@@ -78,26 +99,16 @@ def ln_gen_factorial(theta: float, n: int, c: int) -> LogValue:
     base must be a positive integer; when n exceeds it the product hits
     a zero factor and an exact zero is returned.
     """
+    if c not in (-1, 0, 1):
+        raise UsageError(f"c must be in {{-1, 0, 1}}, got {c}")
     if theta <= 0:
         raise DomainError(f"generalized factorial needs theta > 0, got {theta}")
     if n < 0:
         raise DomainError(f"generalized factorial needs n >= 0, got {n}")
-    if n == 0:
-        return LogValue.ONE
-    if c == 0:
-        return LogValue(1, n * math.log(theta))
-    if c == 1:
-        return LogValue(1, math.lgamma(theta + n) - math.lgamma(theta))
-    if c == -1:
-        if abs(theta - round(theta)) > _INT_TOL:
-            raise DomainError(
-                f"falling factorial needs an integer base, got theta={theta}")
-        t = int(round(theta))
-        if n > t:
-            # factor theta - theta = 0 occurs before any negative factor
-            return LogValue.ZERO
-        return LogValue(1, math.lgamma(t + 1) - math.lgamma(t - n + 1))
-    raise UsageError(f"c must be in {{-1, 0, 1}}, got {c}")
+    if c == -1 and abs(theta - round(theta)) > _INT_TOL:
+        raise DomainError(
+            f"falling factorial needs an integer base, got theta={theta}")
+    return LogValue.from_log(ln_gen_factorial_many(theta, n, c))
 
 
 def _kahan_add(total: float, comp: float, term: float) -> tuple[float, float]:

@@ -9,11 +9,24 @@ on top of these trees are not exchangeable in the leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .exceptions import UsageError, ValidationError
 
-__all__ = ["PartitionTree", "validate_partition_tree"]
+__all__ = ["PartitionTree", "incidence_matrix", "validate_partition_tree"]
+
+
+def incidence_matrix(subsets: Sequence[Iterable[int]],
+                     leaf_count: int) -> np.ndarray:
+    """0/1 matrix with one row per subset of 1-based leaf labels, so that
+    ``counts @ incidence_matrix(subsets, J).T`` holds the subset sums."""
+    out = np.zeros((len(subsets), leaf_count))
+    for k, subset in enumerate(subsets):
+        out[k, [j - 1 for j in subset]] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -41,27 +54,27 @@ class PartitionTree:
         ``[[1, 2], 3]`` is the tree whose root has the internal node
         {1,2} and the leaf {3} as children.
         """
-        nodes = []
-
-        def build(spec, parent):
-            my_id = len(nodes)
-            nodes.append(None)  # placeholder
-            if isinstance(spec, int):
-                nodes[my_id] = _Node((spec,), parent, ())
-                return my_id, (spec,)
-            child_ids, subset = [], []
-            for child in spec:
-                cid, csub = build(child, my_id)
-                child_ids.append(cid)
-                subset.extend(csub)
-            nodes[my_id] = _Node(tuple(sorted(subset)), parent,
-                                 tuple(child_ids))
-            return my_id, subset
-
         if isinstance(nested, int):
             raise ValidationError("root must be an internal node")
-        build(nested, None)
-        tree = PartitionTree(len(nodes[0].subset), tuple(nodes))
+        # [subset, parent, children] records in preorder, children in the
+        # order given; internal subsets are filled in bottom-up
+        nodes, stack = [], [(nested, None)]
+        while stack:
+            spec, parent = stack.pop()
+            if not isinstance(spec, (int, list, tuple)):
+                raise ValidationError(f"bad tree entry {spec!r}")
+            nid = len(nodes)
+            if parent is not None:
+                nodes[parent][2].append(nid)
+            leaf = isinstance(spec, int)
+            nodes.append([(spec,) if leaf else None, parent, []])
+            if not leaf:
+                stack.extend((child, nid) for child in reversed(spec))
+        for node in reversed(nodes):
+            if node[0] is None:
+                node[0] = tuple(sorted(j for c in node[2] for j in nodes[c][0]))
+        nodes = tuple(_Node(sub, par, tuple(ch)) for sub, par, ch in nodes)
+        tree = PartitionTree(len(nodes[0].subset), nodes)
         tree._check()
         return tree
 
@@ -135,6 +148,23 @@ class PartitionTree:
 
     # -- queries ------------------------------------------------------
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Read-only node x leaf 0/1 matrix; ``counts @ incidence.T``
+        has every node subsum, in node id order."""
+        out = incidence_matrix([n.subset for n in self.nodes], self.leaf_count)
+        out.setflags(write=False)
+        return out
+
+    def preorder(self, node: int = ROOT) -> list:
+        """Node ids of the subtree at ``node``, parents first."""
+        order, stack = [], [node]
+        while stack:
+            nid = stack.pop()
+            order.append(nid)
+            stack.extend(reversed(self.nodes[nid].children))
+        return order
+
     def subset(self, node: int) -> tuple:
         return self.nodes[node].subset
 
@@ -184,13 +214,14 @@ class PartitionTree:
         raise UsageError(f"leaf {label} not under node {node}")
 
     def common_ancestor(self, i: int, j: int) -> tuple:
-        """Deepest node covering leaf nodes ``i`` and ``j``.
+        """Deepest node covering nodes ``i`` and ``j`` of disjoint subsets
+        (two distinct leaves, say).
 
         Returns ``(S, C_i, C_j)`` where C_i, C_j are the distinct
-        children of S containing each leaf.
+        children of S containing each node.
         """
         if i == j:
-            raise UsageError("common_ancestor needs two distinct leaves")
+            raise UsageError("common_ancestor needs two distinct nodes")
         label_i = self.nodes[i].subset[0]
         label_j = self.nodes[j].subset[0]
         anc_i = set(self.root_path(i))
@@ -211,14 +242,12 @@ class PartitionTree:
             raise UsageError("cannot prune at a leaf")
         old_labels = self.nodes[node].subset
         translation = {old: new for new, old in enumerate(old_labels, start=1)}
-
-        def nested(nid):
+        nested = {}
+        for nid in reversed(self.preorder(node)):
             n = self.nodes[nid]
-            if not n.children:
-                return translation[n.subset[0]]
-            return [nested(c) for c in n.children]
-
-        return PartitionTree.from_nested(nested(node)), translation
+            nested[nid] = [nested.pop(c) for c in n.children] \
+                if n.children else translation[n.subset[0]]
+        return PartitionTree.from_nested(nested[node]), translation
 
     def node_by_subset(self, labels: Iterable[int]) -> int:
         key = tuple(sorted(labels))

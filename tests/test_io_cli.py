@@ -222,6 +222,8 @@ class TestCli:
         lines = rep.read_text().strip().split("\n")
         assert lines[0] == "node,kind,n_params,log_lik,aic"
         assert lines[-1].startswith("total,")
+        assert lines[2].startswith("{1;2;3;4;5;6;7;8;9;10},")
+        assert all(len(line.split(",")) == 5 for line in lines)
 
     def test_fit_with_tree_file(self, data_file, tmp_path):
         tree_path = tmp_path / "tree.json"
@@ -237,10 +239,31 @@ class TestCli:
     def test_search_emits_trace(self, data_file, tmp_path):
         out = tmp_path / "s.json"
         trace = tmp_path / "t.csv"
+        rep = tmp_path / "rep.csv"
         assert main(["search", "--data", data_file, "--out", str(out),
-                     "--trace", str(trace)]) == 0
+                     "--trace", str(trace), "--report", str(rep)]) == 0
         parse_model(out.read_text())
-        assert trace.read_text().startswith("move,parent,node,delta_aic")
+        lines = trace.read_text().strip().split("\n")
+        assert lines[0] == "move,parent,node,delta_aic" and len(lines) > 1
+        assert all(len(line.split(",")) == 4 for line in lines)
+        lines = rep.read_text().strip().split("\n")
+        assert all(len(line.split(",")) == 5 for line in lines)
+
+    def test_pmf_after_search_on_the_same_data(self, data_file, tmp_path):
+        searched = tmp_path / "s.json"
+        out = tmp_path / "p.csv"
+        assert main(["search", "--data", data_file, "--out",
+                     str(searched)]) == 0
+        model, names = parse_model(searched.read_text())
+        data = load_counts_csv(data_file)
+        assert names != data.column_names, "search kept the column order"
+        assert main(["pmf", "--model", str(searched), "--obs", data_file,
+                     "--out", str(out)]) == 0
+        rows = data.rows[:, [data.column_names.index(n) for n in names]]
+        got = [float(line.split(",")[1])
+               for line in out.read_text().strip().split("\n")[1:]]
+        expect = [model.joint_log_pmf(row).log_magnitude for row in rows]
+        assert got == pytest.approx(expect, rel=1e-10)
 
     def test_moments_and_describe(self, model_file, capsys):
         assert main(["moments", "--model", model_file, "--leaf", "s6",

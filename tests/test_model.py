@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treepolya.examples import ten_leaf_example
 from treepolya.exceptions import DomainError, UsageError, ValidationError
 from treepolya.model import TreePolyaModel, absorb_binomials, marginal_pmf
-from treepolya.polya import (Dirac, NegativeBinomial, Poisson, SplitSpec,
-                             sumlaw_log_pmf)
+from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
+                             SplitSpec, polya_pmf, sumlaw_log_pmf,
+                             sumlaw_support_max)
 from treepolya.tree import PartitionTree
 
 from conftest import enumerate_joint, simplex
@@ -72,15 +75,152 @@ class TestJointPmf:
         # pmf = sum-law(n) * product of per-node conditional splits
         model = five_leaf(Dirac(8))
         y = np.array([2, 1, 3, 1, 1])
-        subs = model.node_subsums(y)
+        subs = model.tree.incidence @ y
         tree = model.tree
         expect = sumlaw_log_pmf(8, model.sum_law).to_float()
-        from treepolya.polya import polya_pmf
         for nid in tree.internal_ids:
             child = np.array([subs[c] for c in tree.children(nid)])
             expect *= polya_pmf(child, model.splits[nid]).to_float()
         assert model.joint_log_pmf(y).to_float() == pytest.approx(
             expect, rel=1e-12)
+
+    def test_fractional_count_has_zero_mass(self):
+        model = ten_leaf_example()
+        y = model.sample_many(1, np.random.default_rng(5))[0].astype(float)
+        y[3] += 0.7
+        assert model.joint_log_pmf(y).sign == 0
+        assert model.joint_log_pmf_many(y[None, :])[0] == -math.inf
+
+    def test_half_count_moved_between_sibling_leaves_has_zero_mass(self):
+        # leaves 4 and 5 are siblings, so every node subsum stays integer
+        model = ten_leaf_example()
+        y = model.sample_many(1, np.random.default_rng(6))[0].astype(float)
+        y[[3, 4]] += [0.5, 1.5]
+        y[4] -= 2
+        assert model.joint_log_pmf(y).sign == 0
+        assert model.joint_log_pmf_many(y[None, :])[0] == -math.inf
+        assert polya_pmf([1.5, 0.5], SplitSpec(1, (1.0, 2.0))).sign == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nan_or_infinite_count_is_usage_error(self, bad):
+        model = ten_leaf_example()
+        y = np.ones(10)
+        y[2] = bad
+        with pytest.raises(UsageError):
+            model.joint_log_pmf(y)
+        with pytest.raises(UsageError):
+            model.joint_log_pmf_many(np.vstack([np.ones(10), y]))
+        with pytest.raises(UsageError):
+            polya_pmf([1.0, bad], SplitSpec(0, (0.5, 0.5)))
+
+
+class TestDeepTrees:
+    def test_1500_leaf_cascade(self):
+        # the split over k leaves has weights (1, k - 1), so every leaf
+        # has the same mean and no path constant underflows
+        tree = PartitionTree.cascade(range(1, 1501))
+        splits = {nid: SplitSpec(0, (1.0, len(tree.subset(nid)) - 1.0))
+                  for nid in tree.internal_ids}
+        model = TreePolyaModel(tree, splits, NegativeBinomial(5.0, 0.99))
+        rows = model.sample_many(20, np.random.default_rng(8))
+        assert np.all(np.isfinite(model.joint_log_pmf_many(rows)))
+        corr = model.correlation_matrix()
+        assert np.array_equal(corr, corr.T)
+        assert np.all(np.diag(corr) == 1.0)
+        sub, _ = tree.prune_at(tree.children(tree.ROOT)[1])
+        assert sub.leaf_count == 1499
+
+
+@st.composite
+def small_models(draw):
+    """Random trees over 2-6 leaves with every split kind and sum law;
+    hypergeometric splits only below a bounded total, with integer
+    weights that may lie under the node's maximal total."""
+    j = draw(st.integers(2, 6))
+
+    def nest(labels):
+        if len(labels) == 1:
+            return labels[0]
+        cuts = sorted(draw(st.sets(st.integers(1, len(labels) - 1),
+                                   min_size=1)))
+        bounds = [0] + cuts + [len(labels)]
+        return [nest(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    tree = PartitionTree.from_nested(
+        nest(draw(st.permutations(range(1, j + 1)))))
+    law = draw(st.one_of(
+        st.builds(Dirac, st.integers(0, 6)),
+        st.builds(Binomial, st.integers(1, 6), st.floats(0.1, 0.9)),
+        st.builds(Poisson, st.floats(0.5, 6.0)),
+        st.builds(NegativeBinomial, st.floats(0.5, 5.0),
+                  st.floats(0.1, 0.8))))
+    bound, splits = {tree.ROOT: sumlaw_support_max(law)}, {}
+    for nid in tree.internal_ids:  # parents come first
+        arity = len(tree.children(nid))
+        kinds = [0, 1] if bound[nid] is None else [-1, 0, 1]
+        c = draw(st.sampled_from(kinds))
+        if c == -1:
+            theta = draw(st.lists(st.integers(1, max(bound[nid], 1)),
+                                  min_size=arity, max_size=arity))
+            theta[-1] += max(0, bound[nid] - sum(theta))
+        else:
+            theta = draw(st.lists(st.floats(0.2, 5.0), min_size=arity,
+                                  max_size=arity))
+        splits[nid] = SplitSpec(c, theta)
+        for cid, t in zip(tree.children(nid), theta):
+            bound[cid] = bound[nid] if c != -1 else min(bound[nid], int(t))
+    return TreePolyaModel(tree, splits, law)
+
+
+def _assembled_log_pmf(model, y):
+    """Sum law times every node's split, on explicit leaf-subset sums."""
+    tree = model.tree
+    sums = [sum(y[j - 1] for j in tree.subset(nid))
+            for nid in range(len(tree))]
+    out = sumlaw_log_pmf(sums[tree.ROOT], model.sum_law)
+    for nid in tree.internal_ids:
+        out = out * polya_pmf([sums[c] for c in tree.children(nid)],
+                              model.splits[nid])
+    return out.log_magnitude if out.sign else -math.inf
+
+
+class TestBatchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_pmf_matches_assembly(self, model, seed):
+        rng = np.random.default_rng(seed)
+        j = model.tree.leaf_count
+        top = sumlaw_support_max(model.sum_law)
+        top = 6 if top is None else top
+        rows = np.vstack([
+            model.sample_many(8, rng),
+            rng.multinomial(top, np.full(j, 1.0 / j), size=8),
+            rng.integers(-1, top + 3, size=(8, j))])
+        got = model.joint_log_pmf_many(rows)
+        expect = np.array([_assembled_log_pmf(model, y) for y in rows])
+        assert np.array_equal(got == -math.inf, expect == -math.inf)
+        finite = np.isfinite(expect)
+        assert np.allclose(got[finite], expect[finite], rtol=1e-12,
+                           atol=1e-12)
+        perm = rng.permutation(rows.shape[0])
+        assert np.array_equal(model.joint_log_pmf_many(rows[perm]), got[perm])
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models())
+    def test_correlation_matches_covariance(self, model):
+        j = model.tree.leaf_count
+        var = [model.covariance(i, i) for i in range(1, j + 1)]
+        if min(var) <= 0:
+            with pytest.raises(DomainError):
+                model.correlation_matrix()
+            return
+        corr = model.correlation_matrix()
+        for i in range(j):
+            for k in range(j):
+                expect = model.covariance(i + 1, k + 1) \
+                    / math.sqrt(var[i] * var[k])
+                assert corr[i, k] == pytest.approx(expect, rel=1e-10,
+                                                   abs=1e-12)
 
 
 class TestMarginals:
