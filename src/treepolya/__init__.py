@@ -11,7 +11,7 @@ from .fit import (FitResult, SearchConfig, fit_node_dm,
 from .io import (CountMatrix, load_counts_csv, parse_model,
                  serialize_model)
 from .model import (ChainStage, MarginalChain, PathConstants, TreePolyaModel,
-                    absorb_binomials, marginal_pmf)
+                    absorb_binomials, marginal_pmf, marginal_pmf_vector)
 from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
                     SumLaw, polya_pmf, polya_sample, polya_uni_pmf,
                     sumlaw_factorial_moment, sumlaw_log_pmf, sumlaw_sample)

@@ -2,7 +2,7 @@
 
 A model is a partition tree with one Pólya split per internal node and a
 univariate law on the grand total.  This module houses the joint p.m.f.,
-exact sampling, closed-form marginals, factorial moments, and the
+exact sampling, marginals, factorial moments, and the
 covariance / correlation structure.
 """
 
@@ -14,20 +14,21 @@ from functools import lru_cache
 from typing import Dict
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
 from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, count_array,
                     polya_log_pmf_many, polya_sample_many,
-                    sumlaw_factorial_moment, sumlaw_log_pmf,
-                    sumlaw_log_pmf_many, sumlaw_sample_many,
-                    sumlaw_support_max, sumlaw_truncation_point)
-from .special import LogValue, pfq_convergent, pfq_terminating
+                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
+                    sumlaw_sample_many, sumlaw_support_max,
+                    sumlaw_truncation_point)
+from .special import LogValue, ln_gen_factorial_many
 from .tree import PartitionTree
 
 __all__ = [
     "TreePolyaModel", "MarginalChain", "ChainStage", "PathConstants",
-    "absorb_binomials", "marginal_pmf",
+    "absorb_binomials", "marginal_pmf", "marginal_pmf_vector",
 ]
 
 
@@ -348,119 +349,75 @@ def absorb_binomials(chain: MarginalChain) -> MarginalChain:
                          NegativeBinomial(chain.terminal.alpha, new_p))
 
 
-def _bb_log_prefactor(a: np.ndarray, b: np.ndarray, n: int) -> float:
-    """log prod_k (a_k)_n / (a_k + b_k)_n."""
-    out = 0.0
-    for ak, bk in zip(a, b):
-        out += math.lgamma(ak + n) - math.lgamma(ak)
-        out -= math.lgamma(ak + bk + n) - math.lgamma(ak + bk)
-    return out
+# entries in one row block of a stage kernel: 512 KB per float array
+# bounds the memory, and ran faster than 2 MB blocks
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _marginal_pmf_nb(chain: MarginalChain, n: int, tail: float) -> float:
-    chain = absorb_binomials(chain)
-    law = chain.terminal
-    alpha, p = law.alpha, law.p
-    a = np.array([st.theta_num for st in chain.stages])
-    b = np.array([st.theta_rest for st in chain.stages])
-    if len(chain.stages) == 0:
-        return sumlaw_log_pmf(n, law).to_float()
-    log_pref = (_bb_log_prefactor(a, b, n)
-                + math.lgamma(alpha + n) - math.lgamma(alpha)
-                - math.lgamma(n + 1)
-                + n * (math.log(p) - math.log1p(-p)))
-    if p < 0.5:
-        series = pfq_convergent([alpha + n] + list(a + n), list(a + b + n),
-                                p / (p - 1.0))
-        return math.exp(log_pref) * series
-    # the outer mixture over an NB(alpha + n, p) weight alternates inside
-    # its hypergeometric factors and loses precision as n grows, so for
-    # large p the absorbed chain is summed directly (all-positive terms)
-    vec = _chain_marginal_vector(chain, tail)
-    return float(vec[n]) if n < vec.size else 0.0
-
-
-def _marginal_pmf_dirac(chain: MarginalChain, n: int) -> float:
-    m = chain.terminal.m
-    if n > m:
-        return 0.0
-    gamma = 1.0
-    kept = []
-    for st in chain.stages:
-        if st.c == 0:
-            gamma *= st.theta_num / (st.theta_num + st.theta_rest)
-        else:
-            kept.append(st)
-    a = np.array([st.theta_num for st in kept])
-    b = np.array([st.theta_rest for st in kept])
-    log_pref = (math.lgamma(m + 1) - math.lgamma(n + 1)
-                - math.lgamma(m - n + 1)
-                + _bb_log_prefactor(a, b, n) + n * math.log(gamma))
-    series = pfq_terminating([n - m] + list(a + n), list(a + b + n), gamma)
-    return math.exp(log_pref) * series
-
-
-def _stage_kernel(stage: ChainStage, n_max: int) -> np.ndarray:
-    """(n_max+1) x (n_max+1) matrix K[y, t] = P(subsum = y | total = t)
-    for one thinning stage; strictly nonnegative entries."""
-    a, bb, c = stage.theta_num, stage.theta_rest, stage.c
-    t = np.arange(n_max + 1, dtype=float)[None, :]
-    y = np.arange(n_max + 1, dtype=float)[:, None]
-    rest = t - y
-    valid = rest >= 0
-    ys, rs, ts = (np.where(valid, v, 0.0) for v in (y, rest, t))
-    choose = gammaln(ts + 1) - gammaln(ys + 1) - gammaln(rs + 1)
-    if c == 0:
-        pi = a / (a + bb)
-        logk = choose + ys * math.log(pi) + rs * math.log1p(-pi)
-    elif c == 1:
-        logk = (choose + gammaln(a + ys) - gammaln(a)
-                + gammaln(bb + rs) - gammaln(bb)
-                - gammaln(a + bb + ts) + gammaln(a + bb))
-    else:  # hypergeometric: integer urn of a + bb items
-        valid &= (ys <= a) & (rs <= bb) & (ts <= a + bb)
-        ys, rs, ts = (np.where(valid, v, 0.0) for v in (y, rest, t))
-        logk = (gammaln(a + 1) - gammaln(ys + 1) - gammaln(a - ys + 1)
-                + gammaln(bb + 1) - gammaln(rs + 1) - gammaln(bb - rs + 1)
-                - gammaln(a + bb + 1) + gammaln(ts + 1)
-                + gammaln(a + bb - ts + 1))
-    return np.where(valid, np.exp(logk), 0.0)
+def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
+    """child[y] = sum_{t >= y} K[y, t] dist[t] for one thinning stage,
+    K[y, t] = C(t, y) (a)_y (b)_{t-y} / (a + b)_t in the split's
+    generalized factorials, evaluated in row blocks of at most
+    ``_BLOCK_ENTRIES`` entries; every entry is a probability, so the
+    composition is cancellation-free."""
+    size = dist.size
+    n = np.arange(size, dtype=float)
+    lf = gammaln(n + 1)
+    by_y = ln_gen_factorial_many(stage.theta_num, n, stage.c) - lf
+    by_rest = ln_gen_factorial_many(stage.theta_rest, n, stage.c) - lf
+    by_t = lf - ln_gen_factorial_many(stage.theta_num + stage.theta_rest,
+                                      n, stage.c)
+    # a hypergeometric total above |theta| cannot be split: no mass
+    by_t[np.isposinf(by_t)] = -np.inf
+    rows = max(1, _BLOCK_ENTRIES // size)
+    # block row i, column j (y = y0 + i, t = y0 + j) reads by_rest[j - i]
+    # from window rows - 1 - i, whose leading -inf make K zero for t < y
+    windows = sliding_window_view(
+        np.concatenate([np.full(rows - 1, -np.inf), by_rest]), size)
+    child = np.empty(size)
+    for y0 in range(0, size, rows):
+        y1 = min(y0 + rows, size)
+        logk = windows[rows - (y1 - y0):rows][::-1, :size - y0] \
+            + by_y[y0:y1, None]
+        logk += by_t[y0:]
+        child[y0:y1] = np.exp(logk, out=logk) @ dist[y0:]
+    return child
 
 
 @lru_cache(maxsize=32)
-def _chain_marginal_vector(chain: MarginalChain, tail: float) -> np.ndarray:
-    """Marginal pmf over 0..n_max by composing stage kernels from the
-    root down; every intermediate quantity is a probability, so the
-    computation is cancellation-free."""
+def marginal_pmf_vector(chain: MarginalChain,
+                        tail: float = 1e-14) -> np.ndarray:
+    """Read-only p.m.f. of a marginal chain over 0..N.
+
+    The terminal law is cut at N, the point where its remaining mass
+    falls below ``tail`` (N is exact for bounded laws), and the stages
+    are applied from the root side.  Each value is within ``tail`` of the
+    exact one, and the mass past N is at most ``tail``.  Multinomial
+    stages over a negative binomial terminal are absorbed into it first,
+    which shortens N.
+    """
+    if not 0.0 < tail < 1.0:
+        raise DomainError(f"tail must lie in (0, 1), got {tail}")
+    if isinstance(chain.terminal, NegativeBinomial) \
+            and all(st.c != -1 for st in chain.stages):
+        chain = absorb_binomials(chain)
     n_max = sumlaw_truncation_point(chain.terminal, tail)
     dist = np.exp(sumlaw_log_pmf_many(np.arange(n_max + 1), chain.terminal))
     for st in reversed(chain.stages):  # root side first
-        dist = _stage_kernel(st, n_max) @ dist
+        dist = _thin(st, dist)
     dist.setflags(write=False)
     return dist
 
 
-def _chain_pmf_direct(chain: MarginalChain, n: int, tail: float) -> float:
-    """Generic finite summation; covers hypergeometric stages and
-    bounded non-Dirac terminals."""
-    vec = _chain_marginal_vector(chain, tail)
-    return float(vec[n]) if n < vec.size else 0.0
+def marginal_pmf(chain: MarginalChain, n, tail: float = 1e-14) -> float:
+    """P.m.f. of a marginal chain at n: a lookup in
+    :func:`marginal_pmf_vector`, so within ``tail`` of the exact value.
 
-
-def marginal_pmf(chain: MarginalChain, n: int, tail: float = 1e-14) -> float:
-    """P.m.f. of a marginal chain at n.
-
-    Closed hypergeometric forms cover multinomial / Dirichlet-multinomial
-    stages over negative binomial or Dirac terminals; anything else falls
-    back to direct finite summation.
+    Negative or non-integer n has zero mass, as does n past the vector's
+    end; NaN or infinite n raises ``UsageError``.
     """
-    if n < 0:
+    n = float(count_array(n))
+    if n < 0 or n != math.floor(n):
         return 0.0
-    if not chain.stages:
-        return sumlaw_log_pmf(n, chain.terminal).to_float()
-    mixed_ok = all(st.c in (0, 1) for st in chain.stages)
-    if mixed_ok and isinstance(chain.terminal, NegativeBinomial):
-        return _marginal_pmf_nb(chain, n, tail)
-    if mixed_ok and isinstance(chain.terminal, Dirac):
-        return _marginal_pmf_dirac(chain, n)
-    return _chain_pmf_direct(chain, n, tail)
+    vec = marginal_pmf_vector(chain, tail)
+    return float(vec[int(n)]) if n < vec.size else 0.0

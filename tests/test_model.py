@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from treepolya.examples import ten_leaf_example
 from treepolya.exceptions import DomainError, UsageError, ValidationError
-from treepolya.model import TreePolyaModel, absorb_binomials, marginal_pmf
+from treepolya.model import (TreePolyaModel, absorb_binomials, marginal_pmf,
+                             marginal_pmf_vector)
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, sumlaw_log_pmf,
                              sumlaw_support_max)
+from treepolya.special import pfq_convergent
 from treepolya.tree import PartitionTree
 
 from conftest import enumerate_joint, simplex
@@ -244,22 +248,99 @@ class TestMarginals:
             assert marginal_pmf(chain, n) == pytest.approx(brute, abs=1e-10)
 
     def test_nb_terminal_closed_form_branches_agree(self):
-        # the small-p hypergeometric-series branch and the mixture branch
-        # must agree with the generic nested-sum evaluation
-        from treepolya.model import _chain_pmf_direct
-        for p in (0.3, 0.6):
-            model = ten_leaf_example(p=p)
-            chain = model.leaf_marginal_chain(6)
+        # with the multinomial stages absorbed into NB(alpha, q), q < 0.5,
+        # P(n) = prod_k (a_k)_n / (a_k + b_k)_n * (alpha)_n / n!
+        # * (q / (1-q))^n * pFq(alpha + n, a + n; a + b + n; q / (q - 1))
+        for p in (0.3, 0.45):
+            chain = ten_leaf_example(p=p).leaf_marginal_chain(6)
+            absorbed = absorb_binomials(chain)
+            alpha, q = absorbed.terminal.alpha, absorbed.terminal.p
+            a = np.array([stage.theta_num for stage in absorbed.stages])
+            b = np.array([stage.theta_rest for stage in absorbed.stages])
             for n in range(11):
-                got = marginal_pmf(chain, n)
-                brute = _chain_pmf_direct(chain, n, 1e-15)
-                assert got == pytest.approx(brute, rel=1e-7, abs=1e-12)
+                log_pref = (np.sum(gammaln(a + n) - gammaln(a)
+                                   - gammaln(a + b + n) + gammaln(a + b))
+                            + gammaln(alpha + n) - gammaln(alpha)
+                            - gammaln(n + 1) + n * math.log(q / (1 - q)))
+                series = pfq_convergent([alpha + n, *(a + n)], list(a + b + n),
+                                        q / (q - 1))
+                assert marginal_pmf(chain, n) == pytest.approx(
+                    math.exp(log_pref) * series, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("law", [Dirac(6), Binomial(6, 0.4)])
+    def test_hypergeometric_stages_match_enumeration(self, law):
+        tree = PartitionTree.from_nested([[1, 2], [3, [4, 5]]])
+        by = tree.node_by_subset
+        splits = {tree.ROOT: SplitSpec(-1, (4, 5)),
+                  by((1, 2)): SplitSpec(1, (0.7, 1.6)),
+                  by((3, 4, 5)): SplitSpec(-1, (2, 3)),
+                  by((4, 5)): SplitSpec(0, (0.35, 0.65))}
+        model = TreePolyaModel(tree, splits, law)
+        table = {}
+        for m in range(sumlaw_support_max(law) + 1):
+            table.update(enumerate_joint(model, m))
+        for nid in range(len(tree)):
+            cols = [j - 1 for j in tree.subset(nid)]
+            vec = marginal_pmf_vector(model.marginal_chain(nid))
+            brute = np.zeros(vec.size)
+            for y, prob in table.items():
+                brute[sum(y[j] for j in cols)] += prob
+            assert np.abs(vec - brute).max() <= 1e-12, tree.subset(nid)
 
     def test_marginal_normalizes(self):
         model = ten_leaf_example()
         chain = model.leaf_marginal_chain(9)
         total = sum(marginal_pmf(chain, n) for n in range(2500))
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("law", [NegativeBinomial(2.0, 0.45), Dirac(8)])
+    def test_non_integer_n_has_zero_mass(self, law):
+        chain = five_leaf(law).leaf_marginal_chain(4)
+        assert marginal_pmf(chain, 2.5) == 0.0
+        assert marginal_pmf(chain, 2.0) == marginal_pmf(chain, 2) > 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_or_infinite_n_is_usage_error(self, bad):
+        chain = ten_leaf_example(alpha=2.0, p=0.45).leaf_marginal_chain(6)
+        with pytest.raises(UsageError):
+            marginal_pmf(chain, bad)
+
+    def test_n_past_truncation_point_is_zero(self):
+        chain = ten_leaf_example(alpha=2.0, p=0.45).leaf_marginal_chain(6)
+        assert marginal_pmf(chain, 10 ** 6) == 0.0
+        assert marginal_pmf(chain, marginal_pmf_vector(chain).size) == 0.0
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, math.nan])
+    def test_tail_outside_unit_interval_is_domain_error(self, tail):
+        chain = ten_leaf_example().leaf_marginal_chain(6)
+        with pytest.raises(DomainError):
+            marginal_pmf(chain, 3, tail)
+
+    def test_nb_099_leaf_marginals_in_bounded_memory(self):
+        # dense (n_max + 1)^2 stage kernels took 286 MB here
+        model = ten_leaf_example(alpha=2.0, p=0.99)
+        marginal_pmf_vector.cache_clear()
+        tracemalloc.start()
+        try:
+            for leaf in range(1, 11):
+                marginal_pmf(model.leaf_marginal_chain(leaf), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), data=st.data())
+    def test_vector_is_a_pmf_with_the_path_moments(self, model, data):
+        node = data.draw(st.integers(0, len(model.tree) - 1))
+        vec = marginal_pmf_vector(model.marginal_chain(node))
+        assert np.all(vec >= 0)
+        assert abs(vec.sum() - 1.0) <= 1e-12
+        n = np.arange(vec.size)
+        assert vec @ n == pytest.approx(model.node_mean(node), rel=1e-8,
+                                        abs=1e-12)
+        assert vec @ (n * (n - 1)) == pytest.approx(
+            model.node_factorial_moment(node, 2), rel=1e-8, abs=1e-12)
 
 
 class TestAbsorption:
