@@ -43,6 +43,7 @@ class FitResult:
     converged: bool = True
     iterations: int = 0
     divergence_flag: bool = False
+    empty: bool = False          # node without counts: degenerate split
 
     @property
     def aic(self) -> float:
@@ -193,80 +194,84 @@ def fit_sum_law(totals, family: str, tol: float = 1e-10,
 # Node fits
 
 
+def _count_matrix(data) -> np.ndarray:
+    data = np.asarray(data, dtype=np.int64)
+    if np.any(data < 0):
+        raise UsageError("node counts must be nonnegative")
+    return data
+
+
 def _log_multinomial_coef(data: np.ndarray) -> float:
-    totals = data.sum(axis=1)
-    return float(np.sum(gammaln(totals + 1)) - np.sum(gammaln(data + 1)))
+    """sum_i log(n_i!) - sum_ij log(y_ij!), each from a count histogram."""
+    def log_factorial_sum(values):
+        hist = np.bincount(values.ravel())
+        return float(hist @ gammaln(np.arange(1.0, hist.size + 1)))
+    return log_factorial_sum(data.sum(axis=1)) - log_factorial_sum(data)
 
 
 def fit_node_multinomial(data: np.ndarray) -> FitResult:
-    data = np.asarray(data, dtype=np.int64)
+    """Column proportions.  A node without counts has log-likelihood 0
+    under every split; it gets uniform proportions and ``empty`` set."""
+    data = _count_matrix(data)
+    k = data.shape[1]
     colsum = data.sum(axis=0).astype(float)
     grand = colsum.sum()
     if grand <= 0:
-        raise UsageError("node has no counts to fit")
+        return FitResult("multinomial", {"pi": np.full(k, 1.0 / k)}, 0.0,
+                         k - 1, empty=True)
     pi = colsum / grand
     with np.errstate(divide="ignore"):
         log_pi = np.where(pi > 0, np.log(np.maximum(pi, 1e-300)), 0.0)
     ll = _log_multinomial_coef(data) + float(colsum @ log_pi)
-    return FitResult("multinomial", {"pi": pi}, ll, data.shape[1] - 1)
+    return FitResult("multinomial", {"pi": pi}, ll, k - 1)
 
 
 class _DmAggregates:
     """Survival-count sufficient statistics of one node's data.
 
-    All likelihood quantities reduce to sums over u of S(u)/(theta+u)
-    and S(u)*log(theta+u), which are exact (row-order independent) and
-    cost O(max count) instead of O(rows) per evaluation.
+    Row j of the K x U matrix ``surv`` holds S_j(u) = #{i : data_ij > u}
+    for u = 0..U-1, zero past column j's maximum (U is the largest
+    count).  All likelihood quantities reduce to sums over u of
+    S(u)/(theta+u) and S(u)*log(theta+u), which are exact (row-order
+    independent) and cost one array expression over the matrix instead
+    of O(rows) per evaluation.
     """
 
     def __init__(self, data: np.ndarray, totals: np.ndarray):
-        self.col_surv = [_survival_counts(data[:, j])
-                         for j in range(data.shape[1])]
+        rows, k = data.shape
+        width = int(data.max(initial=0)) + 1
+        hist = np.bincount((data + width * np.arange(k)).ravel(),
+                           minlength=k * width).reshape(k, width)
+        self.surv = (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
+        self.u = np.arange(width - 1, dtype=float)
         self.tot_surv = _survival_counts(totals)
         self.tot_u = np.arange(self.tot_surv.size)
         self.log_coef = _log_multinomial_coef(data)
 
     def log_lik(self, theta: np.ndarray) -> float:
-        s = theta.sum()
-        out = self.log_coef - float(
-            self.tot_surv @ np.log(s + self.tot_u))
-        for j, surv in enumerate(self.col_surv):
-            if surv.size:
-                out += float(surv @ np.log(theta[j] + np.arange(surv.size)))
-        return out
+        per_column = (self.surv * np.log(theta[:, None] + self.u)).sum(axis=1)
+        return self.log_coef - float(
+            self.tot_surv @ np.log(theta.sum() + self.tot_u)) \
+            + float(per_column.sum())
 
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
+    def derivatives(self, theta: np.ndarray
+                    ) -> Tuple[np.ndarray, float, np.ndarray]:
+        """Gradient and the Hessian q*ones + diag(d) as (grad, q, d),
+        both from one reciprocal matrix 1/(theta+u)."""
         s = theta.sum()
-        common = float(self.tot_surv @ (1.0 / (s + self.tot_u)))
-        grad = np.full(theta.size, -common)
-        for j, surv in enumerate(self.col_surv):
-            if surv.size:
-                grad[j] += float(
-                    surv @ (1.0 / (theta[j] + np.arange(surv.size))))
-        return grad
-
-    def curvature(self, theta: np.ndarray) -> Tuple[float, np.ndarray]:
-        """(q, diag) of the Hessian q*ones + diag(d)."""
-        s = theta.sum()
+        recip = 1.0 / (theta[:, None] + self.u)
+        weighted = self.surv * recip
+        grad = weighted.sum(axis=1) \
+            - float(self.tot_surv @ (1.0 / (s + self.tot_u)))
         q = float(self.tot_surv @ (1.0 / (s + self.tot_u) ** 2))
-        diag = np.zeros(theta.size)
-        for j, surv in enumerate(self.col_surv):
-            if surv.size:
-                diag[j] = -float(
-                    surv @ (1.0 / (theta[j] + np.arange(surv.size)) ** 2))
-        return q, diag
+        return grad, q, -(weighted * recip).sum(axis=1)
 
     def fixed_point_step(self, theta: np.ndarray) -> np.ndarray:
-        s = theta.sum()
-        denom = float(self.tot_surv @ (1.0 / (s + self.tot_u)))
+        denom = float(self.tot_surv @ (1.0 / (theta.sum() + self.tot_u)))
         if denom <= 0:
             return theta
-        new = np.empty_like(theta)
-        for j, surv in enumerate(self.col_surv):
-            numer = float(surv @ (1.0 / (theta[j] + np.arange(surv.size)))) \
-                if surv.size else 0.0
-            new[j] = theta[j] * numer / denom
-        return new
+        numer = (self.surv / (theta[:, None] + self.u)).sum(axis=1)
+        return theta * numer / denom
 
 
 def _dm_moment_init(data: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -284,15 +289,19 @@ def _dm_moment_init(data: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
 
 def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
-                max_iter: int = 200) -> FitResult:
+                max_iter: int = 200, start=None) -> FitResult:
     """Newton MLE of the Dirichlet-multinomial weight vector.
 
     Starts from moment matching, refines by a few fixed-point sweeps,
     then Newton steps with a rank-one Hessian solve and backtracking.
-    A weight-sum drifting past the divergence threshold (the multinomial
-    boundary at infinity) sets ``divergence_flag`` instead of failing.
+    A given ``start`` weight vector replaces the moment start and the
+    sweeps when it is at least as likely as the moment start (a start
+    taken from another node's fit can lie far off), and the Newton
+    steps begin there.  A weight-sum drifting past the divergence
+    threshold (the multinomial boundary at infinity) sets
+    ``divergence_flag`` instead of failing.
     """
-    data = np.asarray(data, dtype=np.int64)
+    data = _count_matrix(data)
     totals = data.sum(axis=1)
     if data.shape[0] == 0 or totals.sum() <= 0:
         raise UsageError("node has no counts to fit")
@@ -300,30 +309,36 @@ def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
     data, totals = data[pos], totals[pos]
     free = data.sum(axis=0) > 0
     k = data.shape[1]
-
-    theta = np.maximum(_dm_moment_init(data, totals), THETA_FLOOR)
-    theta[~free] = THETA_FLOOR
+    if start is not None and np.shape(start) != (k,):
+        raise UsageError(f"start has shape {np.shape(start)}, the node has "
+                         f"{k} children")
     agg = _DmAggregates(data, totals)
     log_lik = agg.log_lik
 
-    # fixed-point warm-up (Minka-style ratio update)
-    for _ in range(10):
-        new = agg.fixed_point_step(theta)
-        theta = np.maximum(np.where(free, new, THETA_FLOOR), THETA_FLOOR)
-        if theta.sum() > DIVERGENCE_THETA:
-            return FitResult("dm", {"theta": theta}, log_lik(theta), k,
-                             converged=False, divergence_flag=True)
+    theta = np.maximum(_dm_moment_init(data, totals), THETA_FLOOR)
+    theta[~free] = THETA_FLOOR
+    warm = None if start is None \
+        else np.where(free, np.maximum(start, THETA_FLOOR), THETA_FLOOR)
+    if warm is not None and log_lik(warm) >= log_lik(theta):
+        theta = warm
+    else:
+        # fixed-point warm-up (Minka-style ratio update)
+        for _ in range(10):
+            new = agg.fixed_point_step(theta)
+            theta = np.maximum(np.where(free, new, THETA_FLOOR), THETA_FLOOR)
+            if theta.sum() > DIVERGENCE_THETA:
+                return FitResult("dm", {"theta": theta}, log_lik(theta), k,
+                                 converged=False, divergence_flag=True)
 
     ll = log_lik(theta)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        grad = agg.gradient(theta)
+        grad, q, diag = agg.derivatives(theta)
         # the likelihood is only resolvable to ~|ll| * eps, so the
         # gradient criterion scales with the problem size
         if np.max(np.abs(grad[free])) < tol * (1.0 + abs(ll)):
             return FitResult("dm", {"theta": theta}, ll, k,
                              iterations=iterations)
-        q, diag = agg.curvature(theta)
         # Hessian = diag + q * ones; Sherman-Morrison solve on the free set
         d = diag[free]
         g = grad[free]
@@ -371,6 +386,8 @@ def select_node_split(data: np.ndarray, tol: float = 1e-8,
     """Lower-AIC choice between multinomial and Dirichlet-multinomial;
     the multinomial wins automatically when the DM fit diverges."""
     multi = fit_node_multinomial(data)
+    if multi.empty:
+        return multi
     try:
         dm = fit_node_dm(data, tol=tol, max_iter=max_iter)
     except (ConvergenceError, UsageError):
@@ -407,7 +424,10 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
 
     Returns ``(model, report)`` where the report lists the sum-law row
     and one row per internal node with its selected split kind, number
-    of parameters, log-likelihood, and AIC.
+    of parameters, log-likelihood, AIC, and the fit's ``converged`` and
+    ``iterations``; node rows also carry ``divergence`` and ``empty``
+    (no counts reach the node: a uniform multinomial with log-likelihood
+    0).
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape[1] != tree.leaf_count:
@@ -416,7 +436,8 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
     law_fit = fit_sum_law(counts.sum(axis=1), family)
     rows = [{"node": "total", "kind": law_fit.kind,
              "n_params": law_fit.n_params, "log_lik": law_fit.log_lik,
-             "aic": law_fit.aic}]
+             "aic": law_fit.aic, "converged": law_fit.converged,
+             "iterations": law_fit.iterations}]
     splits = {}
     total_aic = law_fit.aic
     total_params = law_fit.n_params
@@ -431,7 +452,9 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
         rows.append({"node": "{" + ",".join(map(str, tree.subset(nid))) + "}",
                      "kind": fit.kind, "n_params": fit.n_params,
                      "log_lik": fit.log_lik, "aic": fit.aic,
-                     "divergence": fit.divergence_flag})
+                     "divergence": fit.divergence_flag,
+                     "converged": fit.converged,
+                     "iterations": fit.iterations, "empty": fit.empty})
         total_aic += fit.aic
         total_params += fit.n_params
     model = TreePolyaModel(tree, splits, _law_from_fit(law_fit))
@@ -446,27 +469,49 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
 
 class _FitCache:
     """DM node fits keyed by the (unordered) composition of child
-    subsets."""
+    subsets.  Each entry holds the AIC and the fitted weight of every
+    child subset, or ``None`` for the weights when the DM fit failed or
+    diverged and the multinomial fit stands in."""
 
     def __init__(self, counts: np.ndarray, config: SearchConfig):
         self.counts = counts
         self.config = config
-        self.cache: Dict[frozenset, float] = {}
+        self.cache: Dict[frozenset, Tuple[float, Optional[dict]]] = {}
 
-    def node_aic(self, children: Sequence[Tuple[int, ...]]) -> float:
+    def node_aic(self, children: Sequence[Tuple[int, ...]],
+                 start: Optional[dict] = None) -> float:
+        """AIC of the node over ``children``.  On a miss the DM fit starts
+        from ``start[child]`` for each child when a start is given, and
+        cold when there is none or the started fit fails or diverges."""
         key = frozenset(children)
         if key not in self.cache:
+            order = sorted(children)
             data = self.counts @ incidence_matrix(
-                sorted(children), self.counts.shape[1]).T
-            try:
-                fit = fit_node_dm(data, tol=self.config.dm_tol,
-                                  max_iter=self.config.dm_max_iter)
-                if fit.divergence_flag:
-                    fit = fit_node_multinomial(data)
-            except (ConvergenceError, UsageError):
-                fit = fit_node_multinomial(data)
-            self.cache[key] = fit.aic
-        return self.cache[key]
+                order, self.counts.shape[1]).T
+            fit = None
+            if start is not None:
+                fit = self._dm_fit(data, [start[c] for c in order])
+            if fit is None:
+                fit = self._dm_fit(data, None)
+            if fit is None:
+                self.cache[key] = (fit_node_multinomial(data).aic, None)
+            else:
+                self.cache[key] = (fit.aic,
+                                   dict(zip(order, fit.params["theta"])))
+        return self.cache[key][0]
+
+    def _dm_fit(self, data: np.ndarray, start) -> Optional[FitResult]:
+        """The DM fit, or None when it fails or diverges."""
+        try:
+            fit = fit_node_dm(data, tol=self.config.dm_tol,
+                              max_iter=self.config.dm_max_iter, start=start)
+        except (ConvergenceError, UsageError):
+            return None
+        return None if fit.divergence_flag else fit
+
+    def weights(self, children: Sequence[Tuple[int, ...]]) -> Optional[dict]:
+        """Fitted DM weight per child subset of a cached node, or None."""
+        return self.cache[frozenset(children)][1]
 
 
 def _leaves_under(child) -> Tuple[int, ...]:
@@ -475,17 +520,25 @@ def _leaves_under(child) -> Tuple[int, ...]:
     return tuple(sorted(j for sub in child for j in _leaves_under(sub)))
 
 
-def _search_node(children: list, cache: _FitCache, eps: float,
-                 trace: list) -> None:
+def _search_node(children: list, cache: _FitCache, trace: list) -> None:
     """Greedy node creation among one node's children, in place.
 
     ``children`` holds int leaf labels and nested child lists.  Each
     round pairs the two leaf children whose grouping lowers the summed
     node AIC the most, then transfers further leaves into the new node
     while that keeps improving; rounds repeat until no pair improves.
-    Afterwards every created node is searched the same way.
+    Afterwards every created node is searched the same way.  Accepted
+    moves are appended to ``trace``; one past the configured budget
+    raises ``ConvergenceError``.
+
+    Candidate DM fits start from the current fits by the aggregation
+    property: a merged child starts at the sum of its parts' weights,
+    every other child at its weight in the node or parent fit it comes
+    from.  Candidates of a base that fell back to multinomial start
+    cold.
     """
     label = "{" + ",".join(map(str, _leaves_under(children))) + "}"
+    eps = cache.config.aic_epsilon
 
     def subsets():
         return [_leaves_under(ch) for ch in children]
@@ -494,12 +547,19 @@ def _search_node(children: list, cache: _FitCache, eps: float,
         return [idx for idx, ch in enumerate(children)
                 if isinstance(ch, int)]
 
+    def record(move, node, delta):
+        trace.append({"move": move, "parent": label,
+                      "node": list(_leaves_under(node)), "delta_aic": delta})
+        if len(trace) > cache.config.max_iterations:
+            raise ConvergenceError("structure search exceeded the move budget")
+
     created: list = []
     while True:
         leaves = leaf_positions()
         if len(children) < 3 or len(leaves) < 2:
             break
         base = cache.node_aic(subsets())
+        weights = cache.weights(subsets())
         best = None
         for a in range(len(leaves)):
             for b in range(a + 1, len(leaves)):
@@ -507,8 +567,12 @@ def _search_node(children: list, cache: _FitCache, eps: float,
                 merged = tuple(sorted((children[i], children[j])))
                 rest = [s for idx, s in enumerate(subsets())
                         if idx not in (i, j)]
-                delta = (cache.node_aic(rest + [merged])
-                         + cache.node_aic([(children[i],), (children[j],)])
+                start = None if weights is None else {
+                    **weights, merged: weights[(children[i],)]
+                    + weights[(children[j],)]}
+                delta = (cache.node_aic(rest + [merged], start)
+                         + cache.node_aic([(children[i],), (children[j],)],
+                                          weights)
                          - base)
                 if best is None or delta < best[0]:
                     best = (delta, i, j)
@@ -520,25 +584,31 @@ def _search_node(children: list, cache: _FitCache, eps: float,
             del children[idx]
         children.append(node)
         created.append(node)
-        trace.append({"move": "create", "parent": label,
-                      "node": list(_leaves_under(node)),
-                      "delta_aic": best[0]})
+        record("create", node, best[0])
         while len(children) >= 3:
             leaves = leaf_positions()
             if not leaves:
                 break
-            base = cache.node_aic(subsets()) \
-                + cache.node_aic([_leaves_under(ch) for ch in node])
+            inner = [_leaves_under(ch) for ch in node]
+            base = cache.node_aic(subsets()) + cache.node_aic(inner)
+            outer_w, inner_w = cache.weights(subsets()), cache.weights(inner)
             best_t = None
             for pos in leaves:
-                moved = [_leaves_under(ch) for ch in node] \
-                    + [(children[pos],)]
+                leaf = (children[pos],)
+                grown = tuple(sorted(_leaves_under(node) + leaf))
                 rest = [_leaves_under(ch) for idx, ch in
                         enumerate(children)
                         if idx != pos and ch is not node]
-                rest.append(tuple(sorted(
-                    _leaves_under(node) + (children[pos],))))
-                delta = cache.node_aic(rest) + cache.node_aic(moved) - base
+                rest.append(grown)
+                rest_start = moved_start = None
+                if outer_w is not None:
+                    rest_start = {**outer_w, grown: outer_w[leaf]
+                                  + outer_w[_leaves_under(node)]}
+                    if inner_w is not None:
+                        moved_start = {**inner_w, leaf: outer_w[leaf]}
+                delta = (cache.node_aic(rest, rest_start)
+                         + cache.node_aic(inner + [leaf], moved_start)
+                         - base)
                 if best_t is None or delta < best_t[0]:
                     best_t = (delta, pos)
             if best_t is None or best_t[0] >= -eps:
@@ -546,11 +616,9 @@ def _search_node(children: list, cache: _FitCache, eps: float,
             _, pos = best_t
             node.append(children[pos])
             del children[pos]
-            trace.append({"move": "transfer", "parent": label,
-                          "node": list(_leaves_under(node)),
-                          "delta_aic": best_t[0]})
+            record("transfer", node, best_t[0])
     for node in created:
-        _search_node(node, cache, eps, trace)
+        _search_node(node, cache, trace)
 
 
 def search_tree(counts: np.ndarray, family: str = "nb",
@@ -569,9 +637,7 @@ def search_tree(counts: np.ndarray, family: str = "nb",
     cache = _FitCache(counts, config)
     trace: list = []
     children: list = list(range(1, counts.shape[1] + 1))
-    _search_node(children, cache, config.aic_epsilon, trace)
-    if len(trace) > config.max_iterations:
-        raise ConvergenceError("structure search exceeded the move budget")
+    _search_node(children, cache, trace)
     tree = PartitionTree.from_nested(children)
     model, report = fit_tree(tree, counts, family=family,
                              tol=config.dm_tol, max_iter=config.dm_max_iter)

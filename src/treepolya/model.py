@@ -70,6 +70,22 @@ class MarginalChain:
     terminal: SumLaw
 
 
+def _child_bounds(c: int, theta, bound, where: str) -> list:
+    """Largest total each child of a split can receive, when the split's
+    own totals are at most ``bound`` (None: unbounded).  A hypergeometric
+    split (c = -1) needs a bound no larger than its |theta|; this is
+    conservative, as ``bound`` is the largest possible total."""
+    if c != -1:
+        return [bound] * len(theta)
+    if bound is None:
+        raise ValidationError(
+            f"{where} uses a hypergeometric split under an unbounded total")
+    if sum(theta) < bound:
+        raise ValidationError(f"{where}: |theta|={sum(theta)} is below "
+                              f"the maximal total {bound}")
+    return [min(bound, int(round(t))) for t in theta]
+
+
 @dataclass(frozen=True)
 class TreePolyaModel:
     tree: PartitionTree
@@ -105,27 +121,19 @@ class TreePolyaModel:
                 raise ValidationError(
                     f"node {nid} {tree.subset(nid)} has {arity} "
                     f"children but a {spec.arity}-component split")
-            bound = bounds[nid]
-            if spec.c == -1:
-                if bound is None:
-                    raise ValidationError(
-                        f"node {nid} {tree.subset(nid)} uses a "
-                        "hypergeometric split under an unbounded total")
-                if spec.total < bound:
-                    raise ValidationError(
-                        f"node {nid} {tree.subset(nid)}: |theta|="
-                        f"{spec.total} is below the maximal total {bound}")
+            child_bounds = _child_bounds(spec.c, spec.theta, bounds[nid],
+                                         f"node {nid} {tree.subset(nid)}")
             sign = implied[nid]
             if spec.c != 0:
                 forced = "over" if spec.c == 1 else "under"
                 sign = forced if sign in ("null", forced) else None
-            for cid, theta_c in zip(tree.children(nid), spec.theta):
+            for cid, theta_c, child_bound in zip(tree.children(nid),
+                                                 spec.theta, child_bounds):
                 gamma[cid] = gamma[nid] * theta_c / spec.total
                 delta[cid] = delta[nid] * (theta_c + spec.c) \
                     / (spec.total + spec.c)
                 implied[cid] = sign
-                bounds[cid] = bound if spec.c != -1 \
-                    else min(bound, int(round(theta_c)))
+                bounds[cid] = child_bound
         for name, value in (("_mu", (mu1, mu2)), ("_gamma", gamma),
                             ("_delta", delta), ("_implied", implied)):
             object.__setattr__(self, name, value)
@@ -394,10 +402,16 @@ def marginal_pmf_vector(chain: MarginalChain,
     are applied from the root side.  Each value is within ``tail`` of the
     exact one, and the mass past N is at most ``tail``.  Multinomial
     stages over a negative binomial terminal are absorbed into it first,
-    which shortens N.
+    which shortens N.  A hypergeometric stage whose |theta| is below a
+    total that can reach it, or that sits under an unbounded terminal,
+    raises ``ValidationError``, by the rule models are checked with.
     """
     if not 0.0 < tail < 1.0:
         raise DomainError(f"tail must lie in (0, 1), got {tail}")
+    bound = sumlaw_support_max(chain.terminal)
+    for depth, st in enumerate(reversed(chain.stages)):
+        bound = _child_bounds(st.c, (st.theta_num, st.theta_rest), bound,
+                              f"chain stage {depth} from the root")[0]
     if isinstance(chain.terminal, NegativeBinomial) \
             and all(st.c != -1 for st in chain.stages):
         chain = absorb_binomials(chain)

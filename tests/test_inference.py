@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treepolya.exceptions import DomainError, UsageError
+import treepolya.fit as fit_module
+from treepolya.exceptions import ConvergenceError, DomainError, UsageError
 from treepolya.fit import (SearchConfig, fit_node_dm, fit_node_multinomial,
                            fit_sum_law, fit_tree, node_data, search_tree,
                            select_node_split)
 from treepolya.model import TreePolyaModel
 from treepolya.polya import (Dirac, NegativeBinomial, SplitSpec,
-                             polya_sample_many, sumlaw_sample_many)
-from treepolya.tree import PartitionTree
+                             polya_log_pmf_many, polya_sample_many,
+                             sumlaw_sample_many)
+from treepolya.tree import PartitionTree, incidence_matrix
 
 
 class TestSumLawFit:
@@ -91,12 +95,77 @@ class TestNodeFits:
         sel = select_node_split(data)
         assert sel.kind == "multinomial"
 
+    def test_negative_counts_are_usage_errors(self):
+        # bincount raised a bare ValueError in the DM fit
+        data = np.array([[2, -1], [0, 3]])
+        for fit in (fit_node_dm, fit_node_multinomial):
+            with pytest.raises(UsageError):
+                fit(data)
+
+    def test_start_of_wrong_length_is_usage_error(self):
+        with pytest.raises(UsageError):
+            fit_node_dm(np.array([[2, 1], [0, 3]]), start=[1.0, 1.0, 1.0])
+
+    def test_start_at_the_optimum_needs_no_sweeps(self, rng):
+        data = polya_sample_many(np.full(500, 30),
+                                 SplitSpec(1, (1.0, 2.0)), rng)
+        cold = fit_node_dm(data)
+        warm = fit_node_dm(data, start=cold.params["theta"])
+        assert warm.iterations == 1
+        assert warm.log_lik == pytest.approx(cold.log_lik, abs=1e-9)
+
     def test_zero_column_handled(self, rng):
         data = polya_sample_many(np.full(200, 20),
                                  SplitSpec(1, (1.0, 3.0)), rng)
         data = np.column_stack([data, np.zeros(200, dtype=int)])
         fit = select_node_split(data)
         assert np.isfinite(fit.log_lik)
+
+
+@st.composite
+def node_counts(draw):
+    """Small count matrices whose columns have very different maxima,
+    some of them all zero, with a positive weight vector."""
+    k = draw(st.integers(2, 5))
+    rows = draw(st.integers(1, 12))
+    tops = draw(st.lists(st.sampled_from([0, 1, 3, 40, 400]),
+                         min_size=k, max_size=k))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    data = np.column_stack([rng.integers(0, top + 1, size=rows)
+                            for top in tops])
+    theta = np.exp(rng.uniform(-3, 4, size=k))
+    return data, theta
+
+
+class TestDmAggregates:
+    @settings(max_examples=80, deadline=None)
+    @given(case=node_counts())
+    def test_log_lik_is_row_wise_dm_log_pmf(self, case):
+        data, theta = case
+        agg = fit_module._DmAggregates(data, data.sum(axis=1))
+        rowwise = polya_log_pmf_many(data, SplitSpec(1, tuple(theta))).sum()
+        assert agg.log_lik(theta) == pytest.approx(rowwise, rel=1e-10,
+                                                   abs=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=node_counts())
+    def test_derivatives_match_central_differences(self, case):
+        data, theta = case
+        agg = fit_module._DmAggregates(data, data.sum(axis=1))
+        grad, q, diag = agg.derivatives(theta)
+        hessian = q + np.diag(diag)
+        for j in range(theta.size):
+            step = np.zeros(theta.size)
+            step[j] = 1e-5 * theta[j]
+            width = 2 * step[j]
+            num_grad = (agg.log_lik(theta + step)
+                        - agg.log_lik(theta - step)) / width
+            assert num_grad == pytest.approx(grad[j], rel=1e-5, abs=1e-4)
+            num_col = (agg.derivatives(theta + step)[0]
+                       - agg.derivatives(theta - step)[0]) / width
+            assert num_col == pytest.approx(hessian[:, j], rel=1e-5,
+                                            abs=1e-4)
 
 
 class TestNodeData:
@@ -155,6 +224,56 @@ class TestFitTree:
             fit_tree(PartitionTree.flat(3), np.zeros((5, 4), dtype=int))
 
 
+class TestEmptyNodes:
+    def test_multinomial_fit_of_empty_node_is_degenerate(self):
+        fit = fit_node_multinomial(np.zeros((4, 3), dtype=int))
+        assert fit.empty and fit.log_lik == 0.0 and fit.n_params == 2
+        assert fit.params["pi"] == pytest.approx([1 / 3] * 3)
+
+    def test_fit_tree_with_empty_internal_node(self, rng):
+        # columns 2 and 5 are empty, so node {2,5} has no counts; this
+        # raised UsageError
+        tree = PartitionTree.from_nested([[2, 5], 1, 3, 4, 6])
+        counts = rng.negative_binomial(2.0, 0.3, size=(300, 6))
+        counts[:, [1, 4]] = 0
+        model, report = fit_tree(tree, counts)
+        row = next(r for r in report["rows"] if r["node"] == "{2,5}")
+        assert row["empty"] and row["kind"] == "multinomial"
+        assert row["log_lik"] == 0.0 and row["n_params"] == 1
+        assert not any(r["empty"] for r in report["rows"][1:]
+                       if r is not row)
+        _assert_decomposes(model, report, counts)
+
+    def test_search_with_two_empty_columns(self, rng):
+        counts = _three_node_model().sample_many(1_000, rng)
+        counts = np.column_stack([counts, np.zeros((1_000, 2), dtype=int)])
+        model, report, _ = search_tree(counts)
+        assert model.tree.leaf_count == 8
+        _assert_decomposes(model, report, counts)
+
+
+def _assert_decomposes(model, report, counts):
+    node_total = sum(row["log_lik"] for row in report["rows"])
+    assert node_total == pytest.approx(
+        model.joint_log_pmf_many(counts).sum(), abs=1e-8)
+    assert report["total_params"] == model.parameter_count
+
+
+class TestReportRows:
+    def test_fit_rows_carry_convergence(self, fitted):
+        _, _, _, report = fitted
+        for row in report["rows"]:
+            assert isinstance(row["converged"], bool)
+            assert row["iterations"] >= 0
+        assert any(row["iterations"] > 0 for row in report["rows"][1:])
+
+    def test_search_rows_carry_convergence(self, rng):
+        counts = _three_node_model().sample_many(1_000, rng)
+        _, report, _ = search_tree(counts)
+        for row in report["rows"]:
+            assert {"converged", "iterations"} <= set(row)
+
+
 class TestSearch:
     def test_planted_pair_found_first(self):
         rng = np.random.default_rng(103)
@@ -211,3 +330,47 @@ def _three_node_model():
               tree.node_by_subset((1, 2)): SplitSpec(1, (1.0, 2.5)),
               tree.node_by_subset((4, 5, 6)): SplitSpec(1, (1.0, 1.0, 2.0))}
     return TreePolyaModel(tree, splits, NegativeBinomial(4.0, 0.8))
+
+
+class TestSearchFits:
+    def test_cached_aics_match_cold_fits(self):
+        counts = _three_node_model().sample_many(
+            3_000, np.random.default_rng(108))
+        config = SearchConfig()
+        cache = fit_module._FitCache(counts, config)
+        fit_module._search_node(list(range(1, 7)), cache, [])
+        warm = 0
+        for key, (aic, weights) in cache.cache.items():
+            data = counts @ incidence_matrix(sorted(key), 6).T
+            try:
+                cold = fit_node_dm(data, tol=config.dm_tol,
+                                   max_iter=config.dm_max_iter)
+                if cold.divergence_flag:
+                    cold = fit_node_multinomial(data)
+            except (ConvergenceError, UsageError):
+                cold = fit_node_multinomial(data)
+            assert aic == pytest.approx(cold.aic, abs=1e-6), sorted(key)
+            assert (weights is None) == (cold.kind == "multinomial")
+            warm += weights is not None
+        assert warm > 0
+
+    def test_budget_stops_the_search_early(self, monkeypatch):
+        counts = _three_node_model().sample_many(
+            2_000, np.random.default_rng(109))
+        calls = []
+        original = fit_module.fit_node_dm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fit_module, "fit_node_dm", counted)
+        # count the search's own fits, not those of the final fit_tree
+        monkeypatch.setattr(fit_module, "fit_tree", lambda *a, **k: (a, k))
+        _, _, trace = search_tree(counts)
+        unbounded = len(calls)
+        assert len(trace) >= 2
+        calls.clear()
+        with pytest.raises(ConvergenceError):
+            search_tree(counts, config=SearchConfig(max_iterations=1))
+        assert len(calls) < unbounded

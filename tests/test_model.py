@@ -9,7 +9,8 @@ from scipy.special import gammaln
 
 from treepolya.examples import ten_leaf_example
 from treepolya.exceptions import DomainError, UsageError, ValidationError
-from treepolya.model import (TreePolyaModel, absorb_binomials, marginal_pmf,
+from treepolya.model import (ChainStage, MarginalChain, TreePolyaModel,
+                             absorb_binomials, marginal_pmf,
                              marginal_pmf_vector)
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, sumlaw_log_pmf,
@@ -328,6 +329,19 @@ class TestMarginals:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_hypergeometric_stage_below_bounded_total_rejected(self):
+        # |theta| = 4 cannot split a total of 6: the vector was all zeros
+        chain = MarginalChain((ChainStage(-1, 2, 2),), Dirac(6))
+        with pytest.raises(ValidationError):
+            marginal_pmf_vector(chain)
+
+    def test_hypergeometric_stage_under_unbounded_total_rejected(self):
+        # the negative binomial's totals above 4 were silently dropped
+        chain = MarginalChain((ChainStage(-1, 2, 2),),
+                              NegativeBinomial(2, 0.5))
+        with pytest.raises(ValidationError):
+            marginal_pmf(chain, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(model=small_models(), data=st.data())
