@@ -9,7 +9,7 @@ from .fit import (FitResult, SearchConfig, fit_node_dm,
                   fit_node_multinomial, fit_sum_law, fit_tree, node_data,
                   search_tree, select_node_split)
 from .io import (CountMatrix, load_counts_csv, parse_model,
-                 serialize_model)
+                 serialize_model, write_counts_csv)
 from .model import (ChainStage, MarginalChain, PathConstants, TreePolyaModel,
                     absorb_binomials, marginal_pmf, marginal_pmf_vector)
 from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,

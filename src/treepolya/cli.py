@@ -11,7 +11,8 @@ import numpy as np
 
 from .exceptions import TreePolyaError, UsageError
 from .fit import SearchConfig, fit_tree, search_tree
-from .io import load_counts_csv, parse_model, serialize_model
+from .io import (_json_loads, load_counts_csv, parse_model,
+                 serialize_model, write_counts_csv)
 from .model import TreePolyaModel
 from .tree import PartitionTree
 
@@ -30,6 +31,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV text of a small mixed-type table (reports, moments, corr);
+    count matrices go through :func:`write_counts_csv`."""
     lines = [",".join(map(str, header))]
     lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
@@ -46,40 +49,37 @@ def _report_csv(report: dict) -> str:
     return _csv_text(["node", "kind", "n_params", "log_lik", "aic"], rows)
 
 
-def _nested_from_json(node) -> object:
-    if isinstance(node, dict) and "leaf" in node:
-        return node["leaf"]
-    if isinstance(node, dict) and "children" in node:
-        return [_nested_from_json(ch) for ch in node["children"]]
-    if isinstance(node, (list, str, int)):
-        return node if not isinstance(node, list) \
-            else [_nested_from_json(ch) for ch in node]
-    raise UsageError("tree JSON must be nested lists of column names")
-
-
 def _tree_from_file(path: str, column_names: Sequence[str]):
     """Nested-list tree file whose leaves are column names (or the
-    node-record form produced by serialized models)."""
-    import json
+    node-record form produced by serialized models), read without
+    recursion."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        raw = _json_loads(fh.read())
     if isinstance(raw, dict) and "tree" in raw:
         raw = raw["tree"]
-    nested_names = _nested_from_json(raw)
     index = {name: j + 1 for j, name in enumerate(column_names)}
-
-    def to_labels(node):
+    top: list = []
+    stack = [(raw, top)]
+    while stack:
+        node, siblings = stack.pop()
+        if isinstance(node, dict) and "leaf" in node:
+            node = node["leaf"]
+        elif isinstance(node, dict) and "children" in node:
+            node = node["children"]
         if isinstance(node, list):
-            return [to_labels(ch) for ch in node]
-        key = str(node)
-        if key not in index:
-            raise UsageError(f"tree leaf {key!r} is not a data column")
-        return index[key]
-
-    labels = to_labels(nested_names)
-    if not isinstance(labels, list):
+            nested: list = []
+            siblings.append(nested)
+            stack.extend((child, nested) for child in reversed(node))
+        elif isinstance(node, (str, int)):
+            if str(node) not in index:
+                raise UsageError(f"tree leaf {str(node)!r} is not a data "
+                                 "column")
+            siblings.append(index[str(node)])
+        else:
+            raise UsageError("tree JSON must be nested lists of column names")
+    if not isinstance(top[0], list):
         raise UsageError("tree root must have at least two children")
-    return PartitionTree.from_nested(labels)
+    return PartitionTree.from_nested(top[0])
 
 
 def _cmd_fit(args) -> None:
@@ -126,8 +126,7 @@ def _cmd_sample(args) -> None:
     if args.n <= 0:
         raise UsageError("--n must be positive")
     rng = np.random.default_rng(args.seed)
-    draws = model.sample_many(args.n, rng)
-    _write_text(args.out, _csv_text(names, draws.tolist()))
+    write_counts_csv(args.out, model.sample_many(args.n, rng), names)
 
 
 def _cmd_moments(args) -> None:
@@ -163,19 +162,23 @@ def _cmd_corr(args) -> None:
     _write_text(args.out, _csv_text([""] + list(names), rows))
 
 
-def _render_tree(model: TreePolyaModel, names, node: int, indent: str,
-                 lines: List[str]) -> None:
+def _render_tree(model: TreePolyaModel, names) -> List[str]:
+    """One line per node, parents first, indented two spaces a level."""
     tree = model.tree
-    if tree.is_leaf(node):
-        lines.append(f"{indent}{names[tree.subset(node)[0] - 1]}")
-        return
-    spec = model.splits[node]
-    kind = {-1: "hypergeometric", 0: "multinomial",
-            1: "dirichlet-multinomial"}[spec.c]
-    theta = ", ".join(f"{t:.6g}" for t in spec.theta)
-    lines.append(f"{indent}+ {kind} [{theta}]")
-    for child in tree.children(node):
-        _render_tree(model, names, child, indent + "  ", lines)
+    lines, stack = [], [(tree.ROOT, "")]
+    while stack:
+        node, indent = stack.pop()
+        if tree.is_leaf(node):
+            lines.append(f"{indent}{names[tree.subset(node)[0] - 1]}")
+            continue
+        spec = model.splits[node]
+        kind = {-1: "hypergeometric", 0: "multinomial",
+                1: "dirichlet-multinomial"}[spec.c]
+        theta = ", ".join(f"{t:.6g}" for t in spec.theta)
+        lines.append(f"{indent}+ {kind} [{theta}]")
+        stack.extend((child, indent + "  ")
+                     for child in reversed(tree.children(node)))
+    return lines
 
 
 def _cmd_describe(args) -> None:
@@ -183,7 +186,7 @@ def _cmd_describe(args) -> None:
     lines = [f"sum law: {model.sum_law}"]
     lines.append(f"leaves: {len(names)}")
     lines.append(f"parameters: {model.parameter_count}")
-    _render_tree(model, names, model.tree.ROOT, "", lines)
+    lines.extend(_render_tree(model, names))
     _write_text(args.out, "\n".join(lines) + "\n")
 
 

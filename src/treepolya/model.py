@@ -103,12 +103,15 @@ class TreePolyaModel:
     def _top_down(self):
         """One pass from the root: checks each split's arity and support,
         and stores the sum-law moments and, per node, the path constants
-        gamma, delta and the dispersion sign its path's splits force."""
+        gamma, delta, the dispersion sign its path's splits force and its
+        marginal chain."""
         tree = self.tree
         mu1, mu2 = (sumlaw_factorial_moment(r, self.sum_law) for r in (1, 2))
         gamma, delta = np.ones(len(tree)), np.ones(len(tree))
         implied = [None] * len(tree)
         implied[tree.ROOT] = _classify(mu2 - mu1 ** 2)
+        chains = [None] * len(tree)
+        chains[tree.ROOT] = MarginalChain((), self.sum_law)
         # conservative bound: every node inherits the sum law's maximum,
         # tightened to theta_C below a hypergeometric split
         bounds = {tree.ROOT: sumlaw_support_max(self.sum_law)}
@@ -134,8 +137,12 @@ class TreePolyaModel:
                     / (spec.total + spec.c)
                 implied[cid] = sign
                 bounds[cid] = child_bound
+                stage = ChainStage(spec.c, theta_c, spec.total - theta_c)
+                chains[cid] = MarginalChain((stage,) + chains[nid].stages,
+                                            self.sum_law)
         for name, value in (("_mu", (mu1, mu2)), ("_gamma", gamma),
-                            ("_delta", delta), ("_implied", implied)):
+                            ("_delta", delta), ("_implied", implied),
+                            ("_chains", chains)):
             object.__setattr__(self, name, value)
 
     # -- joint law ----------------------------------------------------
@@ -165,14 +172,17 @@ class TreePolyaModel:
             self.joint_log_pmf_many(np.reshape(y, (1, -1)))[0])
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact draws; returns shape (size, J) in leaf order."""
+        """Exact draws; returns shape (size, J) in leaf order.
+
+        A node's totals are dropped once its children have their columns,
+        so only the splits on the current root path hold draws."""
         totals = {self.tree.ROOT: sumlaw_sample_many(self.sum_law, size, rng)}
         out = np.zeros((size, self.tree.leaf_count), dtype=np.int64)
         for nid in self.tree.preorder():
             if self.tree.is_leaf(nid):
-                out[:, self.tree.subset(nid)[0] - 1] = totals[nid]
+                out[:, self.tree.subset(nid)[0] - 1] = totals.pop(nid)
                 continue
-            parts = polya_sample_many(totals[nid], self.splits[nid], rng)
+            parts = polya_sample_many(totals.pop(nid), self.splits[nid], rng)
             for k, cid in enumerate(self.tree.children(nid)):
                 totals[cid] = parts[:, k]
         return out
@@ -195,9 +205,7 @@ class TreePolyaModel:
 
     def marginal_chain(self, node: int) -> MarginalChain:
         """Thinning-stage representation of the law of a node's subsum."""
-        edges = map(self._edge_weight, self.tree.root_path(node)[:-1])
-        return MarginalChain(tuple(ChainStage(spec.c, theta, spec.total - theta)
-                                   for theta, spec in edges), self.sum_law)
+        return self._chains[node]
 
     def leaf_marginal_chain(self, leaf_label: int) -> MarginalChain:
         return self.marginal_chain(self.tree.leaf_node(leaf_label))

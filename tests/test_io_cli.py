@@ -1,18 +1,26 @@
+import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import treepolya
+from treepolya import cli, io
 from treepolya.cli import main
 from treepolya.examples import ten_leaf_example
-from treepolya.exceptions import ParseError
-from treepolya.io import load_counts_csv, parse_model, serialize_model
+from treepolya.exceptions import ParseError, TreePolyaError
+from treepolya.io import (load_counts_csv, parse_model, serialize_model,
+                          write_counts_csv)
 from treepolya.model import TreePolyaModel
-from treepolya.polya import Dirac, NegativeBinomial, Poisson, SplitSpec
+from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
+                             SplitSpec)
 from treepolya.tree import PartitionTree
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TestCsv:
@@ -50,6 +58,63 @@ class TestCsv:
         path.write_text("a,b\n")
         with pytest.raises(ParseError):
             load_counts_csv(str(path))
+
+
+def _reference_csv(rows, names) -> bytes:
+    lines = [",".join(names)] + [",".join(map(str, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCountWriter:
+    @staticmethod
+    def _write(path, rows, block_entries=io._WRITE_BLOCK_ENTRIES):
+        names = [f"c{j}" for j in range(np.shape(rows)[1])]
+        with mock.patch.object(io, "_WRITE_BLOCK_ENTRIES", block_entries):
+            write_counts_csv(str(path), rows, names)
+        assert path.read_bytes() == _reference_csv(np.asarray(rows).tolist(),
+                                                   names)
+        back = load_counts_csv(str(path))
+        assert back.column_names == tuple(names)
+        assert np.array_equal(back.rows, rows)
+
+    @given(rows=hnp.arrays(np.int64,
+                           hnp.array_shapes(min_dims=2, max_dims=2,
+                                            max_side=12),
+                           elements=st.integers(0, INT64_MAX)),
+           block_entries=st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_str_join_and_round_trips(self, tmp_path_factory, rows,
+                                              block_entries):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        self._write(path, rows, block_entries)
+
+    @pytest.mark.parametrize("value", [0, 7, 10, INT64_MAX])
+    def test_one_row_one_column(self, tmp_path, value):
+        self._write(tmp_path / "x.csv", np.array([[value]]))
+
+    def test_every_power_of_ten_boundary(self, tmp_path):
+        values = [0, 1] + [v for k in range(1, 19) for v in (10 ** k - 1,
+                                                            10 ** k)]
+        values.append(INT64_MAX)
+        self._write(tmp_path / "x.csv", np.array(values).reshape(-1, 1))
+        self._write(tmp_path / "x.csv", np.array(values).reshape(1, -1))
+        rows = np.random.default_rng(5).permutation(values).reshape(-1, 3)
+        self._write(tmp_path / "x.csv", rows, block_entries=7)
+
+    def test_block_boundary_mid_matrix(self, tmp_path):
+        # two rows a block: the blocks' widest cells have 1, 3 and 5 digits
+        rows = np.array([[0, 9, 1], [3, 0, 0], [100, 7, 0], [0, 0, 5],
+                         [0, 12345, 0]])
+        self._write(tmp_path / "x.csv", rows, block_entries=6)
+
+    def test_negative_count_is_categorised(self, tmp_path):
+        with pytest.raises(TreePolyaError) as err:
+            write_counts_csv(str(tmp_path / "x.csv"), np.array([[1, -2]]),
+                             ["a", "b"])
+        assert err.value.category == "validation"
+        with pytest.raises(TreePolyaError, match="integers"):
+            write_counts_csv(str(tmp_path / "x.csv"), np.array([[1.0, 2.0]]),
+                             ["a", "b"])
 
 
 def _random_model(draw_seed):
@@ -191,6 +256,37 @@ class TestCli:
                          "--seed", "7", "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sample_to_stdout_matches_file(self, model_file, tmp_path,
+                                           capsysbinary):
+        out = tmp_path / "a.csv"
+        args = ["sample", "--model", model_file, "--n", "300", "--seed", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert main(args + ["--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("which, digest", [
+        ("ten-leaf",
+         "5d743f7f3d048fa74b55db2f4e273ed55a90416e7da573c021e4ea6b3c8dcd75"),
+        ("mixed",
+         "1a2bd79cbadeff9a73c53efdc33a100968bf959771d7ada94438376d90744f98")])
+    def test_sample_stream_is_pinned(self, model_file, tmp_path, which,
+                                     digest):
+        """sha256 of the sample file as the per-cell ``str()`` writer
+        made it: a change to the RNG calls or to the CSV bytes moves it."""
+        if which == "mixed":
+            tree = PartitionTree.from_nested([[1, 2], [3, 4], 5])
+            model = TreePolyaModel(
+                tree, {tree.ROOT: SplitSpec(-1, (8.0, 6.0, 5.0)),
+                       tree.node_by_subset({1, 2}): SplitSpec(1, (1.5, 2.5)),
+                       tree.node_by_subset({3, 4}): SplitSpec(0, (0.3, 0.7))},
+                Binomial(12, 0.6))
+            model_file = tmp_path / "mixed.json"
+            model_file.write_text(serialize_model(model, list("abcde")))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--model", str(model_file), "--n", "1000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_corr_matches_library(self, model_file, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["corr", "--model", model_file, "--out", str(out)]) == 0
@@ -286,6 +382,14 @@ class TestCli:
         assert rc == 1
         assert "error[parse]" in capsys.readouterr().err
 
+    def test_bad_tree_file_is_a_parse_error(self, data_file, tmp_path,
+                                            capsys):
+        tree = tmp_path / "tree.json"
+        tree.write_text('[["s1", "s2"], ')
+        rc = main(["fit", "--data", data_file, "--tree", str(tree)])
+        assert rc == 1
+        assert "error[parse]" in capsys.readouterr().err
+
     def test_column_mismatch_usage_error(self, model_file, tmp_path,
                                          capsys):
         obs = tmp_path / "obs.csv"
@@ -293,3 +397,52 @@ class TestCli:
         rc = main(["pmf", "--model", model_file, "--obs", str(obs)])
         assert rc == 1
         assert "error[usage]" in capsys.readouterr().err
+
+
+def _cascade_model(depth):
+    tree = PartitionTree.cascade(list(range(1, depth + 2)))
+    return TreePolyaModel(tree, {nid: SplitSpec(1, (1.0, 2.0))
+                                 for nid in tree.internal_ids},
+                          NegativeBinomial(2.0, 0.5))
+
+
+@pytest.mark.parametrize("depth", [600, 1200])
+class TestDeepTrees:
+    def test_tree_documents_without_recursion(self, depth):
+        model = _cascade_model(depth)
+        names = [f"y{j}" for j in range(1, depth + 2)]
+        nested, read = io._collect_leaves(io._tree_doc(model, names))
+        tree = PartitionTree.from_nested(nested)
+        assert tree.nodes == model.tree.nodes and read == names
+        assert io._collect_splits(io._tree_doc(model, names), tree) \
+            == model.splits
+
+    def test_json_nesting_limit_is_a_parse_error(self, depth):
+        with pytest.raises(ParseError, match=f"depth {depth} "):
+            serialize_model(_cascade_model(depth))
+        split = '"split": {"c": 1, "theta": [1.0, 2.0]}'
+        tree = '{"children": [' * depth + '{"leaf": "y0"}' + "".join(
+            f', {{"leaf": "y{k}"}}], {split}}}' for k in range(1, depth + 1))
+        text = ('{"schema_version": "1", "sum_law": {"family": "nb", '
+                '"params": {"alpha": 2.0, "p": 0.5}}, "tree": ' + tree + "}")
+        with pytest.raises(ParseError, match=f"nests {2 * depth + 2} levels"):
+            parse_model(text)
+
+    def test_tree_file(self, depth, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text("[" * depth + '"y1"' + "".join(
+            f', "y{k}"]' for k in range(2, depth + 2)))
+        names = [f"y{j}" for j in range(1, depth + 2)]
+        if depth < 900:  # lists nest one level a node
+            tree = cli._tree_from_file(str(path), names)
+            assert len(tree.internal_ids) == depth
+        else:
+            with pytest.raises(ParseError, match=f"nests {depth} levels"):
+                cli._tree_from_file(str(path), names)
+
+    def test_render_tree(self, depth):
+        model = _cascade_model(depth)
+        lines = cli._render_tree(model, [f"y{j}" for j in range(1, depth + 2)])
+        assert len(lines) == 2 * depth + 1
+        assert lines[0] == "+ dirichlet-multinomial [1, 2]"
+        assert lines[-1] == "  " * depth + f"y{depth + 1}"

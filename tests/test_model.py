@@ -288,6 +288,19 @@ class TestMarginals:
                 brute[sum(y[j] for j in cols)] += prob
             assert np.abs(vec - brute).max() <= 1e-12, tree.subset(nid)
 
+    def test_chain_lists_the_root_path_leaf_side_first(self):
+        model = ten_leaf_example()
+        tree = model.tree
+        for nid in range(len(tree)):
+            stages = []
+            for child, parent in zip(tree.root_path(nid),
+                                     tree.root_path(nid)[1:]):
+                spec = model.splits[parent]
+                theta = spec.theta[tree.children(parent).index(child)]
+                stages.append(ChainStage(spec.c, theta, spec.total - theta))
+            assert model.marginal_chain(nid) == MarginalChain(
+                tuple(stages), model.sum_law)
+
     def test_marginal_normalizes(self):
         model = ten_leaf_example()
         chain = model.leaf_marginal_chain(9)
