@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import TreePolyaError, UsageError
 from .fit import SearchConfig, fit_tree, search_tree
-from .io import (_json_loads, load_counts_csv, parse_model,
+from .io import (_csv_line, _json_loads, load_counts_csv, parse_model,
                  serialize_model, write_counts_csv)
 from .model import TreePolyaModel
 from .tree import PartitionTree
@@ -33,8 +33,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 def _csv_text(header: Sequence[str], rows) -> str:
     """CSV text of a small mixed-type table (reports, moments, corr);
     count matrices go through :func:`write_counts_csv`."""
-    lines = [",".join(map(str, header))]
-    lines.extend(",".join(map(str, row)) for row in rows)
+    lines = [_csv_line(header)]
+    lines.extend(_csv_line(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -521,15 +521,24 @@ def _leaves_under(child) -> Tuple[int, ...]:
 
 
 def _search_node(children: list, cache: _FitCache, trace: list) -> None:
-    """Greedy node creation among one node's children, in place.
+    """Greedy node creation among one node's children, in place, then
+    in every node it creates, depth first in order of creation, from a
+    worklist rather than by recursion."""
+    work = [children]
+    while work:
+        work.extend(reversed(_grow_node(work.pop(), cache, trace)))
+
+
+def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
+    """Greedy node creation among one node's children, in place; returns
+    the created nodes in order of creation.
 
     ``children`` holds int leaf labels and nested child lists.  Each
     round pairs the two leaf children whose grouping lowers the summed
     node AIC the most, then transfers further leaves into the new node
     while that keeps improving; rounds repeat until no pair improves.
-    Afterwards every created node is searched the same way.  Accepted
-    moves are appended to ``trace``; one past the configured budget
-    raises ``ConvergenceError``.
+    Accepted moves are appended to ``trace``; one past the configured
+    budget raises ``ConvergenceError``.
 
     Candidate DM fits start from the current fits by the aggregation
     property: a merged child starts at the sum of its parts' weights,
@@ -617,8 +626,7 @@ def _search_node(children: list, cache: _FitCache, trace: list) -> None:
             node.append(children[pos])
             del children[pos]
             record("transfer", node, best_t[0])
-    for node in created:
-        _search_node(node, cache, trace)
+    return created
 
 
 def search_tree(counts: np.ndarray, family: str = "nb",

@@ -96,6 +96,22 @@ def load_counts_csv(path: str) -> CountMatrix:
     return CountMatrix(names, np.array(rows, dtype=np.int64))
 
 
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_line(fields) -> str:
+    """One CSV line (without its newline) of ``str(field)`` for each
+    field; a field holding a comma, a double quote, CR or LF is quoted
+    per RFC 4180, with its quotes doubled, and every other one is written
+    as it is."""
+    out = []
+    for field in map(str, fields):
+        if _NEEDS_QUOTES.search(field):
+            field = '"' + field.replace('"', '""') + '"'
+        out.append(field)
+    return ",".join(out)
+
+
 # cells encoded per block by write_counts_csv: at most 20 bytes a cell
 # (19 digits and a separator) keeps a block's buffers to a few MB
 _WRITE_BLOCK_ENTRIES = 1 << 16
@@ -123,7 +139,8 @@ def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
     """Write a header and nonnegative integer rows as the CSV that
     :func:`load_counts_csv` reads; ``out`` None or "-" is stdout.
 
-    The text is that of ``",".join(map(str, row))`` per row, encoded
+    The header is :func:`_csv_line` of the names.  The rows' text is that
+    of ``",".join(map(str, row))`` per row, encoded
     straight to bytes in blocks of at most ``_WRITE_BLOCK_ENTRIES``
     cells, so memory stays bounded however many rows there are.
     """
@@ -137,7 +154,7 @@ def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
         sys.stdout.flush()  # keep earlier text ahead of the bytes
     with (contextlib.nullcontext(sys.stdout.buffer) if to_stdout
           else open(out, "wb")) as fh:
-        fh.write((",".join(counts.column_names) + "\n").encode("utf-8"))
+        fh.write((_csv_line(counts.column_names) + "\n").encode("utf-8"))
         for start in range(0, counts.n_sites, step):
             fh.write(_encode_counts(counts.rows[start:start + step]))
         fh.flush()

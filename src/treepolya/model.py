@@ -18,11 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, count_array,
-                    polya_log_pmf_many, polya_sample_many,
-                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
-                    sumlaw_sample_many, sumlaw_support_max,
-                    sumlaw_truncation_point)
+from .polya import (_BLOCK_ENTRIES, Dirac, NegativeBinomial, SplitSpec,
+                    SumLaw, count_array, polya_log_pmf_many,
+                    polya_sample_many, sumlaw_factorial_moment,
+                    sumlaw_log_pmf_many, sumlaw_sample_many,
+                    sumlaw_support_max, sumlaw_truncated_log_pmf)
 from .special import LogValue, ln_gen_factorial_many
 from .tree import PartitionTree
 
@@ -103,15 +103,13 @@ class TreePolyaModel:
     def _top_down(self):
         """One pass from the root: checks each split's arity and support,
         and stores the sum-law moments and, per node, the path constants
-        gamma, delta, the dispersion sign its path's splits force and its
-        marginal chain."""
+        gamma, delta and the dispersion sign its path's splits force.
+        Marginal chains are built on first use (:meth:`marginal_chain`)."""
         tree = self.tree
         mu1, mu2 = (sumlaw_factorial_moment(r, self.sum_law) for r in (1, 2))
         gamma, delta = np.ones(len(tree)), np.ones(len(tree))
         implied = [None] * len(tree)
         implied[tree.ROOT] = _classify(mu2 - mu1 ** 2)
-        chains = [None] * len(tree)
-        chains[tree.ROOT] = MarginalChain((), self.sum_law)
         # conservative bound: every node inherits the sum law's maximum,
         # tightened to theta_C below a hypergeometric split
         bounds = {tree.ROOT: sumlaw_support_max(self.sum_law)}
@@ -137,9 +135,7 @@ class TreePolyaModel:
                     / (spec.total + spec.c)
                 implied[cid] = sign
                 bounds[cid] = child_bound
-                stage = ChainStage(spec.c, theta_c, spec.total - theta_c)
-                chains[cid] = MarginalChain((stage,) + chains[nid].stages,
-                                            self.sum_law)
+        chains = {tree.ROOT: MarginalChain((), self.sum_law)}
         for name, value in (("_mu", (mu1, mu2)), ("_gamma", gamma),
                             ("_delta", delta), ("_implied", implied),
                             ("_chains", chains)):
@@ -204,8 +200,23 @@ class TreePolyaModel:
                              float(self._delta[node]))
 
     def marginal_chain(self, node: int) -> MarginalChain:
-        """Thinning-stage representation of the law of a node's subsum."""
-        return self._chains[node]
+        """Thinning-stage representation of the law of a node's subsum:
+        its own stage, then its parent's chain.  Chains are built on first
+        use, down from the nearest ancestor already built, and kept."""
+        chains = self._chains
+        if node in chains:
+            return chains[node]
+        path = []
+        while node not in chains:
+            path.append(node)
+            node = self.tree.parent(node)
+        for child in reversed(path):
+            theta, spec = self._edge_weight(child)
+            stage = ChainStage(spec.c, theta, spec.total - theta)
+            chains[child] = MarginalChain((stage,) + chains[node].stages,
+                                          self.sum_law)
+            node = child
+        return chains[node]
 
     def leaf_marginal_chain(self, leaf_label: int) -> MarginalChain:
         return self.marginal_chain(self.tree.leaf_node(leaf_label))
@@ -365,11 +376,6 @@ def absorb_binomials(chain: MarginalChain) -> MarginalChain:
                          NegativeBinomial(chain.terminal.alpha, new_p))
 
 
-# entries in one row block of a stage kernel: 512 KB per float array
-# bounds the memory, and ran faster than 2 MB blocks
-_BLOCK_ENTRIES = 1 << 16
-
-
 def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
     """child[y] = sum_{t >= y} K[y, t] dist[t] for one thinning stage,
     K[y, t] = C(t, y) (a)_y (b)_{t-y} / (a + b)_t in the split's
@@ -391,10 +397,14 @@ def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
     windows = sliding_window_view(
         np.concatenate([np.full(rows - 1, -np.inf), by_rest]), size)
     child = np.empty(size)
+    # one buffer for every block: a fresh one per block costs page faults
+    # whenever the allocator hands large blocks back to the system
+    buffer = np.empty(rows * size)
     for y0 in range(0, size, rows):
         y1 = min(y0 + rows, size)
-        logk = windows[rows - (y1 - y0):rows][::-1, :size - y0] \
-            + by_y[y0:y1, None]
+        logk = buffer[:(y1 - y0) * (size - y0)].reshape(y1 - y0, size - y0)
+        np.add(windows[rows - (y1 - y0):rows][::-1, :size - y0],
+               by_y[y0:y1, None], out=logk)
         logk += by_t[y0:]
         child[y0:y1] = np.exp(logk, out=logk) @ dist[y0:]
     return child
@@ -406,16 +416,15 @@ def marginal_pmf_vector(chain: MarginalChain,
     """Read-only p.m.f. of a marginal chain over 0..N.
 
     The terminal law is cut at N, the point where its remaining mass
-    falls below ``tail`` (N is exact for bounded laws), and the stages
-    are applied from the root side.  Each value is within ``tail`` of the
+    falls below ``tail`` (N is exact for bounded laws), on the grid that
+    finds N (:func:`sumlaw_truncated_log_pmf`), and the stages are
+    applied from the root side.  Each value is within ``tail`` of the
     exact one, and the mass past N is at most ``tail``.  Multinomial
     stages over a negative binomial terminal are absorbed into it first,
     which shortens N.  A hypergeometric stage whose |theta| is below a
     total that can reach it, or that sits under an unbounded terminal,
     raises ``ValidationError``, by the rule models are checked with.
     """
-    if not 0.0 < tail < 1.0:
-        raise DomainError(f"tail must lie in (0, 1), got {tail}")
     bound = sumlaw_support_max(chain.terminal)
     for depth, st in enumerate(reversed(chain.stages)):
         bound = _child_bounds(st.c, (st.theta_num, st.theta_rest), bound,
@@ -423,8 +432,7 @@ def marginal_pmf_vector(chain: MarginalChain,
     if isinstance(chain.terminal, NegativeBinomial) \
             and all(st.c != -1 for st in chain.stages):
         chain = absorb_binomials(chain)
-    n_max = sumlaw_truncation_point(chain.terminal, tail)
-    dist = np.exp(sumlaw_log_pmf_many(np.arange(n_max + 1), chain.terminal))
+    dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, tail))
     for st in reversed(chain.stages):  # root side first
         dist = _thin(st, dist)
     dist.setflags(write=False)

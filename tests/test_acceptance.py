@@ -263,6 +263,7 @@ def _corr_mc(draws):
     return corr, se
 
 
+@pytest.mark.slow
 def test_criterion_7_worked_example_reproduction(tmp_path):
     worst_tv = 0.0
     for alpha, p in itertools.product((5.0, 20.0), (0.25, 0.45)):
@@ -325,6 +326,7 @@ def _planted_six_leaf():
     return TreePolyaModel(tree, splits, NegativeBinomial(4.0, 0.8))
 
 
+@pytest.mark.slow
 def test_criterion_9_simulation_recovery():
     rng = np.random.default_rng(9009)
     tree = PartitionTree.flat(4)

@@ -324,6 +324,44 @@ class TestSearch:
         assert (1, 2) in subsets and (4, 5, 6) in subsets
 
 
+    def test_created_nodes_are_searched_depth_first(self, monkeypatch):
+        visits = []
+
+        def grow(children, cache, trace):
+            visits.append(fit_module._leaves_under(children))
+            return [ch for ch in children if isinstance(ch, list)]
+
+        monkeypatch.setattr(fit_module, "_grow_node", grow)
+        fit_module._search_node([[[1, 2], [3, 4]], [[5, 6], 7], 8], None, [])
+        assert visits == [tuple(range(1, 9)), (1, 2, 3, 4), (1, 2), (3, 4),
+                          (5, 6, 7), (5, 6)]
+
+    def test_nested_search_trace_is_pinned(self):
+        """A seeded search that creates nodes inside two created nodes;
+        the created nodes are searched depth first in order of creation."""
+        tree = PartitionTree.from_nested([[[1, 2], 3, 4], [[5, 6], 7, 8], 9])
+        weights = {(1, 2, 3, 4): (4.0, 4.0, 4.0), (1, 2): (0.5, 0.5),
+                   (5, 6, 7, 8): (4.0, 4.0, 4.0), (5, 6): (0.5, 0.5)}
+        splits = {tree.node_by_subset(k): SplitSpec(1, v)
+                  for k, v in weights.items()}
+        splits[tree.ROOT] = SplitSpec(1, (3.0, 3.0, 1.0))
+        model = TreePolyaModel(tree, splits, NegativeBinomial(3.0, 0.8))
+        counts = model.sample_many(1_500, np.random.default_rng(113))
+        _, _, trace = search_tree(counts)
+        root = "{1,2,3,4,5,6,7,8,9}"
+        expected = [("create", root, [7, 8], -51.974491),
+                    ("transfer", root, [5, 7, 8], -25.095828),
+                    ("create", root, [3, 4], -70.692422),
+                    ("transfer", root, [2, 3, 4], -54.192553),
+                    ("transfer", root, [1, 2, 3, 4], -1.869043),
+                    ("create", "{5,7,8}", [5, 8], -1.277215),
+                    ("create", "{1,2,3,4}", [1, 2], -64.347318)]
+        assert [(t["move"], t["parent"], t["node"]) for t in trace] == \
+            [e[:3] for e in expected]
+        assert [t["delta_aic"] for t in trace] == pytest.approx(
+            [e[3] for e in expected], abs=1e-5)
+
+
 def _three_node_model():
     tree = PartitionTree.from_nested([[1, 2], 3, [4, 5, 6]])
     splits = {tree.ROOT: SplitSpec(1, (2.0, 1.5, 3.0)),

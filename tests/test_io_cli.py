@@ -1,5 +1,9 @@
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import treepolya
 from treepolya import cli, io
 from treepolya.cli import main
-from treepolya.examples import ten_leaf_example
+from treepolya.examples import TEN_LEAF_NESTED, ten_leaf_example
 from treepolya.exceptions import ParseError, TreePolyaError
 from treepolya.io import (load_counts_csv, parse_model, serialize_model,
                           write_counts_csv)
@@ -397,6 +401,81 @@ class TestCli:
         rc = main(["pmf", "--model", model_file, "--obs", str(obs)])
         assert rc == 1
         assert "error[usage]" in capsys.readouterr().err
+
+
+ODD_NAMES = ["x,y", 'say "hi"', "cr\r\nlf"] + [f"s{j}" for j in range(4, 11)]
+
+
+class TestQuotedNames:
+    @pytest.mark.parametrize("field, text", [
+        ("plain", "plain"), ("", ""), ("x,y", '"x,y"'),
+        ('say "hi"', '"say ""hi"""'), ("a\rb", '"a\rb"'),
+        ("a\nb", '"a\nb"'), (3, "3")])
+    def test_quoted_only_when_needed(self, field, text):
+        assert io._csv_line([field, "z"]) == text + ",z"
+
+    def test_odd_names_survive_sample_then_pmf(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(ten_leaf_example(), ODD_NAMES))
+        sample, out = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(["sample", "--model", str(model_path), "--n", "50",
+                     "--seed", "4", "--out", str(sample)]) == 0
+        data = load_counts_csv(str(sample))
+        assert data.column_names[0] == "x,y"
+        assert data.column_names[1] == 'say "hi"'
+        assert main(["pmf", "--model", str(model_path), "--obs",
+                     str(sample), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+
+    def test_corr_and_moments_tables_parse_back(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(ten_leaf_example(), ODD_NAMES))
+        for verb, width in (("corr", 11), ("moments", 4)):
+            out = tmp_path / f"{verb}.csv"
+            assert main([verb, "--model", str(model_path), "--out",
+                         str(out)]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                table = list(csv.reader(fh))
+            assert len(table) == 11
+            assert all(len(row) == width for row in table)
+            names = table[0][1:] if verb == "corr" else \
+                [row[0] for row in table[1:]]
+            assert names == ODD_NAMES
+
+
+# every verb of the CLI on the ten-leaf inputs, in a fresh interpreter
+COLD_START = """
+import sys
+from treepolya.cli import main
+model, tree, data, out = sys.argv[1:]
+calls = [["describe", "--model", model], ["moments", "--model", model],
+         ["corr", "--model", model], ["pmf", "--model", model, "--obs", data],
+         ["sample", "--model", model, "--n", "100", "--seed", "1"],
+         ["fit", "--data", data, "--tree", tree], ["search", "--data", data]]
+for argv in calls:
+    assert main(argv + ["--out", out]) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+
+
+def _named(node):
+    return f"s{node}" if isinstance(node, int) else [_named(c) for c in node]
+
+
+def test_no_verb_loads_scipy_stats(model_file, tmp_path):
+    names = [f"s{j}" for j in range(1, 11)]
+    counts = ten_leaf_example().sample_many(30, np.random.default_rng(6))
+    data, tree = tmp_path / "d.csv", tmp_path / "t.json"
+    write_counts_csv(str(data), counts, names)
+    tree.write_text(json.dumps(_named(TEN_LEAF_NESTED)))
+    src = os.path.dirname(os.path.dirname(treepolya.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, model_file, str(tree), str(data),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _cascade_model(depth):

@@ -32,6 +32,16 @@ def five_leaf(total=Dirac(8)):
     return TreePolyaModel(tree, splits, total)
 
 
+def _eager_chain(model, nid):
+    """A node's chain built by walking its root path."""
+    tree, stages = model.tree, []
+    for child, parent in zip(tree.root_path(nid), tree.root_path(nid)[1:]):
+        spec = model.splits[parent]
+        theta = spec.theta[tree.children(parent).index(child)]
+        stages.append(ChainStage(spec.c, theta, spec.total - theta))
+    return MarginalChain(tuple(stages), model.sum_law)
+
+
 class TestValidation:
     def test_missing_split_rejected(self):
         tree = PartitionTree.from_nested([[1, 2], 3])
@@ -290,16 +300,32 @@ class TestMarginals:
 
     def test_chain_lists_the_root_path_leaf_side_first(self):
         model = ten_leaf_example()
-        tree = model.tree
-        for nid in range(len(tree)):
-            stages = []
-            for child, parent in zip(tree.root_path(nid),
-                                     tree.root_path(nid)[1:]):
-                spec = model.splits[parent]
-                theta = spec.theta[tree.children(parent).index(child)]
-                stages.append(ChainStage(spec.c, theta, spec.total - theta))
-            assert model.marginal_chain(nid) == MarginalChain(
-                tuple(stages), model.sum_law)
+        for nid in range(len(model.tree)):
+            assert model.marginal_chain(nid) == _eager_chain(model, nid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=small_models(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lazy_chains_equal_eager_ones(self, model, seed):
+        # asked in a random order, so that some chains are built from a
+        # cached ancestor and some from the root
+        order = np.random.default_rng(seed).permutation(len(model.tree))
+        for nid in order:
+            assert model.marginal_chain(int(nid)) == \
+                _eager_chain(model, int(nid))
+
+    def test_deep_cascade_builds_no_chains_up_front(self):
+        tree = PartitionTree.cascade(list(range(1, 1202)))  # depth 1200
+        splits = {nid: SplitSpec(1, (1.0, 2.0)) for nid in tree.internal_ids}
+        tracemalloc.start()
+        try:
+            model = TreePolyaModel(tree, splits, NegativeBinomial(2.0, 0.5))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # building every chain eagerly kept 12.2 MB here
+        assert kept < 256 * 1024
+        deepest = tree.leaf_node(1201)
+        assert len(model.marginal_chain(deepest).stages) == 1200
 
     def test_marginal_normalizes(self):
         model = ten_leaf_example()

@@ -1,15 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from treepolya import polya
 from treepolya.exceptions import DomainError
+from treepolya.model import MarginalChain, marginal_pmf
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, polya_sample_many,
                              polya_uni_pmf, sumlaw_factorial_moment,
-                             sumlaw_log_pmf, sumlaw_sample_many,
+                             sumlaw_log_pmf, sumlaw_log_pmf_many,
+                             sumlaw_sample_many, sumlaw_truncated_log_pmf,
                              sumlaw_truncation_point)
 
 from conftest import simplex
@@ -128,6 +133,86 @@ class TestSumLaws:
         var = m2 + mean - mean ** 2
         assert draws.mean() == pytest.approx(mean,
                                              abs=4 * math.sqrt(var / 2e5))
+
+
+def _scipy_law(law):
+    if isinstance(law, Poisson):
+        return stats.poisson(law.rate)
+    return stats.nbinom(law.alpha, 1.0 - law.p)
+
+
+def _scipy_truncation_point(law, tail):
+    """isf(tail) + 1, moved to where scipy's own sf crosses ``tail``:
+    its Poisson isf inverts the c.d.f. at 1 - tail, which loses tails
+    below ~1e-15 (isf(1e-16) of Poisson(10) is 45, where sf is 1.05e-16)."""
+    dist = _scipy_law(law)
+    n = int(dist.isf(tail)) + 1
+    while n > 1 and dist.sf(n - 2) <= tail:
+        n -= 1
+    while dist.sf(n - 1) > tail:
+        n += 1
+    return n
+
+
+class TestTruncationPoint:
+    @settings(max_examples=80, deadline=None)
+    @given(law=st.one_of(
+               st.builds(NegativeBinomial, st.floats(0.01, 50.0),
+                         st.floats(0.01, 0.999)),
+               st.builds(Poisson, st.floats(1e-3, 1e4))),
+           log_tail=st.floats(-16.0, -6.0))
+    def test_matches_scipy(self, law, log_tail):
+        tail = 10.0 ** log_tail
+        n = sumlaw_truncation_point(law, tail)
+        ref = _scipy_truncation_point(law, tail)
+        if n != ref:
+            # only where the tail mass at the boundary is tail itself
+            boundary = _scipy_law(law).sf(min(n, ref) - 1)
+            assert abs(n - ref) == 1 and \
+                abs(boundary / tail - 1.0) <= 1e-9, (n, ref, boundary)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=st.one_of(
+               st.builds(NegativeBinomial, st.floats(0.01, 50.0),
+                         st.floats(0.01, 0.999)),
+               st.builds(Poisson, st.floats(1e-3, 1e4))),
+           k=st.integers(0, 10 ** 5))
+    def test_ratio_bound_holds_from_k_on(self, law, k):
+        # the walk's geometric bound on the unseen tail rests on this; the
+        # log-p.m.f.'s rounding reaches 3e-10 relative in a ratio at k = 1e5
+        log_p = sumlaw_log_pmf_many(np.arange(k, k + 2001), law)
+        assert np.all(np.exp(np.diff(log_p))
+                      <= polya._ratio_bound(law, float(k)) * (1 + 1e-8))
+
+    @pytest.mark.parametrize("law, tail", [
+        (NegativeBinomial(2.0, 0.99), 1e-14),
+        (NegativeBinomial(0.3, 0.9), 1e-16),
+        (Poisson(1e-6), 1e-14), (Poisson(1000.0), 1e-16),
+        (Binomial(12, 0.3), 1e-14), (Dirac(7), 1e-14)])
+    def test_grid_is_the_log_pmf_up_to_n(self, law, tail):
+        grid = sumlaw_truncated_log_pmf(law, tail)
+        assert grid.size == sumlaw_truncation_point(law, tail) + 1
+        assert np.array_equal(
+            grid, sumlaw_log_pmf_many(np.arange(grid.size), law))
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0, math.nan])
+    def test_tail_outside_unit_interval_is_domain_error(self, tail):
+        with pytest.raises(DomainError):
+            sumlaw_truncation_point(Poisson(3.0), tail)
+
+    def test_huge_total_is_domain_error_naming_n(self):
+        law = NegativeBinomial(2.0, 1 - 1e-12)
+        with pytest.raises(DomainError, match="NegativeBinomial") as err:
+            marginal_pmf(MarginalChain((), law), 3)
+        needed = int(re.search(r"N = (\d+)", str(err.value)).group(1))
+        assert needed == pytest.approx(_scipy_truncation_point(law, 1e-14),
+                                       rel=1e-3)
+
+    @pytest.mark.parametrize("law", [Poisson(1e9), Dirac(10 ** 9),
+                                     Binomial(10 ** 9, 0.5)])
+    def test_other_huge_laws_are_domain_errors(self, law):
+        with pytest.raises(DomainError, match=r"N = \d+"):
+            sumlaw_truncated_log_pmf(law)
 
 
 class TestSampling:
