@@ -18,11 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (_BLOCK_ENTRIES, Dirac, NegativeBinomial, SplitSpec,
-                    SumLaw, count_array, polya_log_pmf_many,
-                    polya_sample_many, sumlaw_factorial_moment,
-                    sumlaw_log_pmf_many, sumlaw_sample_many,
-                    sumlaw_support_max, sumlaw_truncated_log_pmf)
+from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, count_array,
+                    polya_log_pmf_many, polya_sample_many,
+                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
+                    sumlaw_sample_many, sumlaw_support_max,
+                    sumlaw_truncated_log_pmf)
 from .special import LogValue, ln_gen_factorial_many
 from .tree import PartitionTree
 
@@ -376,6 +376,11 @@ def absorb_binomials(chain: MarginalChain) -> MarginalChain:
                          NegativeBinomial(chain.terminal.alpha, new_p))
 
 
+# entries in one row block of a stage kernel: 512 KB per float array
+# bounds the memory, and ran faster than 2 MB blocks
+_BLOCK_ENTRIES = 1 << 16
+
+
 def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
     """child[y] = sum_{t >= y} K[y, t] dist[t] for one thinning stage,
     K[y, t] = C(t, y) (a)_y (b)_{t-y} / (a + b)_t in the split's
@@ -416,10 +421,10 @@ def marginal_pmf_vector(chain: MarginalChain,
     """Read-only p.m.f. of a marginal chain over 0..N.
 
     The terminal law is cut at N, the point where its remaining mass
-    falls below ``tail`` (N is exact for bounded laws), on the grid that
-    finds N (:func:`sumlaw_truncated_log_pmf`), and the stages are
-    applied from the root side.  Each value is within ``tail`` of the
-    exact one, and the mass past N is at most ``tail``.  Multinomial
+    falls below ``tail`` (N is exact for bounded laws), its log-p.m.f.
+    evaluated once over 0..N (:func:`sumlaw_truncated_log_pmf`), and the
+    stages are applied from the root side.  Each value is within ``tail``
+    of the exact one, and the mass past N is at most ``tail``.  Multinomial
     stages over a negative binomial terminal are absorbed into it first,
     which shortens N.  A hypergeometric stage whose |theta| is below a
     total that can reach it, or that sits under an unbounded terminal,

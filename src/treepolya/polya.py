@@ -29,20 +29,10 @@ __all__ = [
 
 _INT_TOL = 1e-9
 
-# entries in one block of a sum-law walk or of a stage kernel
-# (model._thin): 512 KB per float array bounds the memory, and ran faster
-# than 2 MB blocks
-_BLOCK_ENTRIES = 1 << 16
-# most entries a truncated sum-law grid may hold, 32 MB as floats; a law
-# that needs more raises DomainError instead of running out of memory
-_MAX_GRID_ENTRIES = 1 << 22
-# the walk's first block; blocks double up to the mode and are then sized
-# to reach the stop, at most _BLOCK_ENTRIES each, so that a narrow law is
-# not evaluated over a whole block
-_FIRST_BLOCK = 1 << 10
-# the walk goes on until the mass it has not seen is below this share of
-# the tail, so P(Y > k) is resolved well inside the tail's own rounding
-_UNSEEN_SHARE = 1e-12
+# most entries a truncated sum-law grid may hold, 512 MB as floats; the
+# marginal built on it keeps a few arrays of that size, so a law that
+# needs more raises DomainError instead of running out of memory
+_MAX_GRID_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -211,106 +201,50 @@ def sumlaw_sample(law: SumLaw, rng: np.random.Generator) -> int:
     return int(sumlaw_sample_many(law, 1, rng)[0])
 
 
-def _ratio_bound(law: SumLaw, k: np.ndarray) -> np.ndarray:
-    """Largest ratio P(j + 1) / P(j) over j >= k.  The Poisson ratio
-    rate / (j + 1) falls with j; the negative binomial one,
-    p (alpha + j) / (j + 1), falls towards p for alpha >= 1 and rises
-    towards it for alpha < 1."""
+def _sf(law: SumLaw, k: int) -> float:
+    """P(Y > k) for an unbounded law: a regularized incomplete gamma or
+    beta function."""
     if isinstance(law, Poisson):
-        return law.rate / (k + 1)
-    return law.p * np.maximum(1.0, (law.alpha + k) / (k + 1))
-
-
-def _grid_error(law: SumLaw, tail: float) -> DomainError:
-    """The error for a law whose walk would pass ``_MAX_GRID_ENTRIES``,
-    naming the N it needs: the smallest k with P(Y > k) <= tail, plus
-    one, by bisection on the survival function (a regularized incomplete
-    beta or gamma function)."""
-    def sf(k):
-        if isinstance(law, Poisson):
-            return gammainc(k + 1, law.rate)
-        return betainc(k + 1, law.alpha, law.p)
-
-    lo, hi = -1, 1  # sf(lo) > tail throughout (P(Y > -1) = 1)
-    while sf(hi) > tail:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if sf(mid) > tail else (lo, mid)
-    return DomainError(f"{law} needs N = {hi + 1} to leave at most {tail:g} "
-                       f"of its mass past N: its grid would pass the limit "
-                       f"of {_MAX_GRID_ENTRIES} entries")
-
-
-def sumlaw_truncated_log_pmf(law: SumLaw, tail: float = 1e-14) -> np.ndarray:
-    """Log p.m.f. of a sum law over 0..N, N its
-    :func:`sumlaw_truncation_point` (the support's maximum for a bounded
-    law).
-
-    An unbounded law is walked upward from 0 in blocks of at most
-    ``_BLOCK_ENTRIES`` entries, each past the mode sized by the bound
-    below to end at the stop.  The walk stops at the first k whose
-    geometric bound P(k) R / (1 - R) on P(Y > k), R the largest ratio of
-    successive terms from k on, is below ``tail * _UNSEEN_SHARE``.
-    P(Y >= j) is then the cumulative sum of the walked terms from the far
-    end, with that bound in place of the rest, so tails far below double
-    precision's epsilon resolve, and N is the first j >= 1 where it is at
-    most ``tail``.  A walk or a bounded support past
-    ``_MAX_GRID_ENTRIES`` entries raises ``DomainError`` naming the N the
-    law needs.
-    """
-    if not 0.0 < tail < 1.0:
-        raise DomainError(f"tail must lie in (0, 1), got {tail}")
-    bound = sumlaw_support_max(law)
-    if bound is not None:
-        if bound >= _MAX_GRID_ENTRIES:
-            raise DomainError(f"{law} needs N = {bound}: over the limit of "
-                              f"{_MAX_GRID_ENTRIES} grid entries")
-        return sumlaw_log_pmf_many(np.arange(bound + 1), law)
-    stop = math.log(tail) + math.log(_UNSEEN_SHARE)
-    blocks, start, size = [], 0, _FIRST_BLOCK
-    while True:
-        if start >= _MAX_GRID_ENTRIES:
-            raise _grid_error(law, tail)
-        # one entry past the block: the grid ends one past the stop
-        k = np.arange(start, start + size + 1, dtype=float)
-        log_p = sumlaw_log_pmf_many(k, law)
-        ratio = _ratio_bound(law, k[:-1])
-        past = np.flatnonzero(ratio < 1.0)
-        log_rest = (log_p[past] + np.log(ratio[past])
-                    - np.log1p(-ratio[past]))
-        hits = np.flatnonzero(log_rest <= stop)
-        if hits.size:
-            break
-        blocks.append(log_p[:-1])
-        start += size
-        if past.size and past[-1] == size - 1:
-            # past the mode the terms fall at least by the ratio bound, so
-            # the stop lies at most this far on
-            size = math.ceil((log_rest[-1] - stop) / -math.log(ratio[-1]))
-        else:
-            size *= 2
-        size = max(1, min(size, _BLOCK_ENTRIES, _MAX_GRID_ENTRIES - start))
-    last = past[hits[0]]
-    grid = np.concatenate(blocks + [log_p[:last + 2]])
-    # P(Y >= j) / e^top, summed from the far end; the bound stands in for
-    # P(Y > start + last), the mass not walked
-    terms = grid.copy()
-    terms[-1] = log_rest[hits[0]]
-    top = terms.max()
-    at_least = np.cumsum(np.exp(terms - top)[::-1])[::-1]
-    n = 1 + int(np.argmax(at_least[1:] <= tail * math.exp(-top)))
-    return grid[:n + 1]
+        return float(gammainc(k + 1, law.rate))
+    if isinstance(law, NegativeBinomial):
+        return float(betainc(k + 1, law.alpha, law.p))
+    raise UsageError(f"unknown sum law {law!r}")
 
 
 def sumlaw_truncation_point(law: SumLaw, tail: float = 1e-14) -> int:
     """N = 1 + the smallest k with P(Y > k) <= tail, so at most ``tail``
     of the mass lies at N or beyond; for a bounded law, its support's
-    maximum.  See :func:`sumlaw_truncated_log_pmf` for how N is found."""
+    maximum.
+
+    N is found by doubling and then bisection on the survival function,
+    about 2 log2(N) scalar evaluations; the survival function resolves
+    tails far below double precision's epsilon.
+    """
+    if not 0.0 < tail < 1.0:
+        raise DomainError(f"tail must lie in (0, 1), got {tail}")
     bound = sumlaw_support_max(law)
     if bound is not None:
         return bound
-    return sumlaw_truncated_log_pmf(law, tail).size - 1
+    lo, hi = -1, 1  # P(Y > lo) > tail >= P(Y > hi) once hi is found
+    while _sf(law, hi) > tail:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _sf(law, mid) > tail else (lo, mid)
+    return hi + 1
+
+
+def sumlaw_truncated_log_pmf(law: SumLaw, tail: float = 1e-14) -> np.ndarray:
+    """Log p.m.f. of a sum law over 0..N, N its
+    :func:`sumlaw_truncation_point`.  A grid of more than
+    ``_MAX_GRID_ENTRIES`` entries raises ``DomainError`` naming the law
+    and N."""
+    n = sumlaw_truncation_point(law, tail)
+    if n >= _MAX_GRID_ENTRIES:
+        raise DomainError(f"{law} needs N = {n} to leave at most {tail:g} "
+                          f"of its mass past N: its grid would pass the "
+                          f"limit of {_MAX_GRID_ENTRIES} entries")
+    return sumlaw_log_pmf_many(np.arange(n + 1), law)
 
 
 # ---------------------------------------------------------------------

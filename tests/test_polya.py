@@ -171,19 +171,6 @@ class TestTruncationPoint:
             assert abs(n - ref) == 1 and \
                 abs(boundary / tail - 1.0) <= 1e-9, (n, ref, boundary)
 
-    @settings(max_examples=60, deadline=None)
-    @given(law=st.one_of(
-               st.builds(NegativeBinomial, st.floats(0.01, 50.0),
-                         st.floats(0.01, 0.999)),
-               st.builds(Poisson, st.floats(1e-3, 1e4))),
-           k=st.integers(0, 10 ** 5))
-    def test_ratio_bound_holds_from_k_on(self, law, k):
-        # the walk's geometric bound on the unseen tail rests on this; the
-        # log-p.m.f.'s rounding reaches 3e-10 relative in a ratio at k = 1e5
-        log_p = sumlaw_log_pmf_many(np.arange(k, k + 2001), law)
-        assert np.all(np.exp(np.diff(log_p))
-                      <= polya._ratio_bound(law, float(k)) * (1 + 1e-8))
-
     @pytest.mark.parametrize("law, tail", [
         (NegativeBinomial(2.0, 0.99), 1e-14),
         (NegativeBinomial(0.3, 0.9), 1e-16),
@@ -212,6 +199,16 @@ class TestTruncationPoint:
                                      Binomial(10 ** 9, 0.5)])
     def test_other_huge_laws_are_domain_errors(self, law):
         with pytest.raises(DomainError, match=r"N = \d+"):
+            sumlaw_truncated_log_pmf(law)
+
+    @pytest.mark.parametrize("law", [Dirac(99), Binomial(99, 0.5),
+                                     Poisson(40.0)])
+    def test_grid_limit_is_on_n(self, law, monkeypatch):
+        n = sumlaw_truncation_point(law)
+        monkeypatch.setattr(polya, "_MAX_GRID_ENTRIES", n + 1)
+        assert sumlaw_truncated_log_pmf(law).size == n + 1
+        monkeypatch.setattr(polya, "_MAX_GRID_ENTRIES", n)
+        with pytest.raises(DomainError, match=f"N = {n} "):
             sumlaw_truncated_log_pmf(law)
 
 
