@@ -13,8 +13,8 @@ from .io import (CountMatrix, load_counts_csv, parse_model,
 from .model import (ChainStage, MarginalChain, PathConstants, TreePolyaModel,
                     absorb_binomials, marginal_pmf, marginal_pmf_vector)
 from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
-                    SumLaw, polya_pmf, polya_sample, polya_uni_pmf,
-                    sumlaw_factorial_moment, sumlaw_log_pmf, sumlaw_sample)
+                    SumLaw, polya_pmf, polya_uni_pmf,
+                    sumlaw_factorial_moment, sumlaw_log_pmf)
 from .special import LogValue, ln_gen_factorial, pfq_convergent, \
     pfq_terminating
 from .tree import PartitionTree, validate_partition_tree

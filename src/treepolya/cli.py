@@ -14,7 +14,7 @@ from .fit import SearchConfig, fit_tree, search_tree
 from .io import (_csv_line, _json_loads, load_counts_csv, parse_model,
                  serialize_model, write_counts_csv)
 from .model import TreePolyaModel
-from .tree import PartitionTree
+from .tree import PartitionTree, _subset_label
 
 
 def _read_model(path: str):
@@ -41,8 +41,7 @@ def _csv_text(header: Sequence[str], rows) -> str:
 def _report_csv(report: dict) -> str:
     rows = []
     for row in report["rows"]:
-        rows.append([row["node"].replace(",", ";"), row["kind"],
-                     row["n_params"],
+        rows.append([row["node"], row["kind"], row["n_params"],
                      f"{row['log_lik']:.6f}", f"{row['aic']:.6f}"])
     rows.append(["total", "", report["total_params"], "",
                  f"{report['total_aic']:.6f}"])
@@ -101,8 +100,7 @@ def _cmd_search(args) -> None:
                                        config=config)
     _write_text(args.out, serialize_model(model, data.column_names))
     if args.trace is not None:
-        rows = [[t["move"], t["parent"].replace(",", ";"),
-                 "{" + ";".join(map(str, t["node"])) + "}",
+        rows = [[t["move"], t["parent"], _subset_label(t["node"]),
                  f"{t['delta_aic']:.6f}"] for t in trace]
         _write_text(args.trace,
                     _csv_text(["move", "parent", "node", "delta_aic"], rows))

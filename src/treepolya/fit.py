@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +22,7 @@ from .exceptions import ConvergenceError, DomainError, UsageError
 from .model import TreePolyaModel
 from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
                     sumlaw_log_pmf_many)
-from .tree import PartitionTree, incidence_matrix
+from .tree import PartitionTree, _subset_label, incidence_matrix
 
 __all__ = [
     "FitResult", "SearchConfig", "node_data",
@@ -31,6 +32,8 @@ __all__ = [
 
 DIVERGENCE_THETA = 1e8
 THETA_FLOOR = 1e-10
+NB_TOL = 1e-10
+NB_MAX_ITER = 200
 
 
 @dataclass
@@ -54,8 +57,6 @@ class FitResult:
 class SearchConfig:
     max_iterations: int = 10_000
     aic_epsilon: float = 1e-6
-    dm_tol: float = 1e-8
-    dm_max_iter: int = 200
 
     def __post_init__(self):
         if self.aic_epsilon <= 0:
@@ -101,18 +102,7 @@ def _nb_profile_score(alpha: float, totals: np.ndarray,
     return score, dscore
 
 
-def _nb_log_lik(alpha: float, p: float, totals: np.ndarray) -> float:
-    hist = np.bincount(totals)
-    surv = _survival_counts(totals)
-    u = np.arange(surv.size)
-    return float(surv @ np.log(alpha + u)
-                 - hist @ gammaln(np.arange(hist.size) + 1.0)
-                 + totals.sum() * math.log(p)
-                 + totals.size * alpha * math.log1p(-p))
-
-
-def fit_sum_law(totals, family: str, tol: float = 1e-10,
-                max_iter: int = 200) -> FitResult:
+def fit_sum_law(totals, family: str) -> FitResult:
     """MLE of the grand-total law.
 
     The negative binomial uses Newton iteration on the profile score in
@@ -166,9 +156,9 @@ def fit_sum_law(totals, family: str, tol: float = 1e-10,
     alpha = ybar ** 2 / max(var - ybar, 1e-8)
     surv = _survival_counts(totals)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NB_MAX_ITER + 1):
         score, dscore = _nb_profile_score(alpha, totals, surv)
-        if abs(score) < tol * n:
+        if abs(score) < NB_TOL * n:
             break
         step = score / dscore if dscore < 0 else -score
         new_alpha = alpha - step
@@ -183,9 +173,9 @@ def fit_sum_law(totals, family: str, tol: float = 1e-10,
         alpha = new_alpha
     else:
         raise ConvergenceError("negative binomial profile Newton did not "
-                               f"converge in {max_iter} iterations")
+                               f"converge in {NB_MAX_ITER} iterations")
     p = ybar / (alpha + ybar)
-    ll = _nb_log_lik(alpha, p, totals)
+    ll = float(sumlaw_log_pmf_many(totals, NegativeBinomial(alpha, p)).sum())
     return FitResult("nb", {"alpha": alpha, "p": p}, ll, 2,
                      iterations=iterations)
 
@@ -381,19 +371,27 @@ def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
         "iterations")
 
 
+def _dm_fit(data: np.ndarray, tol: float = 1e-8, max_iter: int = 200,
+            start=None) -> Optional[FitResult]:
+    """The DM fit, or None when it fails or diverges and the multinomial
+    stands in."""
+    try:
+        fit = fit_node_dm(data, tol=tol, max_iter=max_iter, start=start)
+    except (ConvergenceError, UsageError):
+        return None
+    return None if fit.divergence_flag else fit
+
+
 def select_node_split(data: np.ndarray, tol: float = 1e-8,
                       max_iter: int = 200) -> FitResult:
     """Lower-AIC choice between multinomial and Dirichlet-multinomial;
-    the multinomial wins automatically when the DM fit diverges."""
+    the multinomial wins automatically, flagged, when the DM fit fails or
+    diverges."""
     multi = fit_node_multinomial(data)
     if multi.empty:
         return multi
-    try:
-        dm = fit_node_dm(data, tol=tol, max_iter=max_iter)
-    except (ConvergenceError, UsageError):
-        multi.divergence_flag = True
-        return multi
-    if dm.divergence_flag:
+    dm = _dm_fit(data, tol, max_iter)
+    if dm is None:
         multi.divergence_flag = True
         return multi
     return dm if dm.aic < multi.aic else multi
@@ -449,7 +447,7 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
             raise type(exc)(
                 f"fit failed at node {tree.subset(nid)}: {exc}") from exc
         splits[nid] = _split_from_fit(fit)
-        rows.append({"node": "{" + ",".join(map(str, tree.subset(nid))) + "}",
+        rows.append({"node": _subset_label(tree.subset(nid)),
                      "kind": fit.kind, "n_params": fit.n_params,
                      "log_lik": fit.log_lik, "aic": fit.aic,
                      "divergence": fit.divergence_flag,
@@ -478,11 +476,12 @@ class _FitCache:
         self.config = config
         self.cache: Dict[frozenset, Tuple[float, Optional[dict]]] = {}
 
-    def node_aic(self, children: Sequence[Tuple[int, ...]],
-                 start: Optional[dict] = None) -> float:
-        """AIC of the node over ``children``.  On a miss the DM fit starts
-        from ``start[child]`` for each child when a start is given, and
-        cold when there is none or the started fit fails or diverges."""
+    def fit(self, children: Sequence[Tuple[int, ...]],
+            start: Optional[dict] = None) -> Tuple[float, Optional[dict]]:
+        """AIC and weights of the node over ``children``.  On a miss the
+        DM fit starts from ``start[child]`` for each child when a start is
+        given, and cold when there is none or the started fit fails or
+        diverges."""
         key = frozenset(children)
         if key not in self.cache:
             order = sorted(children)
@@ -490,28 +489,15 @@ class _FitCache:
                 order, self.counts.shape[1]).T
             fit = None
             if start is not None:
-                fit = self._dm_fit(data, [start[c] for c in order])
+                fit = _dm_fit(data, start=[start[c] for c in order])
             if fit is None:
-                fit = self._dm_fit(data, None)
+                fit = _dm_fit(data)
             if fit is None:
                 self.cache[key] = (fit_node_multinomial(data).aic, None)
             else:
                 self.cache[key] = (fit.aic,
                                    dict(zip(order, fit.params["theta"])))
-        return self.cache[key][0]
-
-    def _dm_fit(self, data: np.ndarray, start) -> Optional[FitResult]:
-        """The DM fit, or None when it fails or diverges."""
-        try:
-            fit = fit_node_dm(data, tol=self.config.dm_tol,
-                              max_iter=self.config.dm_max_iter, start=start)
-        except (ConvergenceError, UsageError):
-            return None
-        return None if fit.divergence_flag else fit
-
-    def weights(self, children: Sequence[Tuple[int, ...]]) -> Optional[dict]:
-        """Fitted DM weight per child subset of a cached node, or None."""
-        return self.cache[frozenset(children)][1]
+        return self.cache[key]
 
 
 def _leaves_under(child) -> Tuple[int, ...]:
@@ -533,99 +519,72 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     """Greedy node creation among one node's children, in place; returns
     the created nodes in order of creation.
 
-    ``children`` holds int leaf labels and nested child lists.  Each
-    round pairs the two leaf children whose grouping lowers the summed
-    node AIC the most, then transfers further leaves into the new node
-    while that keeps improving; rounds repeat until no pair improves.
-    Accepted moves are appended to ``trace``; one past the configured
-    budget raises ``ConvergenceError``.
+    ``children`` holds int leaf labels and nested child lists.  A move
+    takes leaf children into the grown node.  A create round scores
+    every pair of leaf children as a new node; once one is created,
+    transfer rounds score every single leaf child as one more member of
+    it.  Each round makes the move that lowers the summed node AIC the
+    most; when none does, a transfer round gives way to a create round
+    and a create round ends the search of this node.  Accepted moves are
+    appended to ``trace``; one past the configured budget raises
+    ``ConvergenceError``.
 
     Candidate DM fits start from the current fits by the aggregation
-    property: a merged child starts at the sum of its parts' weights,
-    every other child at its weight in the node or parent fit it comes
-    from.  Candidates of a base that fell back to multinomial start
-    cold.
+    property: the grown node starts at the sum of its parts' weights,
+    every other child at its weight in the node fit it comes from, and a
+    moved leaf at its weight in the outer fit.  Candidates of a base that
+    fell back to multinomial start cold.
     """
-    label = "{" + ",".join(map(str, _leaves_under(children))) + "}"
+    label = _subset_label(_leaves_under(children))
     eps = cache.config.aic_epsilon
-
-    def subsets():
-        return [_leaves_under(ch) for ch in children]
-
-    def leaf_positions():
-        return [idx for idx, ch in enumerate(children)
-                if isinstance(ch, int)]
-
-    def record(move, node, delta):
-        trace.append({"move": move, "parent": label,
+    created: list = []
+    node = None  # the grown node; None in a create round
+    while len(children) >= 3:
+        leaves = [idx for idx, ch in enumerate(children)
+                  if isinstance(ch, int)]
+        outer = [_leaves_under(ch) for ch in children]
+        base, outer_w = cache.fit(outer)
+        # in a transfer round: the grown node's subset (a part of every
+        # move), its children's subsets, and the start of its candidates
+        grown, inner, inner_start = [], [], outer_w
+        if node is not None:
+            grown = [_leaves_under(node)]
+            inner = [_leaves_under(ch) for ch in node]
+            inner_aic, inner_w = cache.fit(inner)
+            base += inner_aic
+            inner_start = None if outer_w is None or inner_w is None \
+                else {**outer_w, **inner_w}
+        best = None
+        for move in (combinations(leaves, 2) if node is None
+                     else [(pos,) for pos in leaves]):
+            moved = [outer[pos] for pos in move]
+            parts = moved + grown
+            merged = tuple(sorted(sum(parts, ())))
+            rest = [s for s in outer if s not in parts] + [merged]
+            rest_start = None if outer_w is None else {
+                **outer_w, merged: sum(outer_w[p] for p in parts)}
+            delta = (cache.fit(rest, rest_start)[0]
+                     + cache.fit(inner + moved, inner_start)[0] - base)
+            if best is None or delta < best[0]:
+                best = (delta, move)
+        if best is None or best[0] >= -eps:
+            if node is None:
+                break
+            node = None
+            continue
+        delta, move = best
+        kind = "create" if node is None else "transfer"
+        if node is None:
+            node = []
+            children.append(node)
+            created.append(node)
+        node.extend(children[pos] for pos in move)
+        for pos in reversed(move):
+            del children[pos]
+        trace.append({"move": kind, "parent": label,
                       "node": list(_leaves_under(node)), "delta_aic": delta})
         if len(trace) > cache.config.max_iterations:
             raise ConvergenceError("structure search exceeded the move budget")
-
-    created: list = []
-    while True:
-        leaves = leaf_positions()
-        if len(children) < 3 or len(leaves) < 2:
-            break
-        base = cache.node_aic(subsets())
-        weights = cache.weights(subsets())
-        best = None
-        for a in range(len(leaves)):
-            for b in range(a + 1, len(leaves)):
-                i, j = leaves[a], leaves[b]
-                merged = tuple(sorted((children[i], children[j])))
-                rest = [s for idx, s in enumerate(subsets())
-                        if idx not in (i, j)]
-                start = None if weights is None else {
-                    **weights, merged: weights[(children[i],)]
-                    + weights[(children[j],)]}
-                delta = (cache.node_aic(rest + [merged], start)
-                         + cache.node_aic([(children[i],), (children[j],)],
-                                          weights)
-                         - base)
-                if best is None or delta < best[0]:
-                    best = (delta, i, j)
-        if best is None or best[0] >= -eps:
-            break
-        _, i, j = best
-        node = [children[i], children[j]]
-        for idx in sorted((i, j), reverse=True):
-            del children[idx]
-        children.append(node)
-        created.append(node)
-        record("create", node, best[0])
-        while len(children) >= 3:
-            leaves = leaf_positions()
-            if not leaves:
-                break
-            inner = [_leaves_under(ch) for ch in node]
-            base = cache.node_aic(subsets()) + cache.node_aic(inner)
-            outer_w, inner_w = cache.weights(subsets()), cache.weights(inner)
-            best_t = None
-            for pos in leaves:
-                leaf = (children[pos],)
-                grown = tuple(sorted(_leaves_under(node) + leaf))
-                rest = [_leaves_under(ch) for idx, ch in
-                        enumerate(children)
-                        if idx != pos and ch is not node]
-                rest.append(grown)
-                rest_start = moved_start = None
-                if outer_w is not None:
-                    rest_start = {**outer_w, grown: outer_w[leaf]
-                                  + outer_w[_leaves_under(node)]}
-                    if inner_w is not None:
-                        moved_start = {**inner_w, leaf: outer_w[leaf]}
-                delta = (cache.node_aic(rest, rest_start)
-                         + cache.node_aic(inner + [leaf], moved_start)
-                         - base)
-                if best_t is None or delta < best_t[0]:
-                    best_t = (delta, pos)
-            if best_t is None or best_t[0] >= -eps:
-                break
-            _, pos = best_t
-            node.append(children[pos])
-            del children[pos]
-            record("transfer", node, best_t[0])
     return created
 
 
@@ -647,6 +606,5 @@ def search_tree(counts: np.ndarray, family: str = "nb",
     children: list = list(range(1, counts.shape[1] + 1))
     _search_node(children, cache, trace)
     tree = PartitionTree.from_nested(children)
-    model, report = fit_tree(tree, counts, family=family,
-                             tol=config.dm_tol, max_iter=config.dm_max_iter)
+    model, report = fit_tree(tree, counts, family=family)
     return model, report, trace

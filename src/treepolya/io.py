@@ -17,7 +17,7 @@ from .exceptions import ParseError, UsageError, ValidationError
 from .model import TreePolyaModel
 from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
                     SumLaw)
-from .tree import PartitionTree
+from .tree import PartitionTree, _subset_label
 
 __all__ = ["CountMatrix", "load_counts_csv", "write_counts_csv",
            "serialize_model", "parse_model", "SCHEMA_VERSION"]
@@ -54,8 +54,11 @@ class CountMatrix:
 def load_counts_csv(path: str) -> CountMatrix:
     """Read a header-plus-integer-rows CSV into a count matrix.
 
-    Malformed cells raise a parse error naming the offending row and
-    column (1-based, header excluded from the row count).
+    Header names are kept as written, surrounding whitespace included, so
+    that they read back as :func:`write_counts_csv` wrote them; a name
+    that is only whitespace is blank.  Cells are stripped.  Malformed
+    cells raise a parse error naming the offending row and column
+    (1-based, header excluded from the row count).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -63,8 +66,8 @@ def load_counts_csv(path: str) -> CountMatrix:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        names = tuple(name.strip() for name in header)
-        if any(not n for n in names):
+        names = tuple(header)
+        if any(not n.strip() for n in names):
             raise ParseError(f"{path}: blank column name in header")
         if len(set(names)) != len(names):
             raise ParseError(f"{path}: duplicate column names")
@@ -294,7 +297,7 @@ def _collect_splits(tree_doc: dict, tree: PartitionTree) -> dict:
             continue
         split_doc = node_doc["split"]
         _require_keys(split_doc, {"c", "theta"}, "split")
-        label = "{" + ",".join(map(str, tree.subset(node))) + "}"
+        label = _subset_label(tree.subset(node))
         try:
             c = int(split_doc["c"])
             theta = tuple(float(t) for t in split_doc["theta"])

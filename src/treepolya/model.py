@@ -183,9 +183,6 @@ class TreePolyaModel:
                 totals[cid] = parts[:, k]
         return out
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample_many(1, rng)[0]
-
     # -- paths and moments --------------------------------------------
 
     def _edge_weight(self, child: int) -> tuple:
@@ -239,13 +236,12 @@ class TreePolyaModel:
         """r-th factorial moment of the subsum at a node (root path
         product)."""
         total = sumlaw_factorial_moment(r, self.sum_law)
-        path = self.tree.root_path(node)
         # (theta_C)_r / (|theta|)_r is the split's probability of giving
-        # all of r to the child C
-        for child, parent in zip(path, path[1:]):
-            y = [r if c == child else 0 for c in self.tree.children(parent)]
-            total *= math.exp(polya_log_pmf_many([y], self.splits[parent])[0])
-        return total
+        # all of r to the child C: the splits' p.m.f. at subsums that are
+        # r along the root path and 0 elsewhere
+        sums = np.zeros((1, len(self.tree)))
+        sums[0, self.tree.root_path(node)] = r
+        return total * math.exp(self._splits_log_pmf(sums)[0])
 
     def _moments(self) -> tuple:
         """Mean, variance and Var - E of every node subsum, by node id."""

@@ -20,11 +20,10 @@ from .special import LogValue, ln_gen_factorial_many
 __all__ = [
     "SplitSpec",
     "Dirac", "Binomial", "Poisson", "NegativeBinomial", "SumLaw",
-    "polya_pmf", "polya_log_pmf_many", "polya_uni_pmf", "polya_sample",
+    "polya_pmf", "polya_log_pmf_many", "polya_uni_pmf",
     "polya_sample_many", "sumlaw_log_pmf", "sumlaw_log_pmf_many",
-    "sumlaw_factorial_moment", "sumlaw_sample",
-    "sumlaw_sample_many", "sumlaw_support_max", "sumlaw_truncation_point",
-    "sumlaw_truncated_log_pmf",
+    "sumlaw_factorial_moment", "sumlaw_sample_many", "sumlaw_support_max",
+    "sumlaw_truncation_point", "sumlaw_truncated_log_pmf",
 ]
 
 _INT_TOL = 1e-9
@@ -197,10 +196,6 @@ def sumlaw_sample_many(law: SumLaw, size: int,
     raise UsageError(f"unknown sum law {law!r}")
 
 
-def sumlaw_sample(law: SumLaw, rng: np.random.Generator) -> int:
-    return int(sumlaw_sample_many(law, 1, rng)[0])
-
-
 def _sf(law: SumLaw, k: int) -> float:
     """P(Y > k) for an unbounded law: a regularized incomplete gamma or
     beta function."""
@@ -315,9 +310,3 @@ def polya_sample_many(totals, spec: SplitSpec,
         remaining -= draw
     out[:, -1] = remaining
     return out
-
-
-def polya_sample(n: int, spec: SplitSpec,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One exact draw from the split of a total n."""
-    return polya_sample_many(np.array([n]), spec, rng)[0]

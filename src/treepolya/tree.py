@@ -29,6 +29,12 @@ def incidence_matrix(subsets: Sequence[Iterable[int]],
     return out
 
 
+def _subset_label(subset: Iterable[int]) -> str:
+    """A node's label in reports and traces: its leaf labels as
+    ``{1,2,3}``."""
+    return "{" + ",".join(map(str, subset)) + "}"
+
+
 @dataclass(frozen=True)
 class _Node:
     subset: tuple  # sorted 1-based leaf labels
@@ -192,19 +198,12 @@ class PartitionTree:
                 return i
         raise UsageError(f"no leaf labelled {label}")
 
-    def path_to(self, node: int, ancestor: int) -> list:
-        """Ordered node ids from ``node`` up to ``ancestor`` inclusive."""
-        path = [node]
-        while path[-1] != ancestor:
-            parent = self.nodes[path[-1]].parent
-            if parent is None:
-                raise UsageError(
-                    f"node {ancestor} is not an ancestor of node {node}")
-            path.append(parent)
-        return path
-
     def root_path(self, node: int) -> list:
-        return self.path_to(node, self.ROOT)
+        """Ordered node ids from ``node`` up to the root inclusive."""
+        path = [node]
+        while path[-1] != self.ROOT:
+            path.append(self.nodes[path[-1]].parent)
+        return path
 
     def child_containing(self, node: int, label: int) -> int:
         """The child of ``node`` whose subset contains the leaf label."""

@@ -1,0 +1,60 @@
+"""The names that the benchmark and the package's own exports rely on.
+
+``perfbench/tracing.py`` wraps package functions by name, and its
+``bootstrap.load_lazy`` calls ``treepolya.special.pfq_convergent``; a
+deletion that breaks either should fail here before it breaks a
+benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import mpmath  # noqa: F401  (a traced target lives in it)
+import pytest
+
+import treepolya
+import treepolya.cli  # noqa: F401  (loads every module the CLI uses)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(module_name, path) for _, module_name, path in module.TARGETS]
+
+
+def _resolve(module_name, path):
+    obj = importlib.import_module(module_name)
+    for part in path.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "module_name, path",
+    _tracing_targets() + [("treepolya.special", "pfq_convergent")])
+def test_benchmark_hook_resolves(module_name, path):
+    assert callable(_resolve(module_name, path))
+
+
+@pytest.mark.parametrize("module_name", [
+    f"treepolya.{info.name}"
+    for info in pkgutil.iter_modules(treepolya.__path__)])
+def test_every_exported_name_exists(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", [])
+               if not hasattr(module, name)]
+    assert not missing
+
+
+def test_every_name_the_package_imports_exists():
+    tree = ast.parse(Path(treepolya.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names and not [n for n in names if not hasattr(treepolya, n)]

@@ -95,6 +95,14 @@ class TestNodeFits:
         sel = select_node_split(data)
         assert sel.kind == "multinomial"
 
+    def test_failed_dm_fit_selects_flagged_multinomial(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no convergence")
+
+        monkeypatch.setattr(fit_module, "fit_node_dm", fail)
+        sel = select_node_split(np.array([[2, 1], [0, 3], [4, 4]]))
+        assert sel.kind == "multinomial" and sel.divergence_flag
+
     def test_negative_counts_are_usage_errors(self):
         # bincount raised a bare ValueError in the DM fit
         data = np.array([[2, -1], [0, 3]])
@@ -381,8 +389,7 @@ class TestSearchFits:
         for key, (aic, weights) in cache.cache.items():
             data = counts @ incidence_matrix(sorted(key), 6).T
             try:
-                cold = fit_node_dm(data, tol=config.dm_tol,
-                                   max_iter=config.dm_max_iter)
+                cold = fit_node_dm(data)
                 if cold.divergence_flag:
                     cold = fit_node_multinomial(data)
             except (ConvergenceError, UsageError):
@@ -412,3 +419,75 @@ class TestSearchFits:
         with pytest.raises(ConvergenceError):
             search_tree(counts, config=SearchConfig(max_iterations=1))
         assert len(calls) < unbounded
+
+
+def _search_trace(counts):
+    """The search's moves as (move, parent, node, delta_aic.hex()), and
+    its fit cache."""
+    cache = fit_module._FitCache(counts, SearchConfig())
+    trace = []
+    fit_module._search_node(list(range(1, counts.shape[1] + 1)), cache, trace)
+    return [(t["move"], t["parent"], t["node"], t["delta_aic"].hex())
+            for t in trace], cache
+
+
+class TestSearchIsPinned:
+    """Seeded searches whose every move and ΔAIC is pinned to the bit, so
+    that a rewrite of the candidate loop keeps the same candidates, warm
+    starts and order."""
+
+    def test_three_node_model(self):
+        counts = _three_node_model().sample_many(
+            1_000, np.random.default_rng(110))
+        trace, _ = _search_trace(counts)
+        root = "{1,2,3,4,5,6}"
+        assert trace == [
+            ("create", root, [1, 2], "-0x1.fcd4388c64000p+3"),
+            ("create", root, [5, 6], "-0x1.0f9bc40643000p+1"),
+            ("transfer", root, [4, 5, 6], "-0x1.177e60c773000p+1")]
+
+    def test_candidates_of_a_multinomial_base_start_cold(self, monkeypatch):
+        """Near-multinomial data stop well short of the divergence
+        threshold, so the flat base's DM fit is made to diverge: it falls
+        back to the multinomial and the first round's candidates start
+        cold."""
+        tree = PartitionTree.from_nested([[1, 2, 3], 4, 5])
+        splits = {tree.ROOT: SplitSpec(0, (0.4, 0.3, 0.3)),
+                  tree.node_by_subset((1, 2, 3)): SplitSpec(1, (20.0,) * 3)}
+        model = TreePolyaModel(tree, splits, NegativeBinomial(4.0, 0.9))
+        counts = model.sample_many(600, np.random.default_rng(111))
+        original = fit_module.fit_node_dm
+
+        def diverge_flat(data, *args, **kwargs):
+            fit = original(data, *args, **kwargs)
+            fit.divergence_flag |= np.shape(data)[1] == 5
+            return fit
+
+        monkeypatch.setattr(fit_module, "fit_node_dm", diverge_flat)
+        trace, cache = _search_trace(counts)
+        root = "{1,2,3,4,5}"
+        assert trace == [
+            ("create", root, [1, 3], "-0x1.aa7231e2e0000p+4"),
+            ("transfer", root, [1, 2, 3], "-0x1.5d81804b16000p+2")]
+        assert [sorted(key) for key, (_, weights) in cache.cache.items()
+                if weights is None] == [[(1,), (2,), (3,), (4,), (5,)]]
+
+    def test_two_create_rounds_at_the_root(self):
+        tree = PartitionTree.from_nested([[[1, 2], 3, 4], [[5, 6], 7, 8], 9])
+        weights = {(1, 2, 3, 4): (4.0, 4.0, 4.0), (1, 2): (0.5, 0.5),
+                   (5, 6, 7, 8): (4.0, 4.0, 4.0), (5, 6): (0.5, 0.5)}
+        splits = {tree.node_by_subset(k): SplitSpec(1, v)
+                  for k, v in weights.items()}
+        splits[tree.ROOT] = SplitSpec(1, (3.0, 3.0, 1.0))
+        model = TreePolyaModel(tree, splits, NegativeBinomial(3.0, 0.8))
+        trace, _ = _search_trace(model.sample_many(
+            800, np.random.default_rng(114)))
+        root = "{1,2,3,4,5,6,7,8,9}"
+        assert trace == [
+            ("create", root, [7, 8], "-0x1.7420e97ba1400p+4"),
+            ("transfer", root, [6, 7, 8], "-0x1.50e32d8801800p+3"),
+            ("create", root, [2, 4], "-0x1.0863402a32000p+5"),
+            ("transfer", root, [2, 3, 4], "-0x1.3cf119d71e800p+5"),
+            ("create", root, [1, 5], "-0x1.569489fb39000p+1"),
+            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bc676000p-1"),
+            ("create", "{2,3,4}", [2, 3], "-0x1.b68b53fc64000p-2")]

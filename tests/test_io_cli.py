@@ -54,6 +54,15 @@ class TestCsv:
         with pytest.raises(ParseError, match="row 1"):
             load_counts_csv(str(path))
 
+    def test_names_are_kept_verbatim_and_blank_ones_rejected(self,
+                                                            tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a, b \n1,2\n")
+        assert load_counts_csv(str(path)).column_names == ("a", " b ")
+        path.write_text("a, \n1,2\n")
+        with pytest.raises(ParseError, match="blank column name"):
+            load_counts_csv(str(path))
+
     def test_empty_and_headerless(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")
@@ -252,6 +261,11 @@ def data_file(tmp_path):
     return str(path)
 
 
+def _read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 class TestCli:
     def test_sample_seed_determinism(self, model_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -319,11 +333,11 @@ class TestCli:
                      "--report", str(rep)]) == 0
         model, names = parse_model(out.read_text())
         assert names == tuple(f"s{j}" for j in range(1, 11))
-        lines = rep.read_text().strip().split("\n")
-        assert lines[0] == "node,kind,n_params,log_lik,aic"
-        assert lines[-1].startswith("total,")
-        assert lines[2].startswith("{1;2;3;4;5;6;7;8;9;10},")
-        assert all(len(line.split(",")) == 5 for line in lines)
+        table = _read_table(rep)
+        assert table[0] == ["node", "kind", "n_params", "log_lik", "aic"]
+        assert table[-1][0] == "total"
+        assert table[2][0] == "{1,2,3,4,5,6,7,8,9,10}"
+        assert all(len(row) == 5 for row in table)
 
     def test_fit_with_tree_file(self, data_file, tmp_path):
         tree_path = tmp_path / "tree.json"
@@ -343,11 +357,11 @@ class TestCli:
         assert main(["search", "--data", data_file, "--out", str(out),
                      "--trace", str(trace), "--report", str(rep)]) == 0
         parse_model(out.read_text())
-        lines = trace.read_text().strip().split("\n")
-        assert lines[0] == "move,parent,node,delta_aic" and len(lines) > 1
-        assert all(len(line.split(",")) == 4 for line in lines)
-        lines = rep.read_text().strip().split("\n")
-        assert all(len(line.split(",")) == 5 for line in lines)
+        moves = _read_table(trace)
+        assert moves[0] == ["move", "parent", "node", "delta_aic"]
+        assert len(moves) > 1 and moves[1][1] == "{1,2,3,4,5,6,7,8,9,10}"
+        assert all(len(row) == 4 for row in moves)
+        assert all(len(row) == 5 for row in _read_table(rep))
 
     def test_pmf_after_search_on_the_same_data(self, data_file, tmp_path):
         searched = tmp_path / "s.json"
@@ -423,6 +437,19 @@ class TestQuotedNames:
         data = load_counts_csv(str(sample))
         assert data.column_names[0] == "x,y"
         assert data.column_names[1] == 'say "hi"'
+        assert main(["pmf", "--model", str(model_path), "--obs",
+                     str(sample), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+
+    def test_padded_names_survive_sample_then_pmf(self, tmp_path):
+        names = [" lead", "trail ", "end\r\n", " both\t"] + \
+            [f"s{j}" for j in range(5, 11)]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(serialize_model(ten_leaf_example(), names))
+        sample, out = tmp_path / "s.csv", tmp_path / "p.csv"
+        assert main(["sample", "--model", str(model_path), "--n", "50",
+                     "--seed", "4", "--out", str(sample)]) == 0
+        assert list(load_counts_csv(str(sample)).column_names) == names
         assert main(["pmf", "--model", str(model_path), "--obs",
                      str(sample), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 51

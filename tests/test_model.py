@@ -446,6 +446,20 @@ class TestMoments:
         assert model.node_factorial_moment(leaf, 3) == pytest.approx(
             model.factorial_moment(r), rel=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), data=st.data())
+    def test_node_moments_are_marginal_moments(self, model, data):
+        """Orders to 3: the vector leaves out at most 1e-14 of the mass,
+        which weighs ~1e-8 of a fifth moment of NB(1, 0.5)."""
+        node = data.draw(st.integers(0, len(model.tree) - 1))
+        vec = marginal_pmf_vector(model.marginal_chain(node))
+        n = np.arange(vec.size, dtype=float)
+        falling = np.ones(vec.size)  # n (n-1) ... (n-r+1)
+        for r in range(4):
+            assert model.node_factorial_moment(node, r) == pytest.approx(
+                vec @ falling, rel=1e-9, abs=1e-12)
+            falling *= n - r
+
     def test_mean_variance_against_enumeration(self):
         model = five_leaf(Dirac(8))
         table = enumerate_joint(model, 8)
