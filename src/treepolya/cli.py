@@ -14,6 +14,7 @@ from .fit import SearchConfig, fit_tree, search_tree
 from .io import (_csv_line, _json_loads, load_counts_csv, parse_model,
                  serialize_model, write_counts_csv)
 from .model import TreePolyaModel
+from .polya import SUM_LAWS
 from .tree import PartitionTree, _subset_label
 
 
@@ -87,8 +88,7 @@ def _cmd_fit(args) -> None:
         tree = _tree_from_file(args.tree, data.column_names)
     else:
         tree = PartitionTree.flat(data.n_columns)
-    model, report = fit_tree(tree, data.rows, family=args.sum_law,
-                             tol=args.tol, max_iter=args.max_iter)
+    model, report = fit_tree(tree, data.rows, family=args.sum_law)
     _write_text(args.out, serialize_model(model, data.column_names))
     _write_text(args.report, _report_csv(report))
 
@@ -200,18 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--tree", default=None,
                    help="nested-list JSON of column names (default: flat)")
-    p.add_argument("--sum-law", default="nb",
-                   choices=["nb", "poisson", "dirac", "binomial"])
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--sum-law", default="nb", choices=list(SUM_LAWS))
     p.add_argument("--out", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("search", help="greedy AIC tree search")
     p.add_argument("--data", required=True)
-    p.add_argument("--sum-law", default="nb",
-                   choices=["nb", "poisson", "dirac", "binomial"])
+    p.add_argument("--sum-law", default="nb", choices=list(SUM_LAWS))
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)

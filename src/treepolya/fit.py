@@ -20,8 +20,7 @@ from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, UsageError
 from .model import TreePolyaModel
-from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
-                    sumlaw_log_pmf_many)
+from .polya import SUM_LAWS, SplitSpec, sumlaw_log_pmf_many
 from .tree import PartitionTree, _subset_label, incidence_matrix
 
 __all__ = [
@@ -34,12 +33,13 @@ DIVERGENCE_THETA = 1e8
 THETA_FLOOR = 1e-10
 NB_TOL = 1e-10
 NB_MAX_ITER = 200
+DM_TOL = 1e-8
+DM_MAX_ITER = 200
 
 
 @dataclass
 class FitResult:
-    kind: str                    # "nb", "poisson", "dirac", "binomial",
-                                 # "multinomial", "dm"
+    kind: str                    # a SUM_LAWS family, "multinomial" or "dm"
     params: dict
     log_lik: float
     n_params: int
@@ -102,28 +102,41 @@ def _nb_profile_score(alpha: float, totals: np.ndarray,
     return score, dscore
 
 
+def _law_class(family: str):
+    """The sum-law class named ``family``, or a UsageError."""
+    try:
+        return SUM_LAWS[family]
+    except (KeyError, TypeError):
+        raise UsageError(f"unknown sum-law family {family!r}") from None
+
+
 def fit_sum_law(totals, family: str) -> FitResult:
     """MLE of the grand-total law.
 
     The negative binomial uses Newton iteration on the profile score in
     alpha with a moment-based start; the other families are closed form.
     """
+    law = _law_class(family)
     totals = np.asarray(totals, dtype=np.int64)
     if totals.size == 0 or np.any(totals < 0):
         raise UsageError("totals must be a nonempty nonnegative vector")
     n = totals.size
     ybar = float(totals.mean())
 
+    def result(params: dict, iterations: int = 0) -> FitResult:
+        ll = float(sumlaw_log_pmf_many(totals, law(**params)).sum())
+        return FitResult(family, params, ll, len(params),
+                         iterations=iterations)
+
     if family == "dirac":
         if np.any(totals != totals[0]):
             raise DomainError("Dirac fit needs constant totals")
-        return FitResult("dirac", {"m": int(totals[0])}, 0.0, 1)
+        return result({"m": int(totals[0])})
 
     if family == "poisson":
         if ybar == 0:
             raise DomainError("all-zero totals cannot be fitted by Poisson")
-        ll = float(sumlaw_log_pmf_many(totals, Poisson(ybar)).sum())
-        return FitResult("poisson", {"rate": ybar}, ll, 1)
+        return result({"rate": ybar})
 
     if family == "binomial":
         if ybar == 0:
@@ -133,18 +146,14 @@ def fit_sum_law(totals, family: str) -> FitResult:
         worse_streak = 0
         while worse_streak < 30:
             prob = min(ybar / size, 1.0 - 1e-12)
-            ll = float(sumlaw_log_pmf_many(totals, Binomial(size, prob)).sum())
+            ll = float(sumlaw_log_pmf_many(totals, law(size, prob)).sum())
             if best is None or ll > best[0]:
                 best = (ll, size, prob)
                 worse_streak = 0
             else:
                 worse_streak += 1
             size += 1
-        ll, size, prob = best
-        return FitResult("binomial", {"size": size, "prob": prob}, ll, 2)
-
-    if family != "nb":
-        raise UsageError(f"unknown sum-law family {family!r}")
+        return result({"size": best[1], "prob": best[2]})
 
     var = float(totals.var())
     if ybar == 0:
@@ -174,10 +183,7 @@ def fit_sum_law(totals, family: str) -> FitResult:
     else:
         raise ConvergenceError("negative binomial profile Newton did not "
                                f"converge in {NB_MAX_ITER} iterations")
-    p = ybar / (alpha + ybar)
-    ll = float(sumlaw_log_pmf_many(totals, NegativeBinomial(alpha, p)).sum())
-    return FitResult("nb", {"alpha": alpha, "p": p}, ll, 2,
-                     iterations=iterations)
+    return result({"alpha": alpha, "p": ybar / (alpha + ybar)}, iterations)
 
 
 # ---------------------------------------------------------------------
@@ -278,8 +284,7 @@ def _dm_moment_init(data: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(pbar, 1e-3) * precision
 
 
-def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
-                max_iter: int = 200, start=None) -> FitResult:
+def fit_node_dm(data: np.ndarray, start=None) -> FitResult:
     """Newton MLE of the Dirichlet-multinomial weight vector.
 
     Starts from moment matching, refines by a few fixed-point sweeps,
@@ -322,11 +327,11 @@ def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
 
     ll = log_lik(theta)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, DM_MAX_ITER + 1):
         grad, q, diag = agg.derivatives(theta)
         # the likelihood is only resolvable to ~|ll| * eps, so the
         # gradient criterion scales with the problem size
-        if np.max(np.abs(grad[free])) < tol * (1.0 + abs(ll)):
+        if np.max(np.abs(grad[free])) < DM_TOL * (1.0 + abs(ll)):
             return FitResult("dm", {"theta": theta}, ll, k,
                              iterations=iterations)
         # Hessian = diag + q * ones; Sherman-Morrison solve on the free set
@@ -367,30 +372,28 @@ def fit_node_dm(data: np.ndarray, tol: float = 1e-8,
             return FitResult("dm", {"theta": theta}, ll, k,
                              iterations=iterations)
     raise ConvergenceError(
-        f"Dirichlet-multinomial Newton did not converge in {max_iter} "
+        f"Dirichlet-multinomial Newton did not converge in {DM_MAX_ITER} "
         "iterations")
 
 
-def _dm_fit(data: np.ndarray, tol: float = 1e-8, max_iter: int = 200,
-            start=None) -> Optional[FitResult]:
+def _dm_fit(data: np.ndarray, start=None) -> Optional[FitResult]:
     """The DM fit, or None when it fails or diverges and the multinomial
     stands in."""
     try:
-        fit = fit_node_dm(data, tol=tol, max_iter=max_iter, start=start)
+        fit = fit_node_dm(data, start=start)
     except (ConvergenceError, UsageError):
         return None
     return None if fit.divergence_flag else fit
 
 
-def select_node_split(data: np.ndarray, tol: float = 1e-8,
-                      max_iter: int = 200) -> FitResult:
+def select_node_split(data: np.ndarray) -> FitResult:
     """Lower-AIC choice between multinomial and Dirichlet-multinomial;
     the multinomial wins automatically, flagged, when the DM fit fails or
     diverges."""
     multi = fit_node_multinomial(data)
     if multi.empty:
         return multi
-    dm = _dm_fit(data, tol, max_iter)
+    dm = _dm_fit(data)
     if dm is None:
         multi.divergence_flag = True
         return multi
@@ -404,20 +407,7 @@ def _split_from_fit(fit: FitResult) -> SplitSpec:
     return SplitSpec(1, tuple(np.maximum(fit.params["theta"], THETA_FLOOR)))
 
 
-def _law_from_fit(fit: FitResult):
-    if fit.kind == "nb":
-        return NegativeBinomial(fit.params["alpha"], fit.params["p"])
-    if fit.kind == "poisson":
-        return Poisson(fit.params["rate"])
-    if fit.kind == "dirac":
-        return Dirac(fit.params["m"])
-    if fit.kind == "binomial":
-        return Binomial(fit.params["size"], fit.params["prob"])
-    raise UsageError(f"not a sum-law fit: {fit.kind}")
-
-
-def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
-             tol: float = 1e-8, max_iter: int = 200):
+def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     """Fit the whole model on a fixed tree.
 
     Returns ``(model, report)`` where the report lists the sum-law row
@@ -441,8 +431,7 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
     total_params = law_fit.n_params
     for nid in tree.internal_ids:
         try:
-            fit = select_node_split(node_data(tree, counts, nid),
-                                    tol=tol, max_iter=max_iter)
+            fit = select_node_split(node_data(tree, counts, nid))
         except (ConvergenceError, UsageError) as exc:
             raise type(exc)(
                 f"fit failed at node {tree.subset(nid)}: {exc}") from exc
@@ -455,7 +444,8 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb",
                      "iterations": fit.iterations, "empty": fit.empty})
         total_aic += fit.aic
         total_params += fit.n_params
-    model = TreePolyaModel(tree, splits, _law_from_fit(law_fit))
+    model = TreePolyaModel(tree, splits,
+                           SUM_LAWS[law_fit.kind](**law_fit.params))
     report = {"rows": rows, "total_aic": total_aic,
               "total_params": total_params}
     return model, report
@@ -597,6 +587,7 @@ def search_tree(counts: np.ndarray, family: str = "nb",
     serves as the final multinomial-versus-Dirichlet-multinomial pass),
     and the list of accepted structure moves in order.
     """
+    _law_class(family)  # an unknown family fails before the search
     config = config or SearchConfig()
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] < 2:

@@ -7,7 +7,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
@@ -15,8 +15,7 @@ import numpy as np
 
 from .exceptions import ParseError, UsageError, ValidationError
 from .model import TreePolyaModel
-from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
-                    SumLaw)
+from .polya import SUM_LAWS, SplitSpec, SumLaw
 from .tree import PartitionTree, _subset_label
 
 __all__ = ["CountMatrix", "load_counts_csv", "write_counts_csv",
@@ -167,40 +166,19 @@ def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
 # Model documents
 
 
-def _law_to_doc(law: SumLaw) -> dict:
-    if isinstance(law, NegativeBinomial):
-        return {"family": "nb", "params": {"alpha": law.alpha, "p": law.p}}
-    if isinstance(law, Poisson):
-        return {"family": "poisson", "params": {"rate": law.rate}}
-    if isinstance(law, Dirac):
-        return {"family": "dirac", "params": {"m": law.m}}
-    if isinstance(law, Binomial):
-        return {"family": "binomial",
-                "params": {"size": law.size, "prob": law.prob}}
-    raise ParseError(f"unknown sum law {type(law).__name__}")
-
-
 def _law_from_doc(doc: dict) -> SumLaw:
     _require_keys(doc, {"family", "params"}, "sum_law")
     family = doc["family"]
+    law = SUM_LAWS.get(family) if isinstance(family, str) else None
+    if law is None:
+        raise ParseError(f"unknown sum-law family {family!r}")
     params = doc["params"]
+    _require_keys(params, {field.name for field in fields(law)},
+                  "sum_law.params")
     try:
-        if family == "nb":
-            _require_keys(params, {"alpha", "p"}, "sum_law.params")
-            return NegativeBinomial(float(params["alpha"]),
-                                    float(params["p"]))
-        if family == "poisson":
-            _require_keys(params, {"rate"}, "sum_law.params")
-            return Poisson(float(params["rate"]))
-        if family == "dirac":
-            _require_keys(params, {"m"}, "sum_law.params")
-            return Dirac(int(params["m"]))
-        if family == "binomial":
-            _require_keys(params, {"size", "prob"}, "sum_law.params")
-            return Binomial(int(params["size"]), float(params["prob"]))
+        return law(**params)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad sum-law parameters: {exc}") from exc
-    raise ParseError(f"unknown sum-law family {family!r}")
+        raise ParseError(f"sum_law.params: {exc}") from exc
 
 
 def _require_keys(doc, expected, where):
@@ -251,7 +229,8 @@ def serialize_model(model: TreePolyaModel,
                          f"{model.tree.leaf_count} leaves")
     doc = {"schema_version": SCHEMA_VERSION,
            "tree": _tree_doc(model, names),
-           "sum_law": _law_to_doc(model.sum_law)}
+           "sum_law": {"family": model.sum_law.family,
+                       "params": asdict(model.sum_law)}}
     try:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     except RecursionError:
@@ -299,14 +278,13 @@ def _collect_splits(tree_doc: dict, tree: PartitionTree) -> dict:
         _require_keys(split_doc, {"c", "theta"}, "split")
         label = _subset_label(tree.subset(node))
         try:
-            c = int(split_doc["c"])
-            theta = tuple(float(t) for t in split_doc["theta"])
+            spec = SplitSpec(split_doc["c"], split_doc["theta"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"node {label}: bad split: {exc}") from exc
-        if len(theta) != len(tree.children(node)):
-            raise ParseError(f"node {label}: {len(theta)} weights for "
+        if spec.arity != len(tree.children(node)):
+            raise ParseError(f"node {label}: {spec.arity} weights for "
                              f"{len(tree.children(node))} children")
-        splits[node] = SplitSpec(c, theta)
+        splits[node] = spec
         stack.extend(reversed(list(zip(tree.children(node),
                                        node_doc["children"]))))
     return splits

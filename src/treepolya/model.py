@@ -9,7 +9,7 @@ covariance / correlation structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Dict
 
@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (Dirac, NegativeBinomial, SplitSpec, SumLaw, count_array,
+from .polya import (NegativeBinomial, SplitSpec, SumLaw, count_array,
                     polya_log_pmf_many, polya_sample_many,
                     sumlaw_factorial_moment, sumlaw_log_pmf_many,
                     sumlaw_sample_many, sumlaw_support_max,
@@ -340,12 +340,9 @@ class TreePolyaModel:
     @property
     def parameter_count(self) -> int:
         """Free parameters: sum-law parameters plus per-split degrees."""
-        from .polya import Poisson
-        law_params = 1 if isinstance(self.sum_law, (Dirac, Poisson)) else 2
-        count = law_params
-        for spec in self.splits.values():
-            count += spec.arity if spec.c == 1 else spec.arity - 1
-        return count
+        return len(fields(self.sum_law)) + sum(
+            spec.arity if spec.c == 1 else spec.arity - 1
+            for spec in self.splits.values())
 
 
 # ---------------------------------------------------------------------

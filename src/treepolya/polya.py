@@ -8,6 +8,7 @@ the univariate distributions placed on the grand total.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -19,7 +20,7 @@ from .special import LogValue, ln_gen_factorial_many
 
 __all__ = [
     "SplitSpec",
-    "Dirac", "Binomial", "Poisson", "NegativeBinomial", "SumLaw",
+    "Dirac", "Binomial", "Poisson", "NegativeBinomial", "SumLaw", "SUM_LAWS",
     "polya_pmf", "polya_log_pmf_many", "polya_uni_pmf",
     "polya_sample_many", "sumlaw_log_pmf", "sumlaw_log_pmf_many",
     "sumlaw_factorial_moment", "sumlaw_sample_many", "sumlaw_support_max",
@@ -34,6 +35,25 @@ _INT_TOL = 1e-9
 _MAX_GRID_ENTRIES = 1 << 26
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float; a non-number, NaN or infinity is a DomainError."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int; a non-integer is a DomainError."""
+    if not (isinstance(value, numbers.Integral)
+            or _finite(value, what).is_integer()):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """One Pólya split: kind c and one positive weight per component."""
@@ -42,7 +62,9 @@ class SplitSpec:
     theta: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
+        object.__setattr__(self, "c", _integral(self.c, "split kind"))
+        object.__setattr__(self, "theta", tuple(
+            _finite(t, "split weight") for t in self.theta))
         if self.c not in (-1, 0, 1):
             raise DomainError(f"split kind must be -1, 0 or 1, got {self.c}")
         if len(self.theta) < 2:
@@ -69,11 +91,12 @@ class SplitSpec:
 @dataclass(frozen=True)
 class Dirac:
     m: int
+    family = "dirac"
 
     def __post_init__(self):
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError(f"Dirac point must be a nonnegative integer, "
-                              f"got {self.m}")
+        object.__setattr__(self, "m", _integral(self.m, "Dirac point"))
+        if self.m < 0:
+            raise DomainError(f"Dirac point must be nonnegative, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +109,13 @@ class Binomial:
 
     size: int
     prob: float
+    family = "binomial"
 
     def __post_init__(self):
-        if self.size <= 0 or self.size != int(self.size):
-            raise DomainError("binomial size must be a positive integer")
+        object.__setattr__(self, "size", _integral(self.size, "binomial size"))
+        object.__setattr__(self, "prob", _finite(self.prob, "binomial prob"))
+        if self.size <= 0:
+            raise DomainError("binomial size must be positive")
         if not 0.0 < self.prob < 1.0:
             raise DomainError("binomial prob must be in (0, 1)")
 
@@ -97,8 +123,10 @@ class Binomial:
 @dataclass(frozen=True)
 class Poisson:
     rate: float
+    family = "poisson"
 
     def __post_init__(self):
+        object.__setattr__(self, "rate", _finite(self.rate, "Poisson rate"))
         if self.rate <= 0:
             raise DomainError("Poisson rate must be positive")
 
@@ -109,8 +137,11 @@ class NegativeBinomial:
 
     alpha: float
     p: float
+    family = "nb"
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _finite(self.alpha, "NB alpha"))
+        object.__setattr__(self, "p", _finite(self.p, "NB p"))
         if self.alpha <= 0:
             raise DomainError("negative binomial alpha must be positive")
         if not 0.0 < self.p < 1.0:
@@ -118,6 +149,11 @@ class NegativeBinomial:
 
 
 SumLaw = Union[Dirac, Binomial, Poisson, NegativeBinomial]
+
+# family name -> law class, in the order the CLI lists them; a law's
+# parameters are its dataclass fields
+SUM_LAWS = {law.family: law
+            for law in (NegativeBinomial, Poisson, Dirac, Binomial)}
 
 
 def sumlaw_support_max(law: SumLaw) -> Optional[int]:

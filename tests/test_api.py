@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import typing
 from pathlib import Path
 
 import mpmath  # noqa: F401  (a traced target lives in it)
@@ -17,6 +18,7 @@ import pytest
 
 import treepolya
 import treepolya.cli  # noqa: F401  (loads every module the CLI uses)
+from treepolya import polya
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,3 +60,20 @@ def test_every_name_the_package_imports_exists():
     names = [alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert names and not [n for n in names if not hasattr(treepolya, n)]
+
+
+def test_every_sum_law_is_registered_once():
+    laws = typing.get_args(polya.SumLaw)
+    assert set(polya.SUM_LAWS.values()) == set(laws)
+    assert len(polya.SUM_LAWS) == len(laws)
+    assert all(polya.SUM_LAWS[law.family] is law for law in laws)
+
+
+@pytest.mark.parametrize("verb", ["fit", "search"])
+def test_sum_law_choices_are_the_registered_families(verb):
+    parser = treepolya.cli.build_parser()
+    sub = next(action for action in parser._actions
+               if action.dest == "command").choices[verb]
+    option = next(action for action in sub._actions
+                  if action.dest == "sum_law")
+    assert option.choices == list(polya.SUM_LAWS)

@@ -332,6 +332,16 @@ class TestSearch:
         assert (1, 2) in subsets and (4, 5, 6) in subsets
 
 
+    def test_unknown_family_is_rejected_before_searching(self, monkeypatch):
+        def search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(fit_module, "_search_node", search)
+        counts = np.ones((5, 4), dtype=np.int64)
+        for family in ("negbin", ["nb"]):
+            with pytest.raises(UsageError, match="unknown sum-law family"):
+                search_tree(counts, family=family)
+
     def test_created_nodes_are_searched_depth_first(self, monkeypatch):
         visits = []
 

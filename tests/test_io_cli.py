@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -20,8 +22,8 @@ from treepolya.exceptions import ParseError, TreePolyaError
 from treepolya.io import (load_counts_csv, parse_model, serialize_model,
                           write_counts_csv)
 from treepolya.model import TreePolyaModel
-from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
-                             SplitSpec)
+from treepolya.polya import (SUM_LAWS, Binomial, Dirac, NegativeBinomial,
+                             Poisson, SplitSpec, sumlaw_support_max)
 from treepolya.tree import PartitionTree
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -161,20 +163,61 @@ def _random_model(draw_seed):
     if len(nested) == 1:
         nested = labels
     tree = PartitionTree.from_nested(nested)
+    law = [NegativeBinomial(float(rng.uniform(0.5, 5)),
+                            float(rng.uniform(0.1, 0.9))),
+           Poisson(float(rng.uniform(1, 20))),
+           Dirac(int(rng.integers(1, 30))),
+           Binomial(int(rng.integers(1, 30)),
+                    float(rng.uniform(0.05, 0.95)))][int(rng.integers(0, 4))]
+    top = sumlaw_support_max(law)
     splits = {}
     for nid in tree.internal_ids:
         arity = len(tree.children(nid))
+        if nid == tree.ROOT and top is not None and rng.random() < 0.5:
+            # hypergeometric: integer weights that hold every total
+            theta = rng.integers(1, top + 1, size=arity)
+            theta[0] += max(0, top - int(theta.sum()))
+            splits[nid] = SplitSpec(-1, tuple(float(t) for t in theta))
+            continue
         c = int(rng.integers(0, 2))
         theta = tuple(float(t) for t in rng.uniform(0.2, 5.0, size=arity))
         if c == 0:
             s = sum(theta)
             theta = tuple(t / s for t in theta)
         splits[nid] = SplitSpec(c, theta)
-    law = [NegativeBinomial(float(rng.uniform(0.5, 5)),
-                            float(rng.uniform(0.1, 0.9))),
-           Poisson(float(rng.uniform(1, 20))),
-           Dirac(int(rng.integers(1, 30)))][int(rng.integers(0, 3))]
     return TreePolyaModel(tree, splits, law)
+
+
+# a document that breaks one parameter rule: (what to change, new value)
+BROKEN_DOCUMENTS = [
+    ("dirac m", 3.7), ("binomial size", 10.5), ("split c", 0.6),
+    ("nb alpha", math.nan), ("nb alpha", math.inf),
+    ("poisson rate", math.nan), ("poisson rate", math.inf),
+    ("split theta", math.nan), ("split theta", -math.inf),
+    ("family", ["nb"]), ("split c", "1"), ("binomial prob", None),
+]
+
+
+def _broken_document(case):
+    """The ten-leaf document with one value broken, and the place that
+    the parse error must name."""
+    change, value = case
+    doc = json.loads(serialize_model(ten_leaf_example()))
+    law = {"dirac": {"m": 5}, "binomial": {"size": 12, "prob": 0.5},
+           "nb": {"alpha": 2.0, "p": 0.5}, "poisson": {"rate": 3.0}}
+    family, _, name = change.partition(" ")
+    if family in law:
+        doc["sum_law"] = {"family": family, "params": law[family]}
+        law[family][name] = value
+        where = "sum_law.params"
+    elif change == "family":
+        doc["sum_law"]["family"] = value
+        where = "unknown sum-law family"
+    else:
+        split = doc["tree"]["split"]
+        split[name] = value if name == "c" else [value] + split[name][1:]
+        where = re.escape("node {1,2,3,4,5,6,7,8,9,10}")
+    return where, json.dumps(doc)
 
 
 class TestModelDocument:
@@ -240,6 +283,18 @@ class TestModelDocument:
         doc["tree"]["split"]["theta"] = [1.0, 2.0]
         with pytest.raises(ParseError, match="weights for"):
             parse_model(json.dumps(doc))
+
+    def test_random_models_cover_every_family_and_split_kind(self):
+        models = [_random_model(seed) for seed in range(60)]
+        assert {m.sum_law.family for m in models} == set(SUM_LAWS)
+        assert {spec.c for m in models for spec in m.splits.values()} \
+            == {-1, 0, 1}
+
+    @pytest.mark.parametrize("case", BROKEN_DOCUMENTS, ids=str)
+    def test_bad_parameter_is_a_parse_error_naming_where(self, case):
+        where, text = _broken_document(case)
+        with pytest.raises(ParseError, match=where):
+            parse_model(text)
 
 
 @pytest.fixture
@@ -407,6 +462,19 @@ class TestCli:
         rc = main(["fit", "--data", data_file, "--tree", str(tree)])
         assert rc == 1
         assert "error[parse]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["describe", "corr", "sample"])
+    @pytest.mark.parametrize("case", BROKEN_DOCUMENTS, ids=str)
+    def test_bad_parameter_is_a_parse_error(self, tmp_path, capsys, verb,
+                                            case):
+        path = tmp_path / "bad.json"
+        path.write_text(_broken_document(case)[1])
+        extra = ["--n", "5", "--seed", "1"] if verb == "sample" else []
+        assert main([verb, "--model", str(path)] + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[parse]: ")
+        assert "Traceback" not in captured.err
 
     def test_column_mismatch_usage_error(self, model_file, tmp_path,
                                          capsys):

@@ -34,6 +34,36 @@ class TestSplitSpec:
             SplitSpec(-1, (2.5, 3.0))
 
 
+class TestParameterChecks:
+    @pytest.mark.parametrize("make", [
+        lambda: Poisson(math.nan), lambda: NegativeBinomial(math.inf, 0.5),
+        lambda: NegativeBinomial(2.0, math.nan), lambda: Dirac(math.inf),
+        lambda: Dirac(3.7), lambda: Binomial(10.5, 0.5),
+        lambda: Binomial(10, -math.inf), lambda: Poisson("3"),
+        lambda: SplitSpec(1, (math.nan, 1.0)), lambda: SplitSpec(0.6, (1, 2)),
+        lambda: SplitSpec(0, (math.inf, 1.0)),
+        lambda: SplitSpec(None, (1, 2))])
+    def test_rejected_as_domain_errors(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    def test_stored_as_the_annotated_type(self):
+        assert type(Dirac(3.0).m) is int
+        law = Binomial(np.int64(10), np.float64(0.5))
+        assert (type(law.size), type(law.prob)) == (int, float)
+        assert type(NegativeBinomial(2, 0.5).alpha) is float
+        assert type(Poisson(np.float32(2.5)).rate) is float
+        spec = SplitSpec(1.0, (1, np.float64(2.0)))
+        assert type(spec.c) is int
+        assert [type(t) for t in spec.theta] == [float, float]
+
+    def test_family_is_not_a_field(self):
+        law = NegativeBinomial(2.0, 0.5)
+        assert law.family == "nb"
+        assert repr(law) == "NegativeBinomial(alpha=2.0, p=0.5)"
+        assert law == NegativeBinomial(2.0, 0.5)
+
+
 class TestSimplexNormalization:
     @pytest.mark.parametrize("c,theta", [
         (-1, (5, 7)), (-1, (4, 3, 6)),
