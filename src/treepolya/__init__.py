@@ -5,9 +5,8 @@ AIC-driven structure search."""
 from .examples import ten_leaf_example
 from .exceptions import (ConvergenceError, DomainError, ParseError,
                          TreePolyaError, UsageError, ValidationError)
-from .fit import (FitResult, SearchConfig, fit_node_dm,
-                  fit_node_multinomial, fit_sum_law, fit_tree, node_data,
-                  search_tree, select_node_split)
+from .fit import (FitResult, fit_node_dm, fit_node_multinomial, fit_sum_law,
+                  fit_tree, node_data, search_tree, select_node_split)
 from .io import (CountMatrix, load_counts_csv, parse_model,
                  serialize_model, write_counts_csv)
 from .model import (ChainStage, MarginalChain, PathConstants, TreePolyaModel,

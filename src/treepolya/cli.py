@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .exceptions import TreePolyaError, UsageError
-from .fit import SearchConfig, fit_tree, search_tree
+from .fit import fit_tree, search_tree
 from .io import (_csv_line, _json_loads, load_counts_csv, parse_model,
                  serialize_model, write_counts_csv)
 from .model import TreePolyaModel
@@ -95,9 +95,7 @@ def _cmd_fit(args) -> None:
 
 def _cmd_search(args) -> None:
     data = load_counts_csv(args.data)
-    config = SearchConfig(aic_epsilon=args.epsilon)
-    model, report, trace = search_tree(data.rows, family=args.sum_law,
-                                       config=config)
+    model, report, trace = search_tree(data.rows, family=args.sum_law)
     _write_text(args.out, serialize_model(model, data.column_names))
     if args.trace is not None:
         rows = [[t["move"], t["parent"], _subset_label(t["node"]),
@@ -208,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="greedy AIC tree search")
     p.add_argument("--data", required=True)
     p.add_argument("--sum-law", default="nb", choices=list(SUM_LAWS))
-    p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--out", default=None)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)

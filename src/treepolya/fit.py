@@ -24,7 +24,7 @@ from .polya import SUM_LAWS, SplitSpec, sumlaw_log_pmf_many
 from .tree import PartitionTree, _subset_label, incidence_matrix
 
 __all__ = [
-    "FitResult", "SearchConfig", "node_data",
+    "FitResult", "node_data",
     "fit_sum_law", "fit_node_multinomial", "fit_node_dm",
     "select_node_split", "fit_tree", "search_tree",
 ]
@@ -35,6 +35,8 @@ NB_TOL = 1e-10
 NB_MAX_ITER = 200
 DM_TOL = 1e-8
 DM_MAX_ITER = 200
+AIC_EPSILON = 1e-6  # the least AIC drop that a search move must make
+MAX_MOVES = 10_000  # the search's move budget
 
 
 @dataclass
@@ -53,14 +55,25 @@ class FitResult:
         return 2.0 * self.n_params - 2.0 * self.log_lik
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    max_iterations: int = 10_000
-    aic_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.aic_epsilon <= 0:
-            raise DomainError("aic_epsilon must be positive")
+def _count_matrix(data) -> np.ndarray:
+    """``data`` as an int64 array: the count check of the fit layer's entry
+    points.  Integral-valued floats pass; a non-finite, non-integral or
+    negative entry is a UsageError."""
+    try:
+        data = np.asarray(data)
+        if data.dtype.kind not in "iu":
+            data = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        raise UsageError("counts must be finite numbers") from None
+    if data.dtype.kind == "f":
+        if not np.all(np.isfinite(data)):
+            raise UsageError("counts must be finite numbers")
+        if np.any(data != np.floor(data)):
+            raise UsageError("counts must be integers")
+    data = data.astype(np.int64, copy=False)
+    if np.any(data < 0):
+        raise UsageError("counts must be nonnegative")
+    return data
 
 
 def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
@@ -102,24 +115,19 @@ def _nb_profile_score(alpha: float, totals: np.ndarray,
     return score, dscore
 
 
-def _law_class(family: str):
-    """The sum-law class named ``family``, or a UsageError."""
-    try:
-        return SUM_LAWS[family]
-    except (KeyError, TypeError):
-        raise UsageError(f"unknown sum-law family {family!r}") from None
-
-
 def fit_sum_law(totals, family: str) -> FitResult:
     """MLE of the grand-total law.
 
     The negative binomial uses Newton iteration on the profile score in
     alpha with a moment-based start; the other families are closed form.
     """
-    law = _law_class(family)
-    totals = np.asarray(totals, dtype=np.int64)
-    if totals.size == 0 or np.any(totals < 0):
-        raise UsageError("totals must be a nonempty nonnegative vector")
+    try:
+        law = SUM_LAWS[family]
+    except (KeyError, TypeError):
+        raise UsageError(f"unknown sum-law family {family!r}") from None
+    totals = _count_matrix(totals)
+    if totals.size == 0:
+        raise UsageError("totals must be a nonempty vector")
     n = totals.size
     ybar = float(totals.mean())
 
@@ -188,13 +196,6 @@ def fit_sum_law(totals, family: str) -> FitResult:
 
 # ---------------------------------------------------------------------
 # Node fits
-
-
-def _count_matrix(data) -> np.ndarray:
-    data = np.asarray(data, dtype=np.int64)
-    if np.any(data < 0):
-        raise UsageError("node counts must be nonnegative")
-    return data
 
 
 def _log_multinomial_coef(data: np.ndarray) -> float:
@@ -417,11 +418,15 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     (no counts reach the node: a uniform multinomial with log-likelihood
     0).
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _count_matrix(counts)
     if counts.shape[1] != tree.leaf_count:
         raise UsageError(f"data has {counts.shape[1]} columns, tree has "
                          f"{tree.leaf_count} leaves")
-    law_fit = fit_sum_law(counts.sum(axis=1), family)
+    return _fit_nodes(tree, counts, fit_sum_law(counts.sum(axis=1), family))
+
+
+def _fit_nodes(tree: PartitionTree, counts: np.ndarray, law_fit: FitResult):
+    """:func:`fit_tree`'s model and report, given its sum-law fit."""
     rows = [{"node": "total", "kind": law_fit.kind,
              "n_params": law_fit.n_params, "log_lik": law_fit.log_lik,
              "aic": law_fit.aic, "converged": law_fit.converged,
@@ -430,11 +435,7 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     total_aic = law_fit.aic
     total_params = law_fit.n_params
     for nid in tree.internal_ids:
-        try:
-            fit = select_node_split(node_data(tree, counts, nid))
-        except (ConvergenceError, UsageError) as exc:
-            raise type(exc)(
-                f"fit failed at node {tree.subset(nid)}: {exc}") from exc
+        fit = select_node_split(node_data(tree, counts, nid))
         splits[nid] = _split_from_fit(fit)
         rows.append({"node": _subset_label(tree.subset(nid)),
                      "kind": fit.kind, "n_params": fit.n_params,
@@ -461,9 +462,8 @@ class _FitCache:
     child subset, or ``None`` for the weights when the DM fit failed or
     diverged and the multinomial fit stands in."""
 
-    def __init__(self, counts: np.ndarray, config: SearchConfig):
+    def __init__(self, counts: np.ndarray):
         self.counts = counts
-        self.config = config
         self.cache: Dict[frozenset, Tuple[float, Optional[dict]]] = {}
 
     def fit(self, children: Sequence[Tuple[int, ...]],
@@ -475,8 +475,8 @@ class _FitCache:
         key = frozenset(children)
         if key not in self.cache:
             order = sorted(children)
-            data = self.counts @ incidence_matrix(
-                order, self.counts.shape[1]).T
+            data = (self.counts @ incidence_matrix(
+                order, self.counts.shape[1]).T).astype(self.counts.dtype)
             fit = None
             if start is not None:
                 fit = _dm_fit(data, start=[start[c] for c in order])
@@ -516,7 +516,7 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     it.  Each round makes the move that lowers the summed node AIC the
     most; when none does, a transfer round gives way to a create round
     and a create round ends the search of this node.  Accepted moves are
-    appended to ``trace``; one past the configured budget raises
+    appended to ``trace``; one past ``MAX_MOVES`` raises
     ``ConvergenceError``.
 
     Candidate DM fits start from the current fits by the aggregation
@@ -526,7 +526,6 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     fell back to multinomial start cold.
     """
     label = _subset_label(_leaves_under(children))
-    eps = cache.config.aic_epsilon
     created: list = []
     node = None  # the grown node; None in a create round
     while len(children) >= 3:
@@ -557,7 +556,7 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
                      + cache.fit(inner + moved, inner_start)[0] - base)
             if best is None or delta < best[0]:
                 best = (delta, move)
-        if best is None or best[0] >= -eps:
+        if best is None or best[0] >= -AIC_EPSILON:
             if node is None:
                 break
             node = None
@@ -573,29 +572,28 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
             del children[pos]
         trace.append({"move": kind, "parent": label,
                       "node": list(_leaves_under(node)), "delta_aic": delta})
-        if len(trace) > cache.config.max_iterations:
+        if len(trace) > MAX_MOVES:
             raise ConvergenceError("structure search exceeded the move budget")
     return created
 
 
-def search_tree(counts: np.ndarray, family: str = "nb",
-                config: Optional[SearchConfig] = None):
+def search_tree(counts: np.ndarray, family: str = "nb"):
     """Greedy AIC-driven tree search starting from the flat partition.
 
     Returns ``(model, report, trace)``: the fitted model on the selected
-    tree, the per-node fit report from :func:`fit_tree` (which also
-    serves as the final multinomial-versus-Dirichlet-multinomial pass),
-    and the list of accepted structure moves in order.
+    tree, its per-node fit report as from :func:`fit_tree` (whose node
+    fits also serve as the final multinomial-versus-Dirichlet-multinomial
+    pass), and the list of accepted structure moves in order.  The sum
+    law is fitted first, so totals that ``family`` cannot fit fail before
+    the search.
     """
-    _law_class(family)  # an unknown family fails before the search
-    config = config or SearchConfig()
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _count_matrix(counts)
     if counts.ndim != 2 or counts.shape[1] < 2:
         raise UsageError("counts must be a matrix with at least 2 columns")
-    cache = _FitCache(counts, config)
+    law_fit = fit_sum_law(counts.sum(axis=1), family)
     trace: list = []
     children: list = list(range(1, counts.shape[1] + 1))
-    _search_node(children, cache, trace)
-    tree = PartitionTree.from_nested(children)
-    model, report = fit_tree(tree, counts, family=family)
+    _search_node(children, _FitCache(counts), trace)
+    model, report = _fit_nodes(PartitionTree.from_nested(children), counts,
+                               law_fit)
     return model, report, trace

@@ -372,6 +372,9 @@ def absorb_binomials(chain: MarginalChain) -> MarginalChain:
 # entries in one row block of a stage kernel: 512 KB per float array
 # bounds the memory, and ran faster than 2 MB blocks
 _BLOCK_ENTRIES = 1 << 16
+# the terminal law's mass that a marginal leaves past its grid, and so
+# the absolute error of each marginal value
+MARGINAL_TAIL = 1e-14
 
 
 def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
@@ -409,15 +412,14 @@ def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def marginal_pmf_vector(chain: MarginalChain,
-                        tail: float = 1e-14) -> np.ndarray:
+def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
     """Read-only p.m.f. of a marginal chain over 0..N.
 
     The terminal law is cut at N, the point where its remaining mass
-    falls below ``tail`` (N is exact for bounded laws), its log-p.m.f.
-    evaluated once over 0..N (:func:`sumlaw_truncated_log_pmf`), and the
-    stages are applied from the root side.  Each value is within ``tail``
-    of the exact one, and the mass past N is at most ``tail``.  Multinomial
+    falls below ``MARGINAL_TAIL`` (N is exact for bounded laws), its
+    log-p.m.f. evaluated once over 0..N (:func:`sumlaw_truncated_log_pmf`),
+    and the stages are applied from the root side.  Each value is within
+    that tail of the exact one, and so is the mass past N.  Multinomial
     stages over a negative binomial terminal are absorbed into it first,
     which shortens N.  A hypergeometric stage whose |theta| is below a
     total that can reach it, or that sits under an unbounded terminal,
@@ -430,16 +432,17 @@ def marginal_pmf_vector(chain: MarginalChain,
     if isinstance(chain.terminal, NegativeBinomial) \
             and all(st.c != -1 for st in chain.stages):
         chain = absorb_binomials(chain)
-    dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, tail))
+    dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, MARGINAL_TAIL))
     for st in reversed(chain.stages):  # root side first
         dist = _thin(st, dist)
     dist.setflags(write=False)
     return dist
 
 
-def marginal_pmf(chain: MarginalChain, n, tail: float = 1e-14) -> float:
+def marginal_pmf(chain: MarginalChain, n) -> float:
     """P.m.f. of a marginal chain at n: a lookup in
-    :func:`marginal_pmf_vector`, so within ``tail`` of the exact value.
+    :func:`marginal_pmf_vector`, so within ``MARGINAL_TAIL`` of the exact
+    value.
 
     Negative or non-integer n has zero mass, as does n past the vector's
     end; NaN or infinite n raises ``UsageError``.
@@ -447,5 +450,5 @@ def marginal_pmf(chain: MarginalChain, n, tail: float = 1e-14) -> float:
     n = float(count_array(n))
     if n < 0 or n != math.floor(n):
         return 0.0
-    vec = marginal_pmf_vector(chain, tail)
+    vec = marginal_pmf_vector(chain)
     return float(vec[int(n)]) if n < vec.size else 0.0

@@ -36,9 +36,11 @@ _MAX_GRID_ENTRIES = 1 << 26
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a float; a non-number, NaN or infinity is a DomainError."""
+    """``value`` as a float; a non-number (a bool too), NaN or infinity is
+    a DomainError."""
     try:
-        number = float(value) if isinstance(value, numbers.Real) else math.nan
+        number = float(value) if isinstance(value, numbers.Real) \
+            and not isinstance(value, bool) else math.nan
     except OverflowError:  # an int beyond the float range
         number = math.inf
     if not math.isfinite(number):
@@ -47,9 +49,9 @@ def _finite(value, what: str) -> float:
 
 
 def _integral(value, what: str) -> int:
-    """``value`` as an int; a non-integer is a DomainError."""
-    if not (isinstance(value, numbers.Integral)
-            or _finite(value, what).is_integer()):
+    """``value`` as an int; a non-integer (a bool too) is a DomainError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or _finite(value, what).is_integer()):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

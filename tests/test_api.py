@@ -3,13 +3,15 @@
 ``perfbench/tracing.py`` wraps package functions by name, and its
 ``bootstrap.load_lazy`` calls ``treepolya.special.pfq_convergent``; a
 deletion that breaks either should fail here before it breaks a
-benchmark run.
+benchmark run.  The README's CLI synopsis is checked against the parser
+here too.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import typing
 from pathlib import Path
 
@@ -77,3 +79,35 @@ def test_sum_law_choices_are_the_registered_families(verb):
     option = next(action for action in sub._actions
                   if action.dest == "sum_law")
     assert option.choices == list(polya.SUM_LAWS)
+
+
+def _readme_synopsis():
+    """verb -> (every option, the optional ones) from README's CLI block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    verbs: dict = {}
+    verb = None
+    for line in block.strip().splitlines():
+        words = line.split()
+        if words[:1] == ["treepolya"]:
+            verb = words[1]
+            verbs[verb] = ([], [])
+        every, optional = verbs[verb]
+        every += re.findall(r"--[\w-]+", line)
+        optional += re.findall(r"\[(--[\w-]+)", line)
+    return {verb: (set(every), set(optional))
+            for verb, (every, optional) in verbs.items()}
+
+
+def test_readme_synopsis_lists_every_option_of_every_verb():
+    parser = treepolya.cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if action.dest == "command").choices
+    parsed = {}
+    for verb, sub in subparsers.items():
+        options = [action for action in sub._actions
+                   if action.option_strings and action.dest != "help"]
+        parsed[verb] = ({action.option_strings[0] for action in options},
+                        {action.option_strings[0] for action in options
+                         if not action.required})
+    assert _readme_synopsis() == parsed

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 import treepolya.fit as fit_module
 from treepolya.exceptions import ConvergenceError, DomainError, UsageError
-from treepolya.fit import (SearchConfig, fit_node_dm, fit_node_multinomial,
-                           fit_sum_law, fit_tree, node_data, search_tree,
-                           select_node_split)
+from treepolya.fit import (fit_node_dm, fit_node_multinomial, fit_sum_law,
+                           fit_tree, node_data, search_tree, select_node_split)
 from treepolya.model import TreePolyaModel
 from treepolya.polya import (Dirac, NegativeBinomial, SplitSpec,
                              polya_log_pmf_many, polya_sample_many,
@@ -232,6 +231,44 @@ class TestFitTree:
             fit_tree(PartitionTree.flat(3), np.zeros((5, 4), dtype=int))
 
 
+# each entry point of the fit layer, called on a count matrix
+COUNT_ENTRY_POINTS = {
+    "fit_tree": lambda x: fit_tree(PartitionTree.flat(x.shape[1]), x),
+    "search_tree": search_tree,
+    "fit_sum_law": lambda x: fit_sum_law(x[:, 0], "poisson"),
+    "fit_node_dm": fit_node_dm,
+    "fit_node_multinomial": fit_node_multinomial,
+}
+
+
+class TestCountChecks:
+    @staticmethod
+    def _counts():
+        return np.random.default_rng(112).integers(
+            0, 6, size=(40, 3)).astype(float)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "finite numbers"), (math.inf, "finite numbers"),
+        (0.7, "integers"), (-1.0, "nonnegative")])
+    def test_bad_count_is_a_usage_error(self, entry, bad, message):
+        counts = self._counts()
+        counts[0, 0] = bad
+        with pytest.raises(UsageError, match=message):
+            COUNT_ENTRY_POINTS[entry](counts)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_integral_floats_fit_as_integers(self, entry):
+        counts = self._counts()
+        as_float = COUNT_ENTRY_POINTS[entry](counts)
+        as_int = COUNT_ENTRY_POINTS[entry](counts.astype(np.int64))
+        if isinstance(as_float, tuple):  # (model, report[, trace])
+            as_float, as_int = as_float[1], as_int[1]
+            assert as_float["total_aic"] == as_int["total_aic"]
+        else:
+            assert as_float.aic == as_int.aic
+
+
 class TestEmptyNodes:
     def test_multinomial_fit_of_empty_node_is_degenerate(self):
         fit = fit_node_multinomial(np.zeros((4, 3), dtype=int))
@@ -308,9 +345,8 @@ class TestSearch:
         rng = np.random.default_rng(105)
         model = _three_node_model()
         counts = model.sample_many(4_000, rng)
-        config = SearchConfig(aic_epsilon=1e-6)
-        _, _, trace = search_tree(counts, config=config)
-        assert all(t["delta_aic"] <= -config.aic_epsilon for t in trace)
+        _, _, trace = search_tree(counts)
+        assert all(t["delta_aic"] <= -fit_module.AIC_EPSILON for t in trace)
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(106)
@@ -341,6 +377,10 @@ class TestSearch:
         for family in ("negbin", ["nb"]):
             with pytest.raises(UsageError, match="unknown sum-law family"):
                 search_tree(counts, family=family)
+        # totals that the family cannot fit fail before the search too
+        counts = np.random.default_rng(1).multinomial(20, [0.1] * 10, 300)
+        with pytest.raises(DomainError, match="no overdispersion"):
+            search_tree(counts, family="nb")
 
     def test_created_nodes_are_searched_depth_first(self, monkeypatch):
         visits = []
@@ -392,8 +432,7 @@ class TestSearchFits:
     def test_cached_aics_match_cold_fits(self):
         counts = _three_node_model().sample_many(
             3_000, np.random.default_rng(108))
-        config = SearchConfig()
-        cache = fit_module._FitCache(counts, config)
+        cache = fit_module._FitCache(counts)
         fit_module._search_node(list(range(1, 7)), cache, [])
         warm = 0
         for key, (aic, weights) in cache.cache.items():
@@ -420,21 +459,22 @@ class TestSearchFits:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fit_module, "fit_node_dm", counted)
-        # count the search's own fits, not those of the final fit_tree
-        monkeypatch.setattr(fit_module, "fit_tree", lambda *a, **k: (a, k))
+        # count the search's own fits, not those of the final node pass
+        monkeypatch.setattr(fit_module, "_fit_nodes", lambda *a, **k: (a, k))
         _, _, trace = search_tree(counts)
         unbounded = len(calls)
         assert len(trace) >= 2
         calls.clear()
+        monkeypatch.setattr(fit_module, "MAX_MOVES", 1)
         with pytest.raises(ConvergenceError):
-            search_tree(counts, config=SearchConfig(max_iterations=1))
+            search_tree(counts)
         assert len(calls) < unbounded
 
 
 def _search_trace(counts):
     """The search's moves as (move, parent, node, delta_aic.hex()), and
     its fit cache."""
-    cache = fit_module._FitCache(counts, SearchConfig())
+    cache = fit_module._FitCache(counts)
     trace = []
     fit_module._search_node(list(range(1, counts.shape[1] + 1)), cache, trace)
     return [(t["move"], t["parent"], t["node"], t["delta_aic"].hex())

@@ -195,6 +195,8 @@ BROKEN_DOCUMENTS = [
     ("poisson rate", math.nan), ("poisson rate", math.inf),
     ("split theta", math.nan), ("split theta", -math.inf),
     ("family", ["nb"]), ("split c", "1"), ("binomial prob", None),
+    ("split c", True), ("dirac m", True), ("split theta", True),
+    ("nb alpha", True),
 ]
 
 

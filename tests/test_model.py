@@ -350,12 +350,6 @@ class TestMarginals:
         assert marginal_pmf(chain, 10 ** 6) == 0.0
         assert marginal_pmf(chain, marginal_pmf_vector(chain).size) == 0.0
 
-    @pytest.mark.parametrize("tail", [0.0, 1.0, math.nan])
-    def test_tail_outside_unit_interval_is_domain_error(self, tail):
-        chain = ten_leaf_example().leaf_marginal_chain(6)
-        with pytest.raises(DomainError):
-            marginal_pmf(chain, 3, tail)
-
     def test_nb_099_leaf_marginals_in_bounded_memory(self):
         # dense (n_max + 1)^2 stage kernels took 286 MB here
         model = ten_leaf_example(alpha=2.0, p=0.99)

@@ -42,7 +42,9 @@ class TestParameterChecks:
         lambda: Binomial(10, -math.inf), lambda: Poisson("3"),
         lambda: SplitSpec(1, (math.nan, 1.0)), lambda: SplitSpec(0.6, (1, 2)),
         lambda: SplitSpec(0, (math.inf, 1.0)),
-        lambda: SplitSpec(None, (1, 2))])
+        lambda: SplitSpec(None, (1, 2)), lambda: SplitSpec(True, (1, 2)),
+        lambda: SplitSpec(1, (True, 2.0)), lambda: Dirac(True),
+        lambda: NegativeBinomial(True, 0.5), lambda: Poisson(True)])
     def test_rejected_as_domain_errors(self, make):
         with pytest.raises(DomainError):
             make()
