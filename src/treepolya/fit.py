@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,7 +21,7 @@ from scipy.special import gammaln
 from .exceptions import ConvergenceError, DomainError, UsageError
 from .model import TreePolyaModel
 from .polya import SUM_LAWS, SplitSpec, sumlaw_log_pmf_many
-from .tree import PartitionTree, _subset_label, incidence_matrix
+from .tree import PartitionTree, _subset_label
 
 __all__ = [
     "FitResult", "node_data",
@@ -57,8 +57,8 @@ class FitResult:
 
 def _count_matrix(data) -> np.ndarray:
     """``data`` as an int64 array: the count check of the fit layer's entry
-    points.  Integral-valued floats pass; a non-finite, non-integral or
-    negative entry is a UsageError."""
+    points.  Integral-valued floats pass; a non-finite, non-integral,
+    negative or int64-overflowing entry is a UsageError."""
     try:
         data = np.asarray(data)
         if data.dtype.kind not in "iu":
@@ -70,9 +70,18 @@ def _count_matrix(data) -> np.ndarray:
             raise UsageError("counts must be finite numbers")
         if np.any(data != np.floor(data)):
             raise UsageError("counts must be integers")
-    data = data.astype(np.int64, copy=False)
     if np.any(data < 0):
         raise UsageError("counts must be nonnegative")
+    if np.any(data >= 2 ** 63):
+        raise UsageError("counts must be below 2**63, the int64 range")
+    return data.astype(np.int64, copy=False)
+
+
+def _count_table(data) -> np.ndarray:
+    """A count matrix (rows x columns) that passes :func:`_count_matrix`."""
+    data = _count_matrix(data)
+    if data.ndim != 2:
+        raise UsageError("counts must be a matrix")
     return data
 
 
@@ -88,18 +97,15 @@ def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
 # Sum-law fits
 
 
-def _survival_counts(values: np.ndarray) -> np.ndarray:
-    """S(u) = #{i : values_i > u} for u = 0..max-1.
+def _survival_counts(hist: np.ndarray, n: int) -> np.ndarray:
+    """S(u) = #{i : values_i > u} for u = 0..max-1, from the histogram
+    of n count values.
 
     Aggregating rows this way makes every downstream digamma-style sum
     exact regardless of row order: sum_i [psi(x + v_i) - psi(x)] =
-    sum_u S(u) / (x + u).
+    sum_u S(u) / (x + u).  Zeros only add to the histogram's first bin.
     """
-    top = int(values.max(initial=0))
-    if top == 0:
-        return np.zeros(0)
-    hist = np.bincount(values, minlength=top + 1)
-    return (values.size - np.cumsum(hist))[:top].astype(float)
+    return (n - np.cumsum(hist))[:-1].astype(float)
 
 
 def _nb_profile_score(alpha: float, totals: np.ndarray,
@@ -171,7 +177,7 @@ def fit_sum_law(totals, family: str) -> FitResult:
         raise DomainError("totals show no overdispersion; the negative "
                           "binomial profile has no interior maximum")
     alpha = ybar ** 2 / max(var - ybar, 1e-8)
-    surv = _survival_counts(totals)
+    surv = _survival_counts(np.bincount(totals), n)
     iterations = 0
     for iterations in range(1, NB_MAX_ITER + 1):
         score, dscore = _nb_profile_score(alpha, totals, surv)
@@ -198,18 +204,21 @@ def fit_sum_law(totals, family: str) -> FitResult:
 # Node fits
 
 
+def _log_factorial_sum(hist: np.ndarray) -> float:
+    """sum_i log(v_i!) over the values whose histogram is ``hist``."""
+    return float(hist @ gammaln(np.arange(1.0, hist.size + 1)))
+
+
 def _log_multinomial_coef(data: np.ndarray) -> float:
     """sum_i log(n_i!) - sum_ij log(y_ij!), each from a count histogram."""
-    def log_factorial_sum(values):
-        hist = np.bincount(values.ravel())
-        return float(hist @ gammaln(np.arange(1.0, hist.size + 1)))
-    return log_factorial_sum(data.sum(axis=1)) - log_factorial_sum(data)
+    return _log_factorial_sum(np.bincount(data.sum(axis=1))) \
+        - _log_factorial_sum(np.bincount(data.ravel()))
 
 
 def fit_node_multinomial(data: np.ndarray) -> FitResult:
     """Column proportions.  A node without counts has log-likelihood 0
     under every split; it gets uniform proportions and ``empty`` set."""
-    data = _count_matrix(data)
+    data = _count_table(data)
     k = data.shape[1]
     colsum = data.sum(axis=0).astype(float)
     grand = colsum.sum()
@@ -223,8 +232,24 @@ def fit_node_multinomial(data: np.ndarray) -> FitResult:
     return FitResult("multinomial", {"pi": pi}, ll, k - 1)
 
 
+def _proportion_moments(col: np.ndarray, totals: np.ndarray
+                        ) -> Optional[Tuple[float, float]]:
+    """Mean and variance of ``col / totals`` over the rows with a positive
+    total, or None when there are none.  Both are sequential sums, the
+    arithmetic of ``props.mean(axis=0)`` and ``props.var(axis=0)`` on the
+    stacked proportion matrix; a one-dimensional ``mean`` sums pairwise
+    and can differ in the last bit."""
+    pos = totals > 0
+    if not pos.any():
+        return None
+    props = col[pos] / totals[pos]
+    mean = float(np.cumsum(props)[-1] / props.size)
+    dev = props - mean
+    return mean, float(np.cumsum(dev * dev)[-1] / props.size)
+
+
 class _DmAggregates:
-    """Survival-count sufficient statistics of one node's data.
+    """Sufficient statistics of one node's data: the input of the DM fit.
 
     Row j of the K x U matrix ``surv`` holds S_j(u) = #{i : data_ij > u}
     for u = 0..U-1, zero past column j's maximum (U is the largest
@@ -232,18 +257,58 @@ class _DmAggregates:
     S(u)/(theta+u) and S(u)*log(theta+u), which are exact (row-order
     independent) and cost one array expression over the matrix instead
     of O(rows) per evaluation.
+
+    Everything is assembled from per-column statistics (a column's
+    survival row, and the mean and variance of its share of the row
+    totals) and from the totals' survival row and log-factorial sum.
+    Rows whose total is 0 change none of them, so the search's cache
+    keeps these per child subset and node leaf set and builds any node
+    from them (:meth:`_FitCache._aggregates`); :meth:`from_matrix`
+    builds them from a count matrix.  ``free`` marks the columns with
+    counts, ``start`` is the moment start (None for a node without
+    counts) and ``shape`` is the node matrix's shape.
     """
 
-    def __init__(self, data: np.ndarray, totals: np.ndarray):
-        rows, k = data.shape
-        width = int(data.max(initial=0)) + 1
-        hist = np.bincount((data + width * np.arange(k)).ravel(),
-                           minlength=k * width).reshape(k, width)
-        self.surv = (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
-        self.u = np.arange(width - 1, dtype=float)
-        self.tot_surv = _survival_counts(totals)
+    def __init__(self, survs: Sequence[np.ndarray],
+                 totals: Tuple[np.ndarray, float],
+                 moments: Sequence[Optional[Tuple[float, float]]],
+                 rows: int):
+        """``survs`` holds each child's survival row and ``totals`` that
+        of the row totals and their log-factorial sum, all over the same
+        ``rows`` rows; ``moments`` holds each child's proportion (mean,
+        variance), or None entries when the node has no counts."""
+        k = len(survs)
+        self.surv = np.zeros((k, max((s.size for s in survs), default=0)))
+        for j, col_surv in enumerate(survs):
+            self.surv[j, :col_surv.size] = col_surv
+        self.u = np.arange(self.surv.shape[1], dtype=float)
+        tot_surv, log_fact_totals = totals
+        self.tot_surv = tot_surv.astype(float)
         self.tot_u = np.arange(self.tot_surv.size)
-        self.log_coef = _log_multinomial_coef(data)
+        # the cells' count histogram from the survival counts: bin u
+        # holds S(u-1) - S(u) summed over the columns, with S(-1) = rows
+        hist = np.diff(-self.surv.sum(axis=0), prepend=-k * rows, append=0)
+        self.log_coef = log_fact_totals - _log_factorial_sum(hist)
+        self.free = np.array([s.size > 0 for s in survs], dtype=bool)
+        self.shape = (rows, k)
+        self.start = None
+        if self.tot_surv.size:
+            pbar, pvar = (np.array(m) for m in zip(*moments))
+            self.start = np.maximum(_dm_moment_init(pbar, pvar), THETA_FLOOR)
+            self.start[~self.free] = THETA_FLOOR
+
+    @classmethod
+    def from_matrix(cls, data: np.ndarray) -> "_DmAggregates":
+        """Of a checked count matrix (rows x children)."""
+        rows = data.shape[0]
+        totals = data.sum(axis=1)
+        totals_hist = np.bincount(totals)
+        return cls([_survival_counts(np.bincount(col), rows)
+                    for col in data.T],
+                   (_survival_counts(totals_hist, rows),
+                    _log_factorial_sum(totals_hist)),
+                   [_proportion_moments(col, totals) for col in data.T],
+                   rows)
 
     def log_lik(self, theta: np.ndarray) -> float:
         per_column = (self.surv * np.log(theta[:, None] + self.u)).sum(axis=1)
@@ -255,12 +320,11 @@ class _DmAggregates:
                     ) -> Tuple[np.ndarray, float, np.ndarray]:
         """Gradient and the Hessian q*ones + diag(d) as (grad, q, d),
         both from one reciprocal matrix 1/(theta+u)."""
-        s = theta.sum()
         recip = 1.0 / (theta[:, None] + self.u)
         weighted = self.surv * recip
-        grad = weighted.sum(axis=1) \
-            - float(self.tot_surv @ (1.0 / (s + self.tot_u)))
-        q = float(self.tot_surv @ (1.0 / (s + self.tot_u) ** 2))
+        tot_shift = theta.sum() + self.tot_u
+        grad = weighted.sum(axis=1) - float(self.tot_surv @ (1.0 / tot_shift))
+        q = float(self.tot_surv @ (1.0 / tot_shift ** 2))
         return grad, q, -(weighted * recip).sum(axis=1)
 
     def fixed_point_step(self, theta: np.ndarray) -> np.ndarray:
@@ -271,12 +335,9 @@ class _DmAggregates:
         return theta * numer / denom
 
 
-def _dm_moment_init(data: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Moment-matching start (Mosimann): precision from the average
-    binomial-excess of the column proportions."""
-    props = data / totals[:, None]
-    pbar = props.mean(axis=0)
-    pvar = props.var(axis=0)
+def _dm_moment_init(pbar: np.ndarray, pvar: np.ndarray) -> np.ndarray:
+    """Moment-matching start (Mosimann) from the column proportions'
+    means and variances: precision from their average binomial-excess."""
     keep = (pbar > 0) & (pbar < 1) & (pvar > 0)
     if not np.any(keep):
         return np.maximum(pbar, 0.01) * 10.0
@@ -285,39 +346,38 @@ def _dm_moment_init(data: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return np.maximum(pbar, 1e-3) * precision
 
 
-def fit_node_dm(data: np.ndarray, start=None) -> FitResult:
+def fit_node_dm(data, start=None) -> FitResult:
     """Newton MLE of the Dirichlet-multinomial weight vector.
 
-    Starts from moment matching, refines by a few fixed-point sweeps,
-    then Newton steps with a rank-one Hessian solve and backtracking.
-    A given ``start`` weight vector replaces the moment start and the
-    sweeps when it is at least as likely as the moment start (a start
-    taken from another node's fit can lie far off), and the Newton
-    steps begin there.  A weight-sum drifting past the divergence
-    threshold (the multinomial boundary at infinity) sets
+    ``data`` is the node's count matrix (rows x children), or its
+    prebuilt :class:`_DmAggregates`, which is what the structure search
+    passes.  Starts from moment matching, refines by a few fixed-point
+    sweeps, then Newton steps with a rank-one Hessian solve and
+    backtracking.  A given ``start`` weight vector replaces the moment
+    start and the sweeps when it is at least as likely as the moment
+    start (a start taken from another node's fit can lie far off), and
+    the Newton steps begin there.  A weight-sum drifting past the
+    divergence threshold (the multinomial boundary at infinity) sets
     ``divergence_flag`` instead of failing.
     """
-    data = _count_matrix(data)
-    totals = data.sum(axis=1)
-    if data.shape[0] == 0 or totals.sum() <= 0:
+    agg = data if isinstance(data, _DmAggregates) \
+        else _DmAggregates.from_matrix(_count_table(data))
+    if agg.tot_surv.size == 0:
         raise UsageError("node has no counts to fit")
-    pos = totals > 0
-    data, totals = data[pos], totals[pos]
-    free = data.sum(axis=0) > 0
-    k = data.shape[1]
+    free = agg.free
+    k = agg.shape[1]
     if start is not None and np.shape(start) != (k,):
         raise UsageError(f"start has shape {np.shape(start)}, the node has "
                          f"{k} children")
-    agg = _DmAggregates(data, totals)
     log_lik = agg.log_lik
 
-    theta = np.maximum(_dm_moment_init(data, totals), THETA_FLOOR)
-    theta[~free] = THETA_FLOOR
-    warm = None if start is None \
-        else np.where(free, np.maximum(start, THETA_FLOOR), THETA_FLOOR)
-    if warm is not None and log_lik(warm) >= log_lik(theta):
-        theta = warm
-    else:
+    theta, ll = agg.start, None
+    if start is not None:
+        warm = np.where(free, np.maximum(start, THETA_FLOOR), THETA_FLOOR)
+        warm_ll = log_lik(warm)
+        if warm_ll >= log_lik(theta):
+            theta, ll = warm, warm_ll
+    if ll is None:
         # fixed-point warm-up (Minka-style ratio update)
         for _ in range(10):
             new = agg.fixed_point_step(theta)
@@ -325,8 +385,8 @@ def fit_node_dm(data: np.ndarray, start=None) -> FitResult:
             if theta.sum() > DIVERGENCE_THETA:
                 return FitResult("dm", {"theta": theta}, log_lik(theta), k,
                                  converged=False, divergence_flag=True)
+        ll = log_lik(theta)
 
-    ll = log_lik(theta)
     iterations = 0
     for iterations in range(1, DM_MAX_ITER + 1):
         grad, q, diag = agg.derivatives(theta)
@@ -377,7 +437,7 @@ def fit_node_dm(data: np.ndarray, start=None) -> FitResult:
         "iterations")
 
 
-def _dm_fit(data: np.ndarray, start=None) -> Optional[FitResult]:
+def _dm_fit(data, start=None) -> Optional[FitResult]:
     """The DM fit, or None when it fails or diverges and the multinomial
     stands in."""
     try:
@@ -418,7 +478,7 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     (no counts reach the node: a uniform multinomial with log-likelihood
     0).
     """
-    counts = _count_matrix(counts)
+    counts = _count_table(counts)
     if counts.shape[1] != tree.leaf_count:
         raise UsageError(f"data has {counts.shape[1]} columns, tree has "
                          f"{tree.leaf_count} leaves")
@@ -458,13 +518,55 @@ def _fit_nodes(tree: PartitionTree, counts: np.ndarray, law_fit: FitResult):
 
 class _FitCache:
     """DM node fits keyed by the (unordered) composition of child
-    subsets.  Each entry holds the AIC and the fitted weight of every
-    child subset, or ``None`` for the weights when the DM fit failed or
-    diverged and the multinomial fit stands in."""
+    subsets.  Each entry holds the AIC and the fitted weights in sorted
+    child order, or ``None`` for the weights when the DM fit failed or
+    diverged and the multinomial fit stands in.
+
+    A miss assembles the node's :class:`_DmAggregates` from statistics
+    kept once: per child subset, the survival row of its subsums (in the
+    smallest integer type that holds the row count) and their
+    log-factorial sum, which a node over that leaf set takes for its row
+    totals; and per node leaf set, the proportion mean and variance of
+    each child subset.  A survival row is O(largest count); no per-row
+    array outlives the miss that needed it."""
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts
-        self.cache: Dict[frozenset, Tuple[float, Optional[dict]]] = {}
+        self.cache: Dict[frozenset, Tuple[float, Optional[np.ndarray]]] = {}
+        self.subsets: Dict[tuple, Tuple[np.ndarray, float]] = {}
+        self.moments: Dict[tuple, Dict[tuple, Optional[Tuple[float, float]]]] \
+            = {}
+
+    def _keep_subset(self, leaves: tuple, subsums: np.ndarray) -> None:
+        """Keep the survival row and log-factorial sum of ``subsums``, the
+        row sums over ``leaves``, unless they are kept already."""
+        if leaves not in self.subsets:
+            rows = self.counts.shape[0]
+            hist = np.bincount(subsums)
+            self.subsets[leaves] = (
+                _survival_counts(hist, rows).astype(np.min_scalar_type(rows)),
+                _log_factorial_sum(hist))
+
+    def _subsums(self, leaves: Sequence[int]) -> np.ndarray:
+        return self.counts[:, np.subtract(leaves, 1)].sum(axis=1)
+
+    def _aggregates(self, order: Sequence[Tuple[int, ...]]) -> _DmAggregates:
+        """The node over the child subsets ``order``, from the kept
+        statistics, computing the missing ones."""
+        leaf_set = tuple(sorted(chain.from_iterable(order)))
+        moments = self.moments.setdefault(leaf_set, {})
+        missing = [c for c in order if c not in moments]
+        if missing or leaf_set not in self.subsets:
+            totals = self._subsums(leaf_set)
+            self._keep_subset(leaf_set, totals)
+            for child in missing:
+                col = self._subsums(child)
+                self._keep_subset(child, col)
+                moments[child] = _proportion_moments(col, totals)
+        return _DmAggregates([self.subsets[c][0] for c in order],
+                             self.subsets[leaf_set],
+                             [moments[c] for c in order],
+                             self.counts.shape[0])
 
     def fit(self, children: Sequence[Tuple[int, ...]],
             start: Optional[dict] = None) -> Tuple[float, Optional[dict]]:
@@ -475,19 +577,19 @@ class _FitCache:
         key = frozenset(children)
         if key not in self.cache:
             order = sorted(children)
-            data = (self.counts @ incidence_matrix(
-                order, self.counts.shape[1]).T).astype(self.counts.dtype)
+            agg = self._aggregates(order)
             fit = None
             if start is not None:
-                fit = _dm_fit(data, start=[start[c] for c in order])
+                fit = _dm_fit(agg, start=[start[c] for c in order])
             if fit is None:
-                fit = _dm_fit(data)
+                fit = _dm_fit(agg)
             if fit is None:
+                data = np.column_stack([self._subsums(c) for c in order])
                 self.cache[key] = (fit_node_multinomial(data).aic, None)
             else:
-                self.cache[key] = (fit.aic,
-                                   dict(zip(order, fit.params["theta"])))
-        return self.cache[key]
+                self.cache[key] = (fit.aic, fit.params["theta"])
+        aic, theta = self.cache[key]
+        return aic, None if theta is None else dict(zip(sorted(key), theta))
 
 
 def _leaves_under(child) -> Tuple[int, ...]:
@@ -587,8 +689,8 @@ def search_tree(counts: np.ndarray, family: str = "nb"):
     law is fitted first, so totals that ``family`` cannot fit fail before
     the search.
     """
-    counts = _count_matrix(counts)
-    if counts.ndim != 2 or counts.shape[1] < 2:
+    counts = _count_table(counts)
+    if counts.shape[1] < 2:
         raise UsageError("counts must be a matrix with at least 2 columns")
     law_fit = fit_sum_law(counts.sum(axis=1), family)
     trace: list = []

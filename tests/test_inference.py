@@ -150,7 +150,7 @@ class TestDmAggregates:
     @given(case=node_counts())
     def test_log_lik_is_row_wise_dm_log_pmf(self, case):
         data, theta = case
-        agg = fit_module._DmAggregates(data, data.sum(axis=1))
+        agg = fit_module._DmAggregates.from_matrix(data)
         rowwise = polya_log_pmf_many(data, SplitSpec(1, tuple(theta))).sum()
         assert agg.log_lik(theta) == pytest.approx(rowwise, rel=1e-10,
                                                    abs=1e-10)
@@ -159,7 +159,7 @@ class TestDmAggregates:
     @given(case=node_counts())
     def test_derivatives_match_central_differences(self, case):
         data, theta = case
-        agg = fit_module._DmAggregates(data, data.sum(axis=1))
+        agg = fit_module._DmAggregates.from_matrix(data)
         grad, q, diag = agg.derivatives(theta)
         hessian = q + np.diag(diag)
         for j in range(theta.size):
@@ -173,6 +173,77 @@ class TestDmAggregates:
                        - agg.derivatives(theta - step)[0]) / width
             assert num_col == pytest.approx(hessian[:, j], rel=1e-5,
                                             abs=1e-4)
+
+
+@st.composite
+def search_nodes(draw):
+    """A count matrix with all-zero rows and columns, and a node over it
+    as the search builds one: child subsets partitioning all leaves or a
+    proper part of them."""
+    k = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 12))
+    tops = draw(st.lists(st.sampled_from([0, 1, 3, 40]),
+                         min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    counts = np.column_stack([rng.integers(0, top + 1, size=rows)
+                              for top in tops])
+    counts[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0
+    if draw(st.booleans()):  # a single nonzero cell
+        counts[:] = 0
+        counts[draw(st.integers(0, rows - 1)),
+               draw(st.integers(0, k - 1))] = draw(st.integers(1, 50))
+    leaves = draw(st.permutations(range(1, k + 1)))[:draw(st.integers(2, k))]
+    groups = draw(st.lists(st.integers(0, len(leaves) - 1),
+                           min_size=len(leaves), max_size=len(leaves)))
+    order = sorted(tuple(sorted(leaf for leaf, g in zip(leaves, groups)
+                                if g == group)) for group in set(groups))
+    return counts, order
+
+
+def _stacked_aggregates(data):
+    """surv, log_coef and moment start of a node matrix as whole-matrix
+    expressions over its rows with positive totals: the reference for
+    the per-column assembly."""
+    totals = data.sum(axis=1)
+    data, totals = data[totals > 0], totals[totals > 0]
+    width = int(data.max(initial=0)) + 1
+    hist = np.bincount((data + width * np.arange(data.shape[1])).ravel(),
+                       minlength=data.shape[1] * width
+                       ).reshape(data.shape[1], width)
+    surv = (data.shape[0] - np.cumsum(hist, axis=1))[:, :-1].astype(float)
+    props = data / totals[:, None]
+    start = np.maximum(fit_module._dm_moment_init(
+        props.mean(axis=0), props.var(axis=0)), fit_module.THETA_FLOOR)
+    start[data.sum(axis=0) == 0] = fit_module.THETA_FLOOR
+    return surv, fit_module._log_multinomial_coef(data), start
+
+
+class TestAggregateConstructors:
+    @settings(max_examples=150, deadline=None)
+    @given(case=search_nodes())
+    def test_cache_statistics_build_the_matrix_aggregates(self, case):
+        counts, order = case
+        data = (counts @ incidence_matrix(order, counts.shape[1]).T
+                ).astype(np.int64)
+        from_matrix = fit_module._DmAggregates.from_matrix(data)
+        cache = fit_module._FitCache(counts)
+        # the flat node first, so that its statistics are reused
+        cache._aggregates([(j,) for j in range(1, counts.shape[1] + 1)])
+        from_cache = cache._aggregates(order)
+        for agg in (from_matrix, from_cache):
+            assert np.array_equal(agg.surv, from_matrix.surv)
+            assert np.array_equal(agg.tot_surv, from_matrix.tot_surv)
+            assert agg.log_coef.hex() == from_matrix.log_coef.hex()
+            assert np.array_equal(agg.free, data.sum(axis=0) > 0)
+            assert agg.shape == data.shape
+        if data.sum() == 0:
+            assert from_matrix.start is None and from_cache.start is None
+            return
+        assert np.array_equal(from_cache.start, from_matrix.start)
+        surv, log_coef, start = _stacked_aggregates(data)
+        assert np.array_equal(from_matrix.surv, surv)
+        assert from_matrix.log_coef.hex() == log_coef.hex()
+        assert np.array_equal(from_matrix.start, start)
 
 
 class TestNodeData:
@@ -230,6 +301,14 @@ class TestFitTree:
         with pytest.raises(UsageError):
             fit_tree(PartitionTree.flat(3), np.zeros((5, 4), dtype=int))
 
+    def test_one_dimensional_counts_rejected(self):
+        # raised a bare IndexError
+        with pytest.raises(UsageError, match="matrix"):
+            fit_tree(PartitionTree.flat(3), np.array([1, 2, 3]))
+        for entry in (search_tree, fit_node_dm, fit_node_multinomial):
+            with pytest.raises(UsageError, match="matrix"):
+                entry(np.array([1, 2, 3]))
+
 
 # each entry point of the fit layer, called on a count matrix
 COUNT_ENTRY_POINTS = {
@@ -250,7 +329,8 @@ class TestCountChecks:
     @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
     @pytest.mark.parametrize("bad, message", [
         (math.nan, "finite numbers"), (math.inf, "finite numbers"),
-        (0.7, "integers"), (-1.0, "nonnegative")])
+        (0.7, "integers"), (-1.0, "nonnegative"),
+        (1e30, "int64 range"), (2.0 ** 63, "int64 range")])
     def test_bad_count_is_a_usage_error(self, entry, bad, message):
         counts = self._counts()
         counts[0, 0] = bad
@@ -521,6 +601,39 @@ class TestSearchIsPinned:
             ("transfer", root, [1, 2, 3], "-0x1.5d81804b16000p+2")]
         assert [sorted(key) for key, (_, weights) in cache.cache.items()
                 if weights is None] == [[(1,), (2,), (3,), (4,), (5,)]]
+
+    @staticmethod
+    def _zero_rows_and_column():
+        """Every sixth row all zero, and leaf 4 an all-zero column."""
+        counts = _three_node_model().sample_many(
+            800, np.random.default_rng(115))
+        counts[::6] = 0
+        return np.insert(counts, 3, 0, axis=1)
+
+    def test_zero_total_rows_and_an_empty_column(self):
+        trace, cache = _search_trace(self._zero_rows_and_column())
+        root = "{1,2,3,4,5,6,7}"
+        assert trace == [
+            ("create", root, [1, 2], "-0x1.7c9029abf5600p+4"),
+            ("create", root, [6, 7], "-0x1.3898602fc4000p+1"),
+            ("transfer", root, [5, 6, 7], "-0x1.86b14353f8000p-2"),
+            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f0c1d4000p-1")]
+        assert all(weights is not None
+                   for _, weights in cache.cache.values())
+
+    def test_number_of_dm_fits_is_pinned(self, monkeypatch):
+        """One fit_node_dm call per cache miss, plus one per failed
+        started fit, through the module global that tracing patches."""
+        calls = []
+        original = fit_module.fit_node_dm
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fit_module, "fit_node_dm", counted)
+        _, cache = _search_trace(self._zero_rows_and_column())
+        assert len(calls) == len(cache.cache) == 77
 
     def test_two_create_rounds_at_the_root(self):
         tree = PartitionTree.from_nested([[[1, 2], 3, 4], [[5, 6], 7, 8], 9])
