@@ -2,6 +2,8 @@
 tree, with exact evaluation, sampling, node-wise MLE, and greedy
 AIC-driven structure search."""
 
+import logging
+
 from .examples import ten_leaf_example
 from .exceptions import (ConvergenceError, DomainError, ParseError,
                          TreePolyaError, UsageError, ValidationError)
@@ -19,3 +21,8 @@ from .special import LogValue, ln_gen_factorial, pfq_convergent, \
 from .tree import PartitionTree, validate_partition_tree
 
 __version__ = "0.1.0"
+
+# the package logs to "treepolya" and its children (the search: one DEBUG
+# record per round from "treepolya.fit"); silent unless the application
+# configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())

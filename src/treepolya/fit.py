@@ -10,6 +10,7 @@ model identical to 2k minus twice the joint log-likelihood.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -29,6 +30,8 @@ __all__ = [
     "select_node_split", "fit_tree", "search_tree",
 ]
 
+_log = logging.getLogger(__name__)
+
 DIVERGENCE_THETA = 1e8
 THETA_FLOOR = 1e-10
 NB_TOL = 1e-10
@@ -37,6 +40,15 @@ DM_TOL = 1e-8
 DM_MAX_ITER = 200
 AIC_EPSILON = 1e-6  # the least AIC drop that a search move must make
 MAX_MOVES = 10_000  # the search's move budget
+# the search's move screen: the Newton stop of its lockstep maxima (in
+# log-likelihood units) and their step budget, the entries of one stacked
+# array, and the stop rule's margin in AIC units, max(SCREEN_MARGIN,
+# SCREEN_SHARE * |best ΔAIC|)
+SCREEN_TOL = 1e-7
+SCREEN_MAX_ITER = 50
+SCREEN_BLOCK = 1 << 16
+SCREEN_MARGIN = 2.0
+SCREEN_SHARE = 0.1
 
 
 @dataclass
@@ -132,7 +144,7 @@ def fit_sum_law(totals, family: str) -> FitResult:
     except (KeyError, TypeError):
         raise UsageError(f"unknown sum-law family {family!r}") from None
     totals = _count_matrix(totals)
-    if totals.size == 0:
+    if totals.ndim != 1 or totals.size == 0:
         raise UsageError("totals must be a nonempty vector")
     n = totals.size
     ybar = float(totals.mean())
@@ -155,6 +167,11 @@ def fit_sum_law(totals, family: str) -> FitResult:
     if family == "binomial":
         if ybar == 0:
             raise DomainError("all-zero totals cannot be fitted by binomial")
+        # the MLE in size is finite only when the biased variance is below
+        # the mean (Olkin, Petkau & Zidek 1981)
+        if float(totals.var()) >= ybar:
+            raise DomainError("totals show no underdispersion; the binomial "
+                              "profile has no finite maximum in size")
         best = None
         size = int(totals.max())
         worse_streak = 0
@@ -533,6 +550,7 @@ class _FitCache:
     def __init__(self, counts: np.ndarray):
         self.counts = counts
         self.cache: Dict[frozenset, Tuple[float, Optional[np.ndarray]]] = {}
+        self.starts: Dict[frozenset, Tuple[Optional[dict], list]] = {}
         self.subsets: Dict[tuple, Tuple[np.ndarray, float]] = {}
         self.moments: Dict[tuple, Dict[tuple, Optional[Tuple[float, float]]]] \
             = {}
@@ -568,19 +586,35 @@ class _FitCache:
                              [moments[c] for c in order],
                              self.counts.shape[0])
 
+    def ask(self, children: Sequence[Tuple[int, ...]],
+            start: Optional[dict] = None, parts: list = ()) -> None:
+        """Request the node over ``children`` without fitting it: unless
+        it is fitted already, keep the start of its first request, which
+        its fit will use whenever it runs, so that the fitted weights do
+        not depend on which later round happens to fit the node."""
+        key = frozenset(children)
+        if key not in self.cache and key not in self.starts:
+            self.starts[key] = (start, parts)
+
     def fit(self, children: Sequence[Tuple[int, ...]],
-            start: Optional[dict] = None) -> Tuple[float, Optional[dict]]:
+            start: Optional[dict] = None, parts: list = ()
+            ) -> Tuple[float, Optional[dict]]:
         """AIC and weights of the node over ``children``.  On a miss the
-        DM fit starts from ``start[child]`` for each child when a start is
-        given, and cold when there is none or the started fit fails or
-        diverges."""
+        DM fit starts from the start of the node's first request
+        (:meth:`ask`, else this one): ``start[child]`` for each child in
+        ``start``, the sum of ``start[part]`` over ``parts`` for the one
+        child that is not, and cold when there is no start or the started
+        fit fails or diverges."""
         key = frozenset(children)
         if key not in self.cache:
+            start, parts = self.starts.pop(key, (start, parts))
             order = sorted(children)
             agg = self._aggregates(order)
             fit = None
             if start is not None:
-                fit = _dm_fit(agg, start=[start[c] for c in order])
+                fit = _dm_fit(agg, start=[
+                    start[c] if c in start else sum(start[p] for p in parts)
+                    for c in order])
             if fit is None:
                 fit = _dm_fit(agg)
             if fit is None:
@@ -607,6 +641,233 @@ def _search_node(children: list, cache: _FitCache, trace: list) -> None:
         work.extend(reversed(_grow_node(work.pop(), cache, trace)))
 
 
+def _survival_rows(values: np.ndarray) -> np.ndarray:
+    """Row j holds S_j(u) = #{i : values_ij > u} for u = 0..max-1, over
+    the columns of a count matrix (rows x columns), from one histogram."""
+    rows, cols = values.shape
+    width = int(values.max(initial=0)) + 1
+    hist = np.bincount((values + np.arange(cols) * width).ravel(),
+                       minlength=cols * width).reshape(cols, width)
+    return (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
+
+
+def _derivative_sums(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
+                     x: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The sums that the derivatives of :func:`_lockstep_max`'s f take at
+    x: a1 and a2 of tot(u) / (fixed + sum_j x_j + u) and of its square
+    over u, and b1 and b2 of cols_j(u) / (x_j + u) and of its square."""
+    recip = 1.0 / ((fixed + x.sum(axis=1))[:, None]
+                   + np.arange(tot.shape[1], dtype=float))
+    weighted = tot * recip
+    a1, a2 = weighted.sum(axis=1), (weighted * recip).sum(axis=1)
+    recip = 1.0 / (x[:, :, None] + np.arange(cols.shape[2], dtype=float))
+    weighted = cols * recip
+    return a1, a2, weighted.sum(axis=2), (weighted * recip).sum(axis=2)
+
+
+def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
+                  start: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """For every problem i at once, the maximum over x > 0 of
+
+        f_i(x) = sum_j sum_u cols[i, j, u] log(x_j + u)
+                 - sum_u tot[i, u] log(fixed_i + sum_j x_j + u),
+
+    the DM log-likelihood in the weights x of a node's free children, up
+    to terms without them; ``tot`` may hold one row for every problem.
+    Damped Newton in log x from ``start``: each step is halved until it
+    raises f, and a problem stops once its Newton decrement is below
+    ``SCREEN_TOL`` or no step raises f.  Returns the maxima, their
+    arguments and a mask of the problems that stopped within
+    ``SCREEN_MAX_ITER`` steps.
+    """
+    count = cols.shape[0]
+    u_tot = np.arange(tot.shape[1], dtype=float)
+    u_col = np.arange(cols.shape[2], dtype=float)
+    fixed = np.broadcast_to(np.asarray(fixed, dtype=float), (count,))
+
+    def tot_rows(idx):
+        return tot if tot.shape[0] == 1 else tot[idx]
+
+    def value(idx, x):
+        shift = (fixed[idx] + x.sum(axis=1))[:, None] + u_tot
+        return (cols[idx] * np.log(x[:, :, None] + u_col)).sum(axis=(1, 2)) \
+            - (tot_rows(idx) * np.log(shift)).sum(axis=1)
+
+    x = np.array(start, dtype=float)
+    best = value(np.arange(count), x)
+    done = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for _ in range(SCREEN_MAX_ITER):
+        if active.size == 0:
+            break
+        xa = x[active]
+        a1, a2, b1, b2 = _derivative_sums(tot_rows(active), fixed[active],
+                                          cols[active], xa)
+        # gradient and Hessian in log x: H = diag(d) + a2 * x x^T
+        grad = xa * (b1 - a1[:, None])
+        d = grad - xa * xa * b2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_g, inv_x = grad / d, xa / d
+            denom = 1.0 + a2 * (xa * inv_x).sum(axis=1)
+            newton = -(inv_g - inv_x * (
+                a2 * (xa * inv_g).sum(axis=1) / denom)[:, None])
+        concave = np.all(d < 0, axis=1) & (denom > 0)
+        step = np.where(concave[:, None], newton, grad)
+        stop = concave & ((grad * step).sum(axis=1) < 2.0 * SCREEN_TOL)
+        done[active[stop]] = True
+        active, xa, step = active[~stop], xa[~stop], step[~stop]
+        step *= np.minimum(1.0, 4.0 / np.abs(step).max(axis=1,
+                                                       initial=1.0))[:, None]
+        log_x, trying, scale = np.log(xa), np.arange(active.size), 1.0
+        for _ in range(50):
+            trial = np.exp(log_x[trying] + scale * step[trying])
+            trial_value = value(active[trying], trial)
+            up = trial_value > best[active[trying]]
+            x[active[trying[up]]] = trial[up]
+            best[active[trying[up]]] = trial_value[up]
+            trying = trying[~up]
+            if trying.size == 0:
+                break
+            scale *= 0.5
+        # no step raises f: the problem is at its maximum to rounding
+        done[active[trying]] = True
+        active = np.delete(active, trying)
+    return best, x, done
+
+
+def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
+                kept_b1: np.ndarray, kept_b2: np.ndarray,
+                kept_theta: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Half the Newton decrement in log weights of a DM node in all its
+    weights: the gain that refitting its kept weights too predicts, with
+    the free ones at :func:`_lockstep_max`'s maximum x (``sums`` from
+    :func:`_derivative_sums` there) and the kept ones at their current
+    fit ``kept_theta`` (mask ``kept`` over columns whose b1 and b2 are
+    ``kept_b1`` and ``kept_b2``).  NaN where the node's Hessian there is
+    not negative definite."""
+    a1, a2, b1, b2 = sums
+    count = a1.size
+    theta = np.concatenate([x, np.broadcast_to(kept_theta, (count,
+                                                            kept.shape[1]))],
+                           axis=1)
+    grad = theta * (np.concatenate([b1, np.broadcast_to(
+        kept_b1, kept.shape)], axis=1) - a1[:, None])
+    # -H = diag(d) - a2 * theta theta^T in log weights
+    d = theta * theta * np.concatenate(
+        [b2, np.broadcast_to(kept_b2, kept.shape)], axis=1) - grad
+    use = np.concatenate([np.ones(b1.shape, dtype=bool), kept], axis=1)
+    concave = np.all(~use | (d > 0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_d = np.where(use & (d > 0), 1.0 / d, 0.0)
+    grad = np.where(use, grad, 0.0)
+    denom = 1.0 - a2 * (theta * theta * inv_d).sum(axis=1)
+    concave &= denom > 0
+    # Sherman-Morrison for g^T (-H)^-1 g
+    decrement = (grad * grad * inv_d).sum(axis=1) + a2 * (
+        theta * grad * inv_d).sum(axis=1) ** 2 / np.where(concave, denom, 1.0)
+    return np.where(concave, decrement / 2.0, np.nan)
+
+
+def _screen_scores(cache: "_FitCache", moves: list, outer: list,
+                   outer_w: Optional[dict], grown: list,
+                   inner: list, inner_w: Optional[dict]) -> np.ndarray:
+    """Each move's screen score, NaN for a move that cannot be screened.
+
+    The score predicts the move's ΔAIC without a fit of the wide outer
+    node.  In the outer node only the merged child's weight m is
+    refitted, the other weights staying at the outer fit, and the gain
+    that one Newton step in the logs of all of them would add from there
+    is added (:func:`_refit_gain`); the grown node, whose children are
+    few, has all its weights refitted.  By the DM aggregation property
+    the outer node at the merged start, plus a node splitting the merged
+    child into its parts, has the outer fit's log-likelihood exactly.  So with parts
+    P (the moved leaves and, in a transfer round, the grown node G),
+    merged child M, outer total T, outer weights theta (sum Theta) and
+    the grown node's weights w (sum W), the log-likelihood gain is
+
+        f_outer(m) + f_grown(x) + sum_u S_T(u) log(Theta + u)
+        - sum_{p in P} sum_u S_p(u) log(theta_p + u)
+        + sum_u S_G(u) log(W + u) - sum_{j in G} sum_u S_j(u) log(w_j + u),
+
+    f as in :func:`_lockstep_max`, and the last line only in a transfer
+    round.  It needs the survival rows of T, the children and M only.
+    Moves whose base has no DM fit, or that move a leaf without counts,
+    get no score, nor do those whose maxima do not converge or whose
+    outer node is not concave at its maximum.
+    """
+    scores = np.full(len(moves), np.nan)
+    if not moves or outer_w is None or (grown and inner_w is None):
+        return scores
+    surv = {c: cache.subsets[c][0] for c in chain(outer, inner)}
+    tot = cache.subsets[tuple(sorted(chain.from_iterable(outer)))][0]
+    u = np.arange(tot.size, dtype=float)
+
+    def log_term(c, theta):
+        return float(surv[c] @ np.log(theta + u[:surv[c].size]))
+
+    theta_sum = sum(outer_w.values())
+    const = float(tot @ np.log(theta_sum + u))
+    outer_terms = {c: log_term(c, outer_w[c]) for c in outer}
+    outer_theta = np.array([outer_w[c] for c in outer])
+    outer_cols = np.zeros((1, len(outer), tot.size))
+    for j, c in enumerate(outer):
+        outer_cols[0, j, :surv[c].size] = surv[c]
+    # b1 and b2 of each outer child at its fit (0 for a child without
+    # counts, whose weight is not free)
+    outer_b = [b[0] for b in _derivative_sums(
+        tot[None, :], np.zeros(1), outer_cols, outer_theta[None, :])[2:]]
+    # in a transfer round the grown node's children with counts are free
+    # in its screen, the others stay at their (floor) weights
+    free_inner = [c for c in inner if surv[c].size]
+    fixed, grown_sums = 0.0, 0
+    if grown:
+        fixed = sum(inner_w[c] for c in inner if not surv[c].size)
+        const += log_term(grown[0], sum(inner_w.values())) - sum(
+            log_term(c, inner_w[c]) for c in free_inner)
+        grown_sums = cache._subsums(grown[0])
+    screenable = [i for i, move in enumerate(moves)
+                  if all(surv[outer[pos]].size for pos in move)]
+    width = len(moves[0])
+    free = width + len(free_inner)
+    block = max(1, SCREEN_BLOCK // (free * max(cache.counts.shape[0],
+                                               tot.size)))
+    tot = tot.astype(float)[None, :]
+    for first in range(0, len(screenable), block):
+        idx = screenable[first:first + block]
+        moved = [[outer[pos] for pos in moves[i]] for i in idx]
+        labels = np.array([[c[0] for c in row] for row in moved]) - 1
+        merged = _survival_rows(
+            cache.counts[:, labels].sum(axis=2) + np.reshape(grown_sums,
+                                                             (-1, 1)))
+        # the outer node: the merged child's weight free
+        parts_w = np.array([[outer_w[c] for c in row + grown]
+                            for row in moved]).sum(axis=1)
+        merged_cols = merged[:, None, :]
+        outer_max, outer_x, outer_ok = _lockstep_max(
+            tot, theta_sum - parts_w, merged_cols, parts_w[:, None])
+        kept = np.ones((len(idx), len(outer)), dtype=bool)
+        for row, i in enumerate(idx):
+            kept[row, [outer.index(c) for c in moved[row] + grown]] = False
+        refit = _refit_gain(
+            _derivative_sums(tot, theta_sum - parts_w, merged_cols, outer_x),
+            outer_x, *outer_b, outer_theta, kept & (outer_b[1] > 0))
+        # the grown node: the moved leaves' and its children's weights free
+        cols = np.zeros((len(idx), free, max(
+            surv[c].size for c in chain(free_inner, *moved))))
+        for row, parts in enumerate(moved):
+            for j, c in enumerate(parts + free_inner):
+                cols[row, j, :surv[c].size] = surv[c]
+        grown_max, _, grown_ok = _lockstep_max(
+            merged, fixed, cols, [[outer_w[c] for c in row]
+                                  + [inner_w[c] for c in free_inner]
+                                  for row in moved])
+        gain = outer_max + refit + grown_max + const - np.array(
+            [sum(outer_terms[c] for c in row + grown) for row in moved])
+        scores[idx] = np.where(outer_ok & grown_ok,
+                               2.0 * (1 - len(grown)) - 2.0 * gain, np.nan)
+    return scores
+
+
 def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     """Greedy node creation among one node's children, in place; returns
     the created nodes in order of creation.
@@ -616,16 +877,26 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     every pair of leaf children as a new node; once one is created,
     transfer rounds score every single leaf child as one more member of
     it.  Each round makes the move that lowers the summed node AIC the
-    most; when none does, a transfer round gives way to a create round
-    and a create round ends the search of this node.  Accepted moves are
-    appended to ``trace``; one past ``MAX_MOVES`` raises
-    ``ConvergenceError``.
+    most, the first in enumeration order on a tie; when none does, a
+    transfer round gives way to a create round and a create round ends
+    the search of this node.  Accepted moves are appended to ``trace``;
+    one past ``MAX_MOVES`` raises ``ConvergenceError``.
+
+    A round screens its moves before fitting any (:func:`_screen_scores`)
+    and then fully fits them in order of their screen score, until the
+    next score exceeds the best ΔAIC so far (or -``AIC_EPSILON``, if
+    lower) by more than the margin ``max(SCREEN_MARGIN, SCREEN_SHARE *
+    |that ΔAIC|)``, or by more than the largest miss |score - ΔAIC| of
+    the round's fitted moves, if that is larger.  Moves without a score
+    are always fitted.
 
     Candidate DM fits start from the current fits by the aggregation
     property: the grown node starts at the sum of its parts' weights,
     every other child at its weight in the node fit it comes from, and a
     moved leaf at its weight in the outer fit.  Candidates of a base that
-    fell back to multinomial start cold.
+    fell back to multinomial start cold.  A node is fitted from the start
+    of the first round that asked for it (:meth:`_FitCache.ask`), fitted
+    then or not, so that every fit is the one an exhaustive loop makes.
     """
     label = _subset_label(_leaves_under(children))
     created: list = []
@@ -637,7 +908,7 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
         base, outer_w = cache.fit(outer)
         # in a transfer round: the grown node's subset (a part of every
         # move), its children's subsets, and the start of its candidates
-        grown, inner, inner_start = [], [], outer_w
+        grown, inner, inner_w, inner_start = [], [], None, outer_w
         if node is not None:
             grown = [_leaves_under(node)]
             inner = [_leaves_under(ch) for ch in node]
@@ -645,25 +916,48 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
             base += inner_aic
             inner_start = None if outer_w is None or inner_w is None \
                 else {**outer_w, **inner_w}
-        best = None
-        for move in (combinations(leaves, 2) if node is None
-                     else [(pos,) for pos in leaves]):
+        moves = list(combinations(leaves, 2)) if node is None \
+            else [(pos,) for pos in leaves]
+        requests = []
+        for move in moves:
             moved = [outer[pos] for pos in move]
             parts = moved + grown
             merged = tuple(sorted(sum(parts, ())))
             rest = [s for s in outer if s not in parts] + [merged]
-            rest_start = None if outer_w is None else {
-                **outer_w, merged: sum(outer_w[p] for p in parts)}
-            delta = (cache.fit(rest, rest_start)[0]
-                     + cache.fit(inner + moved, inner_start)[0] - base)
-            if best is None or delta < best[0]:
-                best = (delta, move)
+            cache.ask(rest, outer_w, parts)
+            cache.ask(inner + moved, inner_start)
+            requests.append((rest, inner + moved))
+        scores = _screen_scores(cache, moves, outer, outer_w, grown, inner,
+                                inner_w)
+        best = None
+        order = np.argsort(scores, kind="stable")  # NaN last
+        unscored = np.flatnonzero(np.isnan(scores))
+        fitted, miss = 0, 0.0
+        for i in chain(unscored, order[:order.size - unscored.size]):
+            if best is not None and not np.isnan(scores[i]):
+                bar = min(best[0], -AIC_EPSILON)
+                if scores[i] > bar + max(SCREEN_MARGIN, miss,
+                                         SCREEN_SHARE * abs(bar)):
+                    break
+            rest, grown_node = requests[i]
+            delta = (cache.fit(rest)[0] + cache.fit(grown_node)[0] - base)
+            fitted += 1
+            if not np.isnan(scores[i]):
+                miss = max(miss, abs(scores[i] - delta))
+            if best is None or (delta, i) < best:
+                best = (delta, i)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("search round at %s, %s: %d moves scored, %d fully "
+                       "fitted, %d unscreenable, best ΔAIC %s", label,
+                       "create" if node is None else "transfer",
+                       len(moves) - unscored.size, fitted, unscored.size,
+                       None if best is None else best[0])
         if best is None or best[0] >= -AIC_EPSILON:
             if node is None:
                 break
             node = None
             continue
-        delta, move = best
+        delta, move = best[0], moves[best[1]]
         kind = "create" if node is None else "transfer"
         if node is None:
             node = []

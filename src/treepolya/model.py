@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict
 
 import numpy as np
@@ -68,6 +68,15 @@ class MarginalChain:
 
     stages: tuple
     terminal: SumLaw
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: every cached
+        marginal lookup hashes its chain, and with it each stage."""
+        return hash((self.stages, self.terminal))
 
 
 def _child_bounds(c: int, theta, bound, where: str) -> list:
@@ -447,8 +456,12 @@ def marginal_pmf(chain: MarginalChain, n) -> float:
     Negative or non-integer n has zero mass, as does n past the vector's
     end; NaN or infinite n raises ``UsageError``.
     """
-    n = float(count_array(n))
-    if n < 0 or n != math.floor(n):
+    if type(n) is not int:
+        n = float(count_array(n))
+        if n < 0 or n != math.floor(n):
+            return 0.0
+        n = int(n)
+    elif n < 0:
         return 0.0
     vec = marginal_pmf_vector(chain)
-    return float(vec[int(n)]) if n < vec.size else 0.0
+    return float(vec[n]) if n < vec.size else 0.0

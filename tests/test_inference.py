@@ -1,4 +1,6 @@
+import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from treepolya.polya import (Dirac, NegativeBinomial, SplitSpec,
                              polya_log_pmf_many, polya_sample_many,
                              sumlaw_sample_many)
 from treepolya.tree import PartitionTree, incidence_matrix
+
+from search_oracle import exhaustive_grow_node, exhaustive_search
 
 
 class TestSumLawFit:
@@ -63,6 +67,13 @@ class TestSumLawFit:
         totals = rng.binomial(10, 0.5, size=2_000)
         with pytest.raises(DomainError):
             fit_sum_law(totals, "nb")
+
+    @pytest.mark.parametrize("totals", [[3, 5, 9, 1], [0, 2], [0, 0, 10]])
+    def test_binomial_needs_underdispersion(self, totals):
+        # [3, 5, 9, 1] walked size up to 327 209 for ~10 s and returned
+        # the Poisson limit; [0, 2] has variance equal to its mean
+        with pytest.raises(DomainError, match="no underdispersion"):
+            fit_sum_law(np.array(totals), "binomial")
 
 
 class TestNodeFits:
@@ -337,6 +348,14 @@ class TestCountChecks:
         with pytest.raises(UsageError, match=message):
             COUNT_ENTRY_POINTS[entry](counts)
 
+    @pytest.mark.parametrize("family", ["dirac", "poisson", "binomial", "nb"])
+    @pytest.mark.parametrize("totals", [[[3, 5], [9, 1]], 4])
+    def test_totals_must_be_a_vector(self, family, totals):
+        # a matrix raised a bare ValueError under nb, and its cells were
+        # fitted as totals under poisson and binomial
+        with pytest.raises(UsageError, match="vector"):
+            fit_sum_law(np.array(totals), family)
+
     @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
     def test_integral_floats_fit_as_integers(self, entry):
         counts = self._counts()
@@ -561,6 +580,171 @@ def _search_trace(counts):
             for t in trace], cache
 
 
+class TestScreen:
+    """The search's move screen: its scores against fully fitted moves,
+    its lockstep maxima against the DM fit, the first-asked start rule,
+    and the screened search against the exhaustive oracle."""
+
+    @staticmethod
+    def _true_deltas(cache, moves, outer, grown, inner):
+        """Each move's ΔAIC as the exhaustive loop fits it."""
+        base, outer_w = cache.fit(outer)
+        inner_start = outer_w
+        if grown:
+            inner_aic, inner_w = cache.fit(inner)
+            base += inner_aic
+            inner_start = {**outer_w, **inner_w}
+        deltas = []
+        for move in moves:
+            moved = [outer[pos] for pos in move]
+            parts = moved + grown
+            merged = tuple(sorted(sum(parts, ())))
+            rest = [c for c in outer if c not in parts] + [merged]
+            deltas.append(
+                cache.fit(rest, outer_w, parts)[0]
+                + cache.fit(inner + moved, inner_start)[0] - base)
+        return np.array(deltas)
+
+    def test_scores_track_the_fitted_deltas(self):
+        counts = _three_node_model().sample_many(
+            1_000, np.random.default_rng(110))
+        cache = fit_module._FitCache(counts)
+        outer = [(j,) for j in range(1, 7)]
+        moves = list(combinations(range(6), 2))
+        scores = fit_module._screen_scores(cache, moves, outer,
+                                           cache.fit(outer)[1], [], [], None)
+        true = self._true_deltas(cache, moves, outer, [], [])
+        assert np.abs(scores - true).max() < 0.5
+        assert np.argmin(scores) == np.argmin(true)
+        # a transfer round into the created node {1, 2}
+        outer = [(3,), (4,), (5,), (6,), (1, 2)]
+        inner = [(1,), (2,)]
+        moves = [(pos,) for pos in range(4)]
+        scores = fit_module._screen_scores(
+            cache, moves, outer, cache.fit(outer)[1], [(1, 2)], inner,
+            cache.fit(inner)[1])
+        true = self._true_deltas(cache, moves, outer, [(1, 2)], inner)
+        assert np.abs(scores - true).max() < 0.5
+
+    def test_moves_of_a_multinomial_base_are_not_scored(self):
+        counts = _three_node_model().sample_many(
+            300, np.random.default_rng(116))
+        cache = fit_module._FitCache(counts)
+        outer = [(j,) for j in range(1, 7)]
+        cache.fit(outer)
+        scores = fit_module._screen_scores(
+            cache, [(0, 1), (2, 3)], outer, None, [], [], None)
+        assert np.isnan(scores).all()
+
+    def test_lockstep_maxima_are_the_dm_fits(self):
+        """A node's DM fit and the lockstep maximum with every weight free
+        agree, for several nodes at once."""
+        rng = np.random.default_rng(117)
+        nodes = [rng.negative_binomial(2.0, 0.3, size=(400, 3)),
+                 rng.negative_binomial(5.0, 0.5, size=(400, 3))]
+        aggs = [fit_module._DmAggregates.from_matrix(d) for d in nodes]
+        width = max(a.surv.shape[1] for a in aggs)
+        tot_width = max(a.tot_surv.size for a in aggs)
+        tot = np.zeros((2, tot_width))
+        cols = np.zeros((2, 3, width))
+        for i, agg in enumerate(aggs):
+            tot[i, :agg.tot_surv.size] = agg.tot_surv
+            cols[i, :, :agg.surv.shape[1]] = agg.surv
+        best, x, done = fit_module._lockstep_max(
+            tot, 0.0, cols, [agg.start for agg in aggs])
+        assert done.all()
+        for i, (data, agg) in enumerate(zip(nodes, aggs)):
+            fit = fit_node_dm(data)
+            assert best[i] + agg.log_coef == pytest.approx(fit.log_lik,
+                                                           abs=1e-6)
+            assert x[i] == pytest.approx(fit.params["theta"], rel=1e-3)
+
+    def test_a_node_is_fitted_from_its_first_asked_start(self):
+        counts = _three_node_model().sample_many(
+            500, np.random.default_rng(118))
+        outer = [(1,), (2,), (3,), (4, 5, 6)]
+        cold = fit_module._FitCache(counts).fit(outer)[1]
+        # two warm starts whose fits differ in the last bits
+        first = {c: 1.1 * w for c, w in cold.items()}
+        later = {c: 0.9 * w for c, w in cold.items()}
+        assert fit_module._FitCache(counts).fit(outer, first) != \
+            fit_module._FitCache(counts).fit(outer, later)
+        asked = fit_module._FitCache(counts)
+        asked.ask(outer, first)
+        asked.ask(outer, later)  # a later request keeps the first start
+        assert asked.fit(outer, later) == \
+            fit_module._FitCache(counts).fit(outer, first)
+        assert not asked.starts
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_screened_search_ends_at_the_oracle(self, data):
+        """On small planted-group data the screened search makes the
+        exhaustive loop's moves, so it ends at its tree and total AIC."""
+        leaves = data.draw(st.integers(4, 8))
+        cuts = sorted(data.draw(st.sets(st.integers(1, leaves - 1),
+                                        min_size=1, max_size=3)))
+        bounds = [0, *cuts, leaves]
+        groups = [list(range(a + 1, b + 1))
+                  for a, b in zip(bounds, bounds[1:])]
+        nested = [g if len(g) > 1 else g[0] for g in groups]
+        tree = PartitionTree.from_nested(nested)
+        precision = st.floats(0.5, 30.0)
+        splits = {tree.ROOT: SplitSpec(1, tuple(data.draw(precision)
+                                                for _ in nested))}
+        for g in groups:
+            if len(g) > 1:
+                share = data.draw(precision) / len(g)
+                splits[tree.node_by_subset(tuple(g))] = SplitSpec(
+                    1, (share,) * len(g))
+        law = NegativeBinomial(data.draw(st.floats(1.0, 4.0)),
+                               data.draw(st.floats(0.8, 0.95)))
+        counts = TreePolyaModel(tree, splits, law).sample_many(
+            data.draw(st.integers(60, 250)),
+            np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
+        model, report, trace = search_tree(counts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fit_module, "_grow_node", exhaustive_grow_node)
+            oracle_model, oracle_report, oracle_trace = search_tree(counts)
+        assert [t["node"] for t in trace] == \
+            [t["node"] for t in oracle_trace]
+        assert {model.tree.subset(n) for n in model.tree.internal_ids} == \
+            {oracle_model.tree.subset(n)
+             for n in oracle_model.tree.internal_ids}
+        assert report["total_aic"] == oracle_report["total_aic"]
+
+    def test_each_round_logs_one_debug_record(self, caplog):
+        counts = _three_node_model().sample_many(
+            1_000, np.random.default_rng(110))
+        with caplog.at_level(logging.DEBUG, logger="treepolya"):
+            _, _, trace = search_tree(counts)
+        rounds = [r for r in caplog.records if r.name == "treepolya.fit"]
+        assert all(r.levelno == logging.DEBUG for r in rounds)
+        first = rounds[0].getMessage()
+        assert first.startswith("search round at {1,2,3,4,5,6}, create: "
+                                "15 moves scored, ")
+        assert "0 unscreenable" in first
+        # every accepted move is the best of its round
+        bests = [r.getMessage().rsplit("best ΔAIC ", 1)[1] for r in rounds]
+        accepted = iter(repr(t["delta_aic"]) for t in trace)
+        move = next(accepted)
+        for best in bests:
+            if best == move:
+                move = next(accepted, None)
+        assert move is None
+        assert len(rounds) > len(trace)
+
+    def test_rounds_are_not_logged_below_debug(self, monkeypatch, caplog):
+        def fail(*args, **kwargs):
+            raise AssertionError("a round was logged")
+
+        monkeypatch.setattr(fit_module._log, "debug", fail)
+        counts = _three_node_model().sample_many(
+            300, np.random.default_rng(110))
+        with caplog.at_level(logging.INFO, logger="treepolya"):
+            search_tree(counts)
+
+
 class TestSearchIsPinned:
     """Seeded searches whose every move and ΔAIC is pinned to the bit, so
     that a rewrite of the candidate loop keeps the same candidates, warm
@@ -575,6 +759,7 @@ class TestSearchIsPinned:
             ("create", root, [1, 2], "-0x1.fcd4388c64000p+3"),
             ("create", root, [5, 6], "-0x1.0f9bc40643000p+1"),
             ("transfer", root, [4, 5, 6], "-0x1.177e60c773000p+1")]
+        assert trace == exhaustive_search(counts)[0]
 
     def test_candidates_of_a_multinomial_base_start_cold(self, monkeypatch):
         """Near-multinomial data stop well short of the divergence
@@ -601,6 +786,7 @@ class TestSearchIsPinned:
             ("transfer", root, [1, 2, 3], "-0x1.5d81804b16000p+2")]
         assert [sorted(key) for key, (_, weights) in cache.cache.items()
                 if weights is None] == [[(1,), (2,), (3,), (4,), (5,)]]
+        assert trace == exhaustive_search(counts)[0]
 
     @staticmethod
     def _zero_rows_and_column():
@@ -611,7 +797,8 @@ class TestSearchIsPinned:
         return np.insert(counts, 3, 0, axis=1)
 
     def test_zero_total_rows_and_an_empty_column(self):
-        trace, cache = _search_trace(self._zero_rows_and_column())
+        counts = self._zero_rows_and_column()
+        trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5,6,7}"
         assert trace == [
             ("create", root, [1, 2], "-0x1.7c9029abf5600p+4"),
@@ -620,10 +807,12 @@ class TestSearchIsPinned:
             ("create", "{5,6,7}", [5, 6], "-0x1.23f7f0c1d4000p-1")]
         assert all(weights is not None
                    for _, weights in cache.cache.values())
+        assert trace == exhaustive_search(counts)[0]
 
     def test_number_of_dm_fits_is_pinned(self, monkeypatch):
         """One fit_node_dm call per cache miss, plus one per failed
-        started fit, through the module global that tracing patches."""
+        started fit, through the module global that tracing patches; the
+        screen fits about half the nodes that the exhaustive loop does."""
         calls = []
         original = fit_module.fit_node_dm
 
@@ -633,6 +822,9 @@ class TestSearchIsPinned:
 
         monkeypatch.setattr(fit_module, "fit_node_dm", counted)
         _, cache = _search_trace(self._zero_rows_and_column())
+        assert len(calls) == len(cache.cache) == 35
+        calls.clear()
+        _, cache = exhaustive_search(self._zero_rows_and_column())
         assert len(calls) == len(cache.cache) == 77
 
     def test_two_create_rounds_at_the_root(self):
@@ -643,8 +835,8 @@ class TestSearchIsPinned:
                   for k, v in weights.items()}
         splits[tree.ROOT] = SplitSpec(1, (3.0, 3.0, 1.0))
         model = TreePolyaModel(tree, splits, NegativeBinomial(3.0, 0.8))
-        trace, _ = _search_trace(model.sample_many(
-            800, np.random.default_rng(114)))
+        counts = model.sample_many(800, np.random.default_rng(114))
+        trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         assert trace == [
             ("create", root, [7, 8], "-0x1.7420e97ba1400p+4"),
@@ -654,3 +846,4 @@ class TestSearchIsPinned:
             ("create", root, [1, 5], "-0x1.569489fb39000p+1"),
             ("create", "{6,7,8}", [6, 7], "-0x1.a4986bc676000p-1"),
             ("create", "{2,3,4}", [2, 3], "-0x1.b68b53fc64000p-2")]
+        assert trace == exhaustive_search(counts)[0]

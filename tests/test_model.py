@@ -350,6 +350,24 @@ class TestMarginals:
         assert marginal_pmf(chain, 10 ** 6) == 0.0
         assert marginal_pmf(chain, marginal_pmf_vector(chain).size) == 0.0
 
+    @pytest.mark.parametrize("n", [-1, -3.0, np.int64(-2), -(10 ** 30)])
+    def test_negative_n_has_zero_mass(self, n):
+        # a Python int takes the lookup's fast path; -1 must not index
+        # the vector's last entry
+        chain = ten_leaf_example(alpha=2.0, p=0.45).leaf_marginal_chain(6)
+        assert marginal_pmf(chain, n) == 0.0
+
+    def test_equal_chains_share_one_cached_vector(self):
+        model = ten_leaf_example(alpha=2.0, p=0.45)
+        chain = model.leaf_marginal_chain(6)
+        rebuilt = MarginalChain(tuple(ChainStage(s.c, s.theta_num,
+                                                 s.theta_rest)
+                                      for s in chain.stages), chain.terminal)
+        assert rebuilt is not chain and rebuilt == chain
+        assert hash(rebuilt) == hash(chain) == hash((chain.stages,
+                                                     chain.terminal))
+        assert marginal_pmf_vector(rebuilt) is marginal_pmf_vector(chain)
+
     def test_nb_099_leaf_marginals_in_bounded_memory(self):
         # dense (n_max + 1)^2 stage kernels took 286 MB here
         model = ten_leaf_example(alpha=2.0, p=0.99)
