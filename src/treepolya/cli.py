@@ -4,8 +4,12 @@ describe."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
-from typing import List, Optional, Sequence
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -16,6 +20,10 @@ from .io import (_csv_line, _json_loads, load_counts_csv, parse_model,
 from .model import TreePolyaModel
 from .polya import SUM_LAWS
 from .tree import PartitionTree, _subset_label
+
+# rows a block of `sample` draws from one stream: block 0 from the seed's
+# generator, block b >= 1 from its b-th spawned child
+SAMPLE_BLOCK_ROWS = 1 << 15
 
 
 def _read_model(path: str):
@@ -117,12 +125,46 @@ def _cmd_pmf(args) -> None:
     _write_text(args.out, _csv_text(["row", "log_pmf"], rows))
 
 
+def _sample_blocks(model: TreePolyaModel, n: int,
+                   seed: int) -> Iterator[np.ndarray]:
+    """``n`` exact draws from ``model`` as row blocks, in order.
+
+    Block b holds rows ``b * SAMPLE_BLOCK_ROWS`` up to the next block's
+    first row.  Block 0 is drawn from ``default_rng(seed)`` itself and
+    block b >= 1 from the b-th of that generator's spawned children, so
+    the rows depend only on the model, ``seed`` and ``n``.  Blocks are
+    drawn on one thread per usable CPU (numpy's array draws release the
+    GIL), at most workers + 1 of them ahead of the block last yielded, so
+    memory is bounded by the blocks in flight.  Closing the generator
+    cancels the queued blocks and waits for the running ones."""
+    rng = np.random.default_rng(seed)
+    starts = range(0, n, SAMPLE_BLOCK_ROWS)
+    streams = [rng, *rng.spawn(len(starts) - 1)]
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        workers = os.cpu_count() or 1
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending: deque = deque()
+        for start, stream in zip(starts, streams):
+            size = min(SAMPLE_BLOCK_ROWS, n - start)
+            pending.append(pool.submit(model.sample_many, size, stream))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_sample(args) -> None:
     model, names = _read_model(args.model)
     if args.n <= 0:
         raise UsageError("--n must be positive")
-    rng = np.random.default_rng(args.seed)
-    write_counts_csv(args.out, model.sample_many(args.n, rng), names)
+    with contextlib.closing(_sample_blocks(model, args.n, args.seed)) \
+            as blocks:
+        write_counts_csv(args.out, blocks, names)
 
 
 def _cmd_moments(args) -> None:

@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -133,6 +133,20 @@ def _nb_profile_score(alpha: float, totals: np.ndarray,
     return score, dscore
 
 
+def _binomial_profile_step(size: int, surv: np.ndarray, n: int,
+                           ybar: float) -> float:
+    """l(size + 1) - l(size) for the binomial log-likelihood of n totals
+    profiled over prob = ybar / size, from their survival counts S(u):
+    l(N) = sum_u S(u) log(N - u) + n ybar log(ybar / N)
+    + n (N - ybar) log(1 - ybar / N), plus terms free of N."""
+    def tail(m):  # (m - ybar) log(1 - ybar / m), 0 at m = ybar
+        return (m - ybar) * math.log1p(-ybar / m) if m > ybar else 0.0
+
+    u = np.arange(surv.size)
+    return float(surv @ np.log1p(1.0 / (size - u))) + n * (
+        tail(size + 1) - tail(size) - ybar * math.log1p(1.0 / size))
+
+
 def fit_sum_law(totals, family: str) -> FitResult:
     """MLE of the grand-total law.
 
@@ -172,19 +186,23 @@ def fit_sum_law(totals, family: str) -> FitResult:
         if float(totals.var()) >= ybar:
             raise DomainError("totals show no underdispersion; the binomial "
                               "profile has no finite maximum in size")
-        best = None
-        size = int(totals.max())
-        worse_streak = 0
-        while worse_streak < 30:
-            prob = min(ybar / size, 1.0 - 1e-12)
-            ll = float(sumlaw_log_pmf_many(totals, law(size, prob)).sum())
-            if best is None or ll > best[0]:
-                best = (ll, size, prob)
-                worse_streak = 0
+        # the profile is unimodal in size (DeRiggi 1983): the MLE is the
+        # first size from the largest total whose step does not rise,
+        # bracketed by doubling, then found by bisection
+        surv = _survival_counts(np.bincount(totals), n)
+        lo = hi = int(totals.max())
+        while _binomial_profile_step(hi, surv, n, ybar) > 0:
+            lo, hi = hi, 2 * hi
+            if hi > 2 ** 53:
+                raise DomainError("totals are too close to Poisson for the "
+                                  "binomial size to be resolved")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _binomial_profile_step(mid, surv, n, ybar) > 0:
+                lo = mid
             else:
-                worse_streak += 1
-            size += 1
-        return result({"size": best[1], "prob": best[2]})
+                hi = mid
+        return result({"size": hi, "prob": min(ybar / hi, 1.0 - 1e-12)})
 
     var = float(totals.var())
     if ybar == 0:
@@ -551,6 +569,7 @@ class _FitCache:
         self.counts = counts
         self.cache: Dict[frozenset, Tuple[float, Optional[np.ndarray]]] = {}
         self.starts: Dict[frozenset, Tuple[Optional[dict], list]] = {}
+        self.merged_keys: List[frozenset] = []
         self.subsets: Dict[tuple, Tuple[np.ndarray, float]] = {}
         self.moments: Dict[tuple, Dict[tuple, Optional[Tuple[float, float]]]] \
             = {}
@@ -595,6 +614,21 @@ class _FitCache:
         key = frozenset(children)
         if key not in self.cache and key not in self.starts:
             self.starts[key] = (start, parts)
+            if parts:
+                self.merged_keys.append(key)
+
+    def end_round(self) -> None:
+        """Drop the starts that no later round can ask for: those of the
+        nodes asked with ``parts`` since the last call.  Such a node has
+        a child merged from parts, so it is a round's outer node after a
+        move, and every later round of the search sees a different outer
+        node.  The other nodes are over single leaves, and their starts
+        are kept: a later create round asks the same leaf pairs again,
+        and the transfer rounds inside a created node can ask again a
+        grown node of the round that grew it."""
+        for key in self.merged_keys:
+            self.starts.pop(key, None)
+        self.merged_keys.clear()
 
     def fit(self, children: Sequence[Tuple[int, ...]],
             start: Optional[dict] = None, parts: list = ()
@@ -946,6 +980,7 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
                 miss = max(miss, abs(scores[i] - delta))
             if best is None or (delta, i) < best:
                 best = (delta, i)
+        cache.end_round()
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("search round at %s, %s: %d moves scored, %d fully "
                        "fitted, %d unscreenable, best ΔAIC %s", label,

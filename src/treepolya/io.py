@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import os
 import re
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
@@ -137,29 +139,54 @@ def _encode_counts(block: np.ndarray) -> bytes:
     return cells[keep].tobytes()
 
 
+def _count_block(rows, names: Tuple[str, ...]) -> CountMatrix:
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
+        raise UsageError(f"counts must be integers, not {rows.dtype}")
+    return CountMatrix(names, rows.astype(np.int64, copy=False))
+
+
 def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
     """Write a header and nonnegative integer rows as the CSV that
     :func:`load_counts_csv` reads; ``out`` None or "-" is stdout.
+
+    ``rows`` is a matrix (an array, list or tuple), or any other iterable
+    of row blocks, each a matrix, written in order as they arrive.  Each
+    block is checked as a count matrix, the first before ``out`` is
+    opened.  A block that fails its check, or an iterable that raises,
+    leaves no partial file: a regular file ``out`` is removed.
 
     The header is :func:`_csv_line` of the names.  The rows' text is that
     of ``",".join(map(str, row))`` per row, encoded
     straight to bytes in blocks of at most ``_WRITE_BLOCK_ENTRIES``
     cells, so memory stays bounded however many rows there are.
     """
-    rows = np.asarray(rows)
-    if rows.dtype.kind not in "iu":
-        raise UsageError(f"counts must be integers, not {rows.dtype}")
-    counts = CountMatrix(tuple(names), rows.astype(np.int64, copy=False))
+    names = tuple(names)
+    blocks = (_count_block(block, names) for block in
+              ((rows,) if isinstance(rows, (np.ndarray, list, tuple))
+               else rows))
+    counts = next(blocks, None)
+    if counts is None:
+        raise ValidationError("count matrix needs at least one row",
+                              ["no row blocks"])
     step = max(1, _WRITE_BLOCK_ENTRIES // counts.n_columns)
     to_stdout = out is None or out == "-"
     if to_stdout:
         sys.stdout.flush()  # keep earlier text ahead of the bytes
     with (contextlib.nullcontext(sys.stdout.buffer) if to_stdout
           else open(out, "wb")) as fh:
-        fh.write((_csv_line(counts.column_names) + "\n").encode("utf-8"))
-        for start in range(0, counts.n_sites, step):
-            fh.write(_encode_counts(counts.rows[start:start + step]))
-        fh.flush()
+        try:
+            fh.write((_csv_line(names) + "\n").encode("utf-8"))
+            while counts is not None:
+                for start in range(0, counts.n_sites, step):
+                    fh.write(_encode_counts(counts.rows[start:start + step]))
+                counts = next(blocks, None)
+            fh.flush()
+        except BaseException:
+            if not to_stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.close()
+                os.remove(out)
+            raise
 
 
 # ---------------------------------------------------------------------

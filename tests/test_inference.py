@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import treepolya.fit as fit_module
@@ -12,9 +12,9 @@ from treepolya.exceptions import ConvergenceError, DomainError, UsageError
 from treepolya.fit import (fit_node_dm, fit_node_multinomial, fit_sum_law,
                            fit_tree, node_data, search_tree, select_node_split)
 from treepolya.model import TreePolyaModel
-from treepolya.polya import (Dirac, NegativeBinomial, SplitSpec,
+from treepolya.polya import (Binomial, Dirac, NegativeBinomial, SplitSpec,
                              polya_log_pmf_many, polya_sample_many,
-                             sumlaw_sample_many)
+                             sumlaw_log_pmf_many, sumlaw_sample_many)
 from treepolya.tree import PartitionTree, incidence_matrix
 
 from search_oracle import exhaustive_grow_node, exhaustive_search
@@ -62,6 +62,41 @@ class TestSumLawFit:
         assert fit.params["size"] == pytest.approx(20, abs=3)
         assert fit.params["size"] * fit.params["prob"] == pytest.approx(
             8.0, rel=0.02)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(size=st.integers(1, 40), prob=st.floats(0.05, 0.95),
+           rows=st.integers(2, 30), seed=st.integers(0, 2 ** 32 - 1))
+    def test_binomial_size_is_the_profile_maximum(self, size, prob, rows,
+                                                  seed):
+        """On small underdispersed samples the bisected size is the
+        maximum of a brute-force scan of the binomial log-likelihood over
+        every size up to far past it."""
+        totals = np.random.default_rng(seed).binomial(size, prob, rows)
+        assume(0 < totals.var() < 0.9 * totals.mean())
+        fit = fit_sum_law(totals, "binomial")
+        ybar = totals.mean()
+        sizes = np.arange(totals.max(), 20 * totals.max() + 20)
+        scan = [sumlaw_log_pmf_many(totals, Binomial(int(m), ybar / m)).sum()
+                for m in sizes]
+        best = int(np.argmax(scan))
+        assert fit.params["size"] < sizes[-1]
+        assert fit.log_lik == pytest.approx(scan[best], abs=1e-9)
+        if max(np.delete(scan, best)) < scan[best] - 1e-9:
+            assert fit.params["size"] == sizes[best]
+
+    def test_a_large_binomial_size_is_bisected(self, monkeypatch):
+        """s^2 = 99.32 just below the mean 99.98 puts the size near
+        15 000.  A walk up from the largest total took 0.6 s and stopped
+        at 15 045, fooled by rounding in a profile that moves by 1e-10
+        there; 15 049 is the maximum in 40-digit arithmetic."""
+        totals = np.random.default_rng(44).binomial(20_000, 0.005, 200)
+        steps = []
+        original = fit_module._binomial_profile_step
+        monkeypatch.setattr(
+            fit_module, "_binomial_profile_step",
+            lambda *args: steps.append(args[0]) or original(*args))
+        assert fit_sum_law(totals, "binomial").params["size"] == 15_049
+        assert len(steps) <= 2 * math.log2(15_049)
 
     def test_underdispersed_rejected_for_nb(self, rng):
         totals = rng.binomial(10, 0.5, size=2_000)
@@ -675,6 +710,37 @@ class TestScreen:
         assert asked.fit(outer, later) == \
             fit_module._FitCache(counts).fit(outer, first)
         assert not asked.starts
+
+    def test_only_single_leaf_starts_outlive_their_round(self, monkeypatch):
+        """Three planted groups of five leaves.  At each round's end the
+        cache keeps only the starts of nodes over single leaves.  One of
+        them, {12}, {14}, {15}, is asked in a transfer round at the root,
+        left unfitted there and fitted inside the created node
+        {11,...,15} from its kept start, as the exhaustive loop fits it;
+        fitted from that node's own start it lands 7e-12 away."""
+        groups = [list(range(k, k + 5)) for k in (1, 6, 11)]
+        tree = PartitionTree.from_nested(groups)
+        splits = {tree.ROOT: SplitSpec(1, (4 / 3,) * 3)}
+        splits.update({tree.node_by_subset(tuple(g)): SplitSpec(1, (4.0,) * 5)
+                       for g in groups})
+        counts = TreePolyaModel(tree, splits, NegativeBinomial(1.5, 0.995)
+                                ).sample_many(200, np.random.default_rng(1))
+        kept = set()
+        original = fit_module._FitCache.end_round
+
+        def end_round(cache):
+            original(cache)
+            assert all(len(child) == 1 for key in cache.starts
+                       for child in key)
+            kept.update(cache.starts)
+
+        monkeypatch.setattr(fit_module._FitCache, "end_round", end_round)
+        trace, cache = _search_trace(counts)
+        oracle_trace, oracle = exhaustive_search(counts)
+        assert trace == oracle_trace
+        assert frozenset([(12,), (14,), (15,)]) in kept & set(cache.cache)
+        assert all(cache.cache[key][0] == oracle.cache[key][0]
+                   for key in cache.cache)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ import treepolya
 from treepolya import cli, io
 from treepolya.cli import main
 from treepolya.examples import TEN_LEAF_NESTED, ten_leaf_example
-from treepolya.exceptions import ParseError, TreePolyaError
+from treepolya.exceptions import DomainError, ParseError, TreePolyaError
 from treepolya.io import (load_counts_csv, parse_model, serialize_model,
                           write_counts_csv)
 from treepolya.model import TreePolyaModel
@@ -121,6 +123,30 @@ class TestCountWriter:
         rows = np.array([[0, 9, 1], [3, 0, 0], [100, 7, 0], [0, 0, 5],
                          [0, 12345, 0]])
         self._write(tmp_path / "x.csv", rows, block_entries=6)
+
+    def test_row_blocks_are_written_in_order(self, tmp_path):
+        rows = np.arange(60).reshape(12, 5) * 37
+        path = tmp_path / "x.csv"
+        names = [f"c{j}" for j in range(5)]
+        write_counts_csv(str(path), iter([rows[:5], rows[5:6], rows[6:]]),
+                         names)
+        assert path.read_bytes() == _reference_csv(rows.tolist(), names)
+
+    def test_a_failing_block_leaves_no_partial_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("kept\n")
+        # the first block is checked before the file is opened
+        with pytest.raises(TreePolyaError, match="integers"):
+            write_counts_csv(str(path), iter([np.array([[1.0, 2.0]])]),
+                             ["a", "b"])
+        assert path.read_text() == "kept\n"
+        with pytest.raises(TreePolyaError, match="negative"):
+            write_counts_csv(str(path), iter([np.array([[1, 2]]),
+                                              np.array([[3, -4]])]),
+                             ["a", "b"])
+        assert not path.exists()
+        with pytest.raises(TreePolyaError, match="at least one row"):
+            write_counts_csv(str(path), iter([]), ["a", "b"])
 
     def test_negative_count_is_categorised(self, tmp_path):
         with pytest.raises(TreePolyaError) as err:
@@ -485,6 +511,86 @@ class TestCli:
         rc = main(["pmf", "--model", model_file, "--obs", str(obs)])
         assert rc == 1
         assert "error[usage]" in capsys.readouterr().err
+
+
+class TestBlockedSample:
+    """``sample`` draws SAMPLE_BLOCK_ROWS-row blocks (64 here, so 1 000
+    rows are 16 blocks): block 0 from the seed's generator, block b from
+    its b-th spawned child, written in block order."""
+
+    N = 1_000
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_ROWS", 64)
+
+    def _sample(self, model_file, out, n=N, seed=7):
+        return main(["sample", "--model", model_file, "--n", str(n),
+                     "--seed", str(seed), "--out", str(out)])
+
+    def test_blocks_come_from_the_seed_and_its_spawned_children(
+            self, model_file, tmp_path):
+        out, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
+        assert self._sample(model_file, out) == 0
+        rng = np.random.default_rng(7)
+        sizes = [64] * 15 + [self.N - 15 * 64]
+        rows = np.concatenate([
+            ten_leaf_example().sample_many(size, stream)
+            for size, stream in zip(sizes, [rng, *rng.spawn(15)])])
+        write_counts_csv(str(ref), rows, [f"s{j}" for j in range(1, 11)])
+        assert out.read_bytes() == ref.read_bytes()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            ("71b77a884be7a8e4582c2b8a446772b9"
+             "b4d10137acd0556acf2b9fcb0c996b9b")
+
+    def test_bytes_do_not_depend_on_the_worker_count(
+            self, model_file, tmp_path, monkeypatch):
+        digests = set()
+        for workers in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, k=workers: set(range(k)),
+                                raising=False)
+            out = tmp_path / f"w{workers}.csv"
+            assert self._sample(model_file, out) == 0
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
+
+    def test_a_failing_block_leaves_no_file_and_no_thread(
+            self, model_file, tmp_path, monkeypatch, capsys):
+        original = TreePolyaModel.sample_many
+        calls = []
+
+        def fail_second(self, size, rng):
+            calls.append(size)
+            if len(calls) == 2:
+                raise DomainError("block two fails")
+            return original(self, size, rng)
+
+        monkeypatch.setattr(TreePolyaModel, "sample_many", fail_second)
+        before = set(threading.enumerate())
+        out = tmp_path / "s.csv"
+        assert self._sample(model_file, out) == 1
+        assert capsys.readouterr().err == "error[domain]: block two fails\n"
+        assert not out.exists()
+        assert set(threading.enumerate()) == before
+
+    def test_memory_stays_within_a_few_blocks(self, model_file, tmp_path,
+                                               monkeypatch):
+        """Fifty blocks on two workers: the peak is the blocks in flight,
+        the two running draws and the encoder's buffers, about 12 blocks'
+        bytes, well below the 50-block n x J matrix."""
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        block_bytes = 1024 * 10 * 8
+        tracemalloc.start()
+        try:
+            assert self._sample(model_file, tmp_path / "s.csv",
+                                n=50 * 1024) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * block_bytes
 
 
 ODD_NAMES = ["x,y", 'say "hi"', "cr\r\nlf"] + [f"s{j}" for j in range(4, 11)]
