@@ -36,16 +36,15 @@ DIVERGENCE_THETA = 1e8
 THETA_FLOOR = 1e-10
 NB_TOL = 1e-10
 NB_MAX_ITER = 200
-DM_TOL = 1e-8
-DM_MAX_ITER = 200
+# the DM Newton iteration (:func:`_lockstep_max`): its stop on half the
+# Newton decrement, in log-likelihood units, and its iteration budget
+NEWTON_TOL = 1e-7
+NEWTON_MAX_ITER = 50
 AIC_EPSILON = 1e-6  # the least AIC drop that a search move must make
 MAX_MOVES = 10_000  # the search's move budget
-# the search's move screen: the Newton stop of its lockstep maxima (in
-# log-likelihood units) and their step budget, the entries of one stacked
-# array, and the stop rule's margin in AIC units, max(SCREEN_MARGIN,
-# SCREEN_SHARE * |best ΔAIC|)
-SCREEN_TOL = 1e-7
-SCREEN_MAX_ITER = 50
+# the search's move screen: the entries of one stacked array, and the
+# stop rule's margin in AIC units, max(SCREEN_MARGIN, SCREEN_SHARE *
+# |best ΔAIC|)
 SCREEN_BLOCK = 1 << 16
 SCREEN_MARGIN = 2.0
 SCREEN_SHARE = 0.1
@@ -351,24 +350,6 @@ class _DmAggregates:
             self.tot_surv @ np.log(theta.sum() + self.tot_u)) \
             + float(per_column.sum())
 
-    def derivatives(self, theta: np.ndarray
-                    ) -> Tuple[np.ndarray, float, np.ndarray]:
-        """Gradient and the Hessian q*ones + diag(d) as (grad, q, d),
-        both from one reciprocal matrix 1/(theta+u)."""
-        recip = 1.0 / (theta[:, None] + self.u)
-        weighted = self.surv * recip
-        tot_shift = theta.sum() + self.tot_u
-        grad = weighted.sum(axis=1) - float(self.tot_surv @ (1.0 / tot_shift))
-        q = float(self.tot_surv @ (1.0 / tot_shift ** 2))
-        return grad, q, -(weighted * recip).sum(axis=1)
-
-    def fixed_point_step(self, theta: np.ndarray) -> np.ndarray:
-        denom = float(self.tot_surv @ (1.0 / (theta.sum() + self.tot_u)))
-        if denom <= 0:
-            return theta
-        numer = (self.surv / (theta[:, None] + self.u)).sum(axis=1)
-        return theta * numer / denom
-
 
 def _dm_moment_init(pbar: np.ndarray, pvar: np.ndarray) -> np.ndarray:
     """Moment-matching start (Mosimann) from the column proportions'
@@ -382,18 +363,21 @@ def _dm_moment_init(pbar: np.ndarray, pvar: np.ndarray) -> np.ndarray:
 
 
 def fit_node_dm(data, start=None) -> FitResult:
-    """Newton MLE of the Dirichlet-multinomial weight vector.
+    """MLE of the Dirichlet-multinomial weight vector.
 
     ``data`` is the node's count matrix (rows x children), or its
     prebuilt :class:`_DmAggregates`, which is what the structure search
-    passes.  Starts from moment matching, refines by a few fixed-point
-    sweeps, then Newton steps with a rank-one Hessian solve and
-    backtracking.  A given ``start`` weight vector replaces the moment
-    start and the sweeps when it is at least as likely as the moment
-    start (a start taken from another node's fit can lie far off), and
-    the Newton steps begin there.  A weight-sum drifting past the
-    divergence threshold (the multinomial boundary at infinity) sets
-    ``divergence_flag`` instead of failing.
+    passes.  The weights of the children with counts are the one problem
+    of :func:`_lockstep_max`, a damped Newton iteration in log weights
+    that stops once half the Newton decrement is below ``NEWTON_TOL``
+    (log-likelihood units); the other children keep the floor weight.
+    It starts from moment matching, or from a given ``start`` weight
+    vector when that is at least as likely (a start taken from another
+    node's fit can lie far off).  ``iterations`` counts the Newton
+    iterations.  A maximiser whose weight sum is past the divergence
+    threshold (the multinomial boundary at infinity) sets
+    ``divergence_flag`` instead of failing; one that is not reached
+    within ``NEWTON_MAX_ITER`` iterations raises ConvergenceError.
     """
     agg = data if isinstance(data, _DmAggregates) \
         else _DmAggregates.from_matrix(_count_table(data))
@@ -404,72 +388,22 @@ def fit_node_dm(data, start=None) -> FitResult:
     if start is not None and np.shape(start) != (k,):
         raise UsageError(f"start has shape {np.shape(start)}, the node has "
                          f"{k} children")
-    log_lik = agg.log_lik
-
-    theta, ll = agg.start, None
+    theta = agg.start.copy()
     if start is not None:
         warm = np.where(free, np.maximum(start, THETA_FLOOR), THETA_FLOOR)
-        warm_ll = log_lik(warm)
-        if warm_ll >= log_lik(theta):
-            theta, ll = warm, warm_ll
-    if ll is None:
-        # fixed-point warm-up (Minka-style ratio update)
-        for _ in range(10):
-            new = agg.fixed_point_step(theta)
-            theta = np.maximum(np.where(free, new, THETA_FLOOR), THETA_FLOOR)
-            if theta.sum() > DIVERGENCE_THETA:
-                return FitResult("dm", {"theta": theta}, log_lik(theta), k,
-                                 converged=False, divergence_flag=True)
-        ll = log_lik(theta)
-
-    iterations = 0
-    for iterations in range(1, DM_MAX_ITER + 1):
-        grad, q, diag = agg.derivatives(theta)
-        # the likelihood is only resolvable to ~|ll| * eps, so the
-        # gradient criterion scales with the problem size
-        if np.max(np.abs(grad[free])) < DM_TOL * (1.0 + abs(ll)):
-            return FitResult("dm", {"theta": theta}, ll, k,
-                             iterations=iterations)
-        # Hessian = diag + q * ones; Sherman-Morrison solve on the free set
-        d = diag[free]
-        g = grad[free]
-        if np.any(np.abs(d) < 1e-300):
-            return FitResult("dm", {"theta": theta}, ll, k, converged=False,
-                             divergence_flag=True)
-        inv_dg = g / d
-        inv_d1 = 1.0 / d
-        denom = 1.0 + q * inv_d1.sum()
-        if abs(denom) < 1e-12:
-            return FitResult("dm", {"theta": theta}, ll, k, converged=False,
-                             divergence_flag=True)
-        step = inv_dg - q * inv_d1 * (inv_dg.sum() / denom)
-        direction = np.zeros(k)
-        direction[free] = -step
-        if float(direction[free] @ g) < 0:
-            direction[free] = g  # fall back to ascent when Newton is not
-        scale = 1.0
-        for _ in range(50):
-            cand = theta + scale * direction
-            if np.all(cand[free] > 0):
-                cand = np.maximum(cand, THETA_FLOOR)
-                cand_ll = log_lik(cand)
-                if cand_ll >= ll:
-                    break
-            scale *= 0.5
-        else:
-            return FitResult("dm", {"theta": theta}, ll, k,
-                             iterations=iterations)
-        progress = cand_ll - ll
-        theta, ll = cand, cand_ll
-        if theta.sum() > DIVERGENCE_THETA:
-            return FitResult("dm", {"theta": theta}, ll, k, converged=False,
-                             iterations=iterations, divergence_flag=True)
-        if progress <= 4.0 * np.finfo(float).eps * (1.0 + abs(ll)):
-            return FitResult("dm", {"theta": theta}, ll, k,
-                             iterations=iterations)
-    raise ConvergenceError(
-        f"Dirichlet-multinomial Newton did not converge in {DM_MAX_ITER} "
-        "iterations")
+        if agg.log_lik(warm) >= agg.log_lik(theta):
+            theta = warm
+    best, x, steps, done = _lockstep_max(
+        agg.tot_surv[None], theta[~free].sum(), agg.surv[free][None],
+        theta[free][None])
+    if not done[0]:
+        raise ConvergenceError("Dirichlet-multinomial Newton did not "
+                               f"converge in {NEWTON_MAX_ITER} iterations")
+    theta[free] = x[0]
+    diverged = bool(theta.sum() > DIVERGENCE_THETA)
+    return FitResult("dm", {"theta": theta}, agg.log_coef + float(best[0]), k,
+                     converged=not diverged, iterations=int(steps[0]),
+                     divergence_flag=diverged)
 
 
 def _dm_fit(data, start=None) -> Optional[FitResult]:
@@ -709,10 +643,10 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
     the DM log-likelihood in the weights x of a node's free children, up
     to terms without them; ``tot`` may hold one row for every problem.
     Damped Newton in log x from ``start``: each step is halved until it
-    raises f, and a problem stops once its Newton decrement is below
-    ``SCREEN_TOL`` or no step raises f.  Returns the maxima, their
-    arguments and a mask of the problems that stopped within
-    ``SCREEN_MAX_ITER`` steps.
+    raises f, and a problem stops once half its Newton decrement is below
+    ``NEWTON_TOL`` or no step raises f.  Returns the maxima, their
+    arguments, each problem's number of iterations and a mask of the
+    problems that stopped within ``NEWTON_MAX_ITER`` iterations.
     """
     count = cols.shape[0]
     u_tot = np.arange(tot.shape[1], dtype=float)
@@ -729,11 +663,13 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
 
     x = np.array(start, dtype=float)
     best = value(np.arange(count), x)
+    steps = np.zeros(count, dtype=int)
     done = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    for _ in range(SCREEN_MAX_ITER):
+    for _ in range(NEWTON_MAX_ITER):
         if active.size == 0:
             break
+        steps[active] += 1
         xa = x[active]
         a1, a2, b1, b2 = _derivative_sums(tot_rows(active), fixed[active],
                                           cols[active], xa)
@@ -746,8 +682,20 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
             newton = -(inv_g - inv_x * (
                 a2 * (xa * inv_g).sum(axis=1) / denom)[:, None])
         concave = np.all(d < 0, axis=1) & (denom > 0)
-        step = np.where(concave[:, None], newton, grad)
-        stop = concave & ((grad * step).sum(axis=1) < 2.0 * SCREEN_TOL)
+        step = newton
+        if not concave.all():
+            # where H is not negative definite, the Newton step on -|H|
+            # (each eigenvalue's sign made negative) ascends; a flat
+            # direction's long step is cut by the cap below
+            bent = ~concave
+            xb = xa[bent]
+            w, v = np.linalg.eigh(d[bent][:, :, None] * np.eye(xb.shape[1])
+                                  + a2[bent, None, None] * xb[:, :, None]
+                                  * xb[:, None, :])
+            coef = (v * grad[bent][:, :, None]).sum(axis=1)
+            step[bent] = (v * (coef / np.maximum(np.abs(w), 1e-12))[:, None, :]
+                          ).sum(axis=2)
+        stop = concave & ((grad * step).sum(axis=1) < 2.0 * NEWTON_TOL)
         done[active[stop]] = True
         active, xa, step = active[~stop], xa[~stop], step[~stop]
         step *= np.minimum(1.0, 4.0 / np.abs(step).max(axis=1,
@@ -766,7 +714,7 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
         # no step raises f: the problem is at its maximum to rounding
         done[active[trying]] = True
         active = np.delete(active, trying)
-    return best, x, done
+    return best, x, steps, done
 
 
 def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
@@ -877,7 +825,7 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
         parts_w = np.array([[outer_w[c] for c in row + grown]
                             for row in moved]).sum(axis=1)
         merged_cols = merged[:, None, :]
-        outer_max, outer_x, outer_ok = _lockstep_max(
+        outer_max, outer_x, _, outer_ok = _lockstep_max(
             tot, theta_sum - parts_w, merged_cols, parts_w[:, None])
         kept = np.ones((len(idx), len(outer)), dtype=bool)
         for row, i in enumerate(idx):
@@ -891,7 +839,7 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
         for row, parts in enumerate(moved):
             for j, c in enumerate(parts + free_inner):
                 cols[row, j, :surv[c].size] = surv[c]
-        grown_max, _, grown_ok = _lockstep_max(
+        grown_max, _, _, grown_ok = _lockstep_max(
             merged, fixed, cols, [[outer_w[c] for c in row]
                                   + [inner_w[c] for c in free_inner]
                                   for row in moved])

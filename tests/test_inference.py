@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import treepolya.fit as fit_module
 from treepolya.exceptions import ConvergenceError, DomainError, UsageError
@@ -167,6 +168,53 @@ class TestNodeFits:
         assert warm.iterations == 1
         assert warm.log_lik == pytest.approx(cold.log_lik, abs=1e-9)
 
+    def test_near_multinomial_fit_reaches_the_maximum(self):
+        """A two-column multinomial with a 1% DM admixture: the
+        likelihood is nearly flat in the weights' scale (maximum at a
+        weight sum of ~1700), where a gradient stop ended the fit 0.013
+        short.  The fit reaches the independent maximum, and so do fits
+        from a moment start moved 100-fold either way and from a given
+        start 100 times the maximiser."""
+        rng = np.random.default_rng(1)
+        rows = 10_000
+        multi = rng.multinomial(40, [0.4, 0.6], size=rows)
+        mixed = rng.random(rows) < 0.01
+        dm = polya_sample_many(np.full(rows, 40), SplitSpec(1, (4.0, 6.0)),
+                               rng)
+        data = np.where(mixed[:, None], dm, multi)
+        agg = fit_module._DmAggregates.from_matrix(data)
+        reference = _tight_dm_max(agg)
+        cold = fit_node_dm(data)
+        assert not cold.divergence_flag
+        assert cold.log_lik == pytest.approx(reference, abs=1e-6)
+        fits = [fit_node_dm(data, start=100 * cold.params["theta"])]
+        for scale in (0.01, 100.0):
+            moved = fit_module._DmAggregates.from_matrix(data)
+            moved.start = scale * moved.start
+            fits.append(fit_node_dm(moved))
+        for fit in fits:
+            assert fit.log_lik == pytest.approx(cold.log_lik, abs=1e-6)
+
+    def test_multinomial_data_diverge_to_the_stand_in(self):
+        """Multinomial data whose DM likelihood rises all the way to the
+        multinomial limit: the DM fit passes the divergence threshold,
+        and node selection and fit_tree report the flagged multinomial."""
+        rng = np.random.default_rng(6)
+        data = polya_sample_many(np.full(4_000, 40),
+                                 SplitSpec(0, (0.3, 0.7)), rng)
+        agg = fit_module._DmAggregates.from_matrix(data)
+        pi = data.sum(axis=0) / data.sum()
+        along = [agg.log_lik(pi * 10.0 ** e) for e in range(2, 13)]
+        assert np.all(np.diff(along) > 0)  # the sample is underdispersed
+        fit = fit_node_dm(data)
+        assert fit.divergence_flag and not fit.converged
+        assert fit.params["theta"].sum() > fit_module.DIVERGENCE_THETA
+        sel = select_node_split(data)
+        assert sel.kind == "multinomial" and sel.divergence_flag
+        _, report = fit_tree(PartitionTree.flat(2), data, family="dirac")
+        node = report["rows"][1]
+        assert node["kind"] == "multinomial" and node["divergence"]
+
     def test_zero_column_handled(self, rng):
         data = polya_sample_many(np.full(200, 20),
                                  SplitSpec(1, (1.0, 3.0)), rng)
@@ -202,23 +250,66 @@ class TestDmAggregates:
                                                    abs=1e-10)
 
     @settings(max_examples=80, deadline=None)
-    @given(case=node_counts())
-    def test_derivatives_match_central_differences(self, case):
+    @given(case=node_counts(), fixed=st.floats(1e-3, 10.0))
+    def test_derivatives_match_central_differences(self, case, fixed):
+        """The sums of :func:`fit._derivative_sums` give the gradient
+        b1 - a1 and the Hessian a2 * ones - diag(b2) of
+        :func:`fit._lockstep_max`'s objective, for three problems at once
+        that share one row of totals and hold positive fixed weights."""
         data, theta = case
         agg = fit_module._DmAggregates.from_matrix(data)
-        grad, q, diag = agg.derivatives(theta)
-        hessian = q + np.diag(diag)
-        for j in range(theta.size):
-            step = np.zeros(theta.size)
-            step[j] = 1e-5 * theta[j]
-            width = 2 * step[j]
-            num_grad = (agg.log_lik(theta + step)
-                        - agg.log_lik(theta - step)) / width
-            assert num_grad == pytest.approx(grad[j], rel=1e-5, abs=1e-4)
-            num_col = (agg.derivatives(theta + step)[0]
-                       - agg.derivatives(theta - step)[0]) / width
-            assert num_col == pytest.approx(hessian[:, j], rel=1e-5,
+        k = theta.size
+        x = theta * np.array([[1.0], [0.3], [4.0]])
+        fixed = fixed * np.array([1.0, 0.1, 20.0])
+        cols = np.broadcast_to(agg.surv, (3, *agg.surv.shape))
+
+        def objective(x):
+            return np.array([
+                (agg.surv * np.log(xi[:, None] + agg.u)).sum()
+                - agg.tot_surv @ np.log(fi + xi.sum() + agg.tot_u)
+                for xi, fi in zip(x, fixed)])
+
+        def gradient(x):
+            a1, _, b1, _ = fit_module._derivative_sums(
+                agg.tot_surv[None], fixed, cols, x)
+            return b1 - a1[:, None]
+
+        _, a2, _, b2 = fit_module._derivative_sums(agg.tot_surv[None], fixed,
+                                                   cols, x)
+        hessian = a2[:, None, None] - b2[:, :, None] * np.eye(k)
+        for j in range(k):
+            step = np.zeros_like(x)
+            step[:, j] = 1e-5 * x[:, j]
+            width = 2 * step[:, j]
+            num_grad = (objective(x + step) - objective(x - step)) / width
+            assert num_grad == pytest.approx(gradient(x)[:, j], rel=1e-5,
+                                             abs=1e-4)
+            num_col = (gradient(x + step) - gradient(x - step)) \
+                / width[:, None]
+            assert num_col == pytest.approx(hessian[:, :, j], rel=1e-5,
                                             abs=1e-4)
+
+
+def _tight_dm_max(agg) -> float:
+    """The maximum of a node's DM log-likelihood (``agg.log_lik``) over
+    the log weights of its children with counts, the others at the floor
+    weight: scipy's Nelder-Mead from the moment start, restarted twice
+    from where it ends.  It uses the likelihood's values only, so it
+    checks the fit's Newton iteration and its stop from outside."""
+    free = agg.free
+
+    def neg_log_lik(log_w):
+        theta = np.full(free.size, fit_module.THETA_FLOOR)
+        theta[free] = np.exp(log_w)
+        return -agg.log_lik(theta)
+
+    log_w = np.log(agg.start[free])
+    for _ in range(3):
+        res = minimize(neg_log_lik, log_w, method="Nelder-Mead",
+                       options={"xatol": 1e-9, "fatol": 1e-11,
+                                "maxfev": 20_000, "adaptive": True})
+        log_w = res.x
+    return -res.fun
 
 
 @st.composite
@@ -564,6 +655,10 @@ def _three_node_model():
 
 class TestSearchFits:
     def test_cached_aics_match_cold_fits(self):
+        """Every cached AIC is the node's cold fit, and the independent
+        maximum's: a DM entry within 1e-6 of 2k minus twice that maximum,
+        a multinomial stand-in where the DM likelihood does not rise
+        above the multinomial's."""
         counts = _three_node_model().sample_many(
             3_000, np.random.default_rng(108))
         cache = fit_module._FitCache(counts)
@@ -579,6 +674,13 @@ class TestSearchFits:
                 cold = fit_node_multinomial(data)
             assert aic == pytest.approx(cold.aic, abs=1e-6), sorted(key)
             assert (weights is None) == (cold.kind == "multinomial")
+            reference = _tight_dm_max(fit_module._DmAggregates.from_matrix(
+                data.astype(np.int64)))
+            if weights is None:
+                assert reference <= cold.log_lik + 1e-6, sorted(key)
+            else:
+                assert aic == pytest.approx(2 * len(key) - 2 * reference,
+                                            abs=1e-6), sorted(key)
             warm += weights is not None
         assert warm > 0
 
@@ -672,8 +774,8 @@ class TestScreen:
         assert np.isnan(scores).all()
 
     def test_lockstep_maxima_are_the_dm_fits(self):
-        """A node's DM fit and the lockstep maximum with every weight free
-        agree, for several nodes at once."""
+        """The lockstep maxima with every weight free, for several nodes
+        at once, are each node's independent maximum and its DM fit."""
         rng = np.random.default_rng(117)
         nodes = [rng.negative_binomial(2.0, 0.3, size=(400, 3)),
                  rng.negative_binomial(5.0, 0.5, size=(400, 3))]
@@ -685,10 +787,12 @@ class TestScreen:
         for i, agg in enumerate(aggs):
             tot[i, :agg.tot_surv.size] = agg.tot_surv
             cols[i, :, :agg.surv.shape[1]] = agg.surv
-        best, x, done = fit_module._lockstep_max(
+        best, x, steps, done = fit_module._lockstep_max(
             tot, 0.0, cols, [agg.start for agg in aggs])
-        assert done.all()
+        assert done.all() and np.all(steps > 1)
         for i, (data, agg) in enumerate(zip(nodes, aggs)):
+            assert best[i] + agg.log_coef == pytest.approx(
+                _tight_dm_max(agg), abs=1e-6)
             fit = fit_node_dm(data)
             assert best[i] + agg.log_coef == pytest.approx(fit.log_lik,
                                                            abs=1e-6)
@@ -822,16 +926,18 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.fcd4388c64000p+3"),
-            ("create", root, [5, 6], "-0x1.0f9bc40643000p+1"),
-            ("transfer", root, [4, 5, 6], "-0x1.177e60c773000p+1")]
+            ("create", root, [1, 2], "-0x1.fcd4388c56000p+3"),
+            ("create", root, [5, 6], "-0x1.0f9bc4064b000p+1"),
+            ("transfer", root, [4, 5, 6], "-0x1.177e60c7a9000p+1")]
         assert trace == exhaustive_search(counts)[0]
 
     def test_candidates_of_a_multinomial_base_start_cold(self, monkeypatch):
-        """Near-multinomial data stop well short of the divergence
-        threshold, so the flat base's DM fit is made to diverge: it falls
-        back to the multinomial and the first round's candidates start
-        cold."""
+        """The flat base has an interior DM maximum (leaves 1-3 are
+        overdispersed among themselves), so its DM fit is made to
+        diverge: it falls back to the multinomial and the first round's
+        candidates start cold.  The pair {4}, {5}, a multinomial split in
+        the model, passes the divergence threshold by itself, and its
+        multinomial stand-in makes the first move."""
         tree = PartitionTree.from_nested([[1, 2, 3], 4, 5])
         splits = {tree.ROOT: SplitSpec(0, (0.4, 0.3, 0.3)),
                   tree.node_by_subset((1, 2, 3)): SplitSpec(1, (20.0,) * 3)}
@@ -848,10 +954,12 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5}"
         assert trace == [
-            ("create", root, [1, 3], "-0x1.aa7231e2e0000p+4"),
-            ("transfer", root, [1, 2, 3], "-0x1.5d81804b16000p+2")]
+            ("create", root, [4, 5], "-0x1.cba4bb947a400p+4"),
+            ("create", root, [1, 3], "-0x1.744e96500c000p+1"),
+            ("transfer", root, [1, 2, 3], "-0x1.8608660bc0000p+0")]
         assert [sorted(key) for key, (_, weights) in cache.cache.items()
-                if weights is None] == [[(1,), (2,), (3,), (4,), (5,)]]
+                if weights is None] == [[(1,), (2,), (3,), (4,), (5,)],
+                                        [(4,), (5,)]]
         assert trace == exhaustive_search(counts)[0]
 
     @staticmethod
@@ -867,10 +975,10 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5,6,7}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.7c9029abf5600p+4"),
-            ("create", root, [6, 7], "-0x1.3898602fc4000p+1"),
-            ("transfer", root, [5, 6, 7], "-0x1.86b14353f8000p-2"),
-            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f0c1d4000p-1")]
+            ("create", root, [1, 2], "-0x1.7c9029abad400p+4"),
+            ("create", root, [6, 7], "-0x1.38986030ce000p+1"),
+            ("transfer", root, [5, 6, 7], "-0x1.86b1435cd0000p-2"),
+            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f0be74000p-1")]
         assert all(weights is not None
                    for _, weights in cache.cache.values())
         assert trace == exhaustive_search(counts)[0]
@@ -905,11 +1013,11 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         assert trace == [
-            ("create", root, [7, 8], "-0x1.7420e97ba1400p+4"),
-            ("transfer", root, [6, 7, 8], "-0x1.50e32d8801800p+3"),
-            ("create", root, [2, 4], "-0x1.0863402a32000p+5"),
-            ("transfer", root, [2, 3, 4], "-0x1.3cf119d71e800p+5"),
-            ("create", root, [1, 5], "-0x1.569489fb39000p+1"),
-            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bc676000p-1"),
-            ("create", "{2,3,4}", [2, 3], "-0x1.b68b53fc64000p-2")]
+            ("create", root, [7, 8], "-0x1.7420e97b77c00p+4"),
+            ("transfer", root, [6, 7, 8], "-0x1.50e32d8846800p+3"),
+            ("create", root, [2, 4], "-0x1.08634029f9a00p+5"),
+            ("transfer", root, [2, 3, 4], "-0x1.3cf119d391200p+5"),
+            ("create", root, [1, 5], "-0x1.56948a378b000p+1"),
+            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bc681000p-1"),
+            ("create", "{2,3,4}", [2, 3], "-0x1.b68b53f8c4000p-2")]
         assert trace == exhaustive_search(counts)[0]
