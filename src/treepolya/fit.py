@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -68,14 +68,22 @@ class FitResult:
 
 def _count_matrix(data) -> np.ndarray:
     """``data`` as an int64 array: the count check of the fit layer's entry
-    points.  Integral-valued floats pass; a non-finite, non-integral,
-    negative or int64-overflowing entry is a UsageError."""
+    points.  Integral-valued floats pass; a string, bytes or boolean
+    entry (numpy reads each as a number) and a non-finite, non-integral,
+    negative or int64-overflowing entry are UsageErrors."""
     try:
+        # a list can hide a boolean among ints, which numpy casts to int
+        cells = data if isinstance(data, np.ndarray) \
+            else np.asarray(data, dtype=object)
         data = np.asarray(data)
-        if data.dtype.kind not in "iu":
+        words = data.dtype.kind in "bSU" or (cells.dtype.kind == "O" and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in cells.flat))
+        if data.dtype.kind not in "iu" and not words:
             data = np.asarray(data, dtype=float)
     except (TypeError, ValueError):  # ragged, or not numbers
         raise UsageError("counts must be finite numbers") from None
+    if words:
+        raise UsageError("counts must be numbers")
     if data.dtype.kind == "f":
         if not np.all(np.isfinite(data)):
             raise UsageError("counts must be finite numbers")
@@ -362,22 +370,20 @@ def _dm_moment_init(pbar: np.ndarray, pvar: np.ndarray) -> np.ndarray:
     return np.maximum(pbar, 1e-3) * precision
 
 
-def fit_node_dm(data, start=None) -> FitResult:
+def fit_node_dm(data) -> FitResult:
     """MLE of the Dirichlet-multinomial weight vector.
 
     ``data`` is the node's count matrix (rows x children), or its
     prebuilt :class:`_DmAggregates`, which is what the structure search
     passes.  The weights of the children with counts are the one problem
     of :func:`_lockstep_max`, a damped Newton iteration in log weights
-    that stops once half the Newton decrement is below ``NEWTON_TOL``
-    (log-likelihood units); the other children keep the floor weight.
-    It starts from moment matching, or from a given ``start`` weight
-    vector when that is at least as likely (a start taken from another
-    node's fit can lie far off).  ``iterations`` counts the Newton
-    iterations.  A maximiser whose weight sum is past the divergence
-    threshold (the multinomial boundary at infinity) sets
-    ``divergence_flag`` instead of failing; one that is not reached
-    within ``NEWTON_MAX_ITER`` iterations raises ConvergenceError.
+    from the moment start that stops once half the Newton decrement is
+    below ``NEWTON_TOL`` (log-likelihood units); the other children keep
+    the floor weight.  ``iterations`` counts the Newton iterations.  A
+    maximiser whose weight sum is past the divergence threshold (the
+    multinomial boundary at infinity) sets ``divergence_flag`` instead of
+    failing; one that is not reached within ``NEWTON_MAX_ITER``
+    iterations raises ConvergenceError.
     """
     agg = data if isinstance(data, _DmAggregates) \
         else _DmAggregates.from_matrix(_count_table(data))
@@ -385,14 +391,7 @@ def fit_node_dm(data, start=None) -> FitResult:
         raise UsageError("node has no counts to fit")
     free = agg.free
     k = agg.shape[1]
-    if start is not None and np.shape(start) != (k,):
-        raise UsageError(f"start has shape {np.shape(start)}, the node has "
-                         f"{k} children")
     theta = agg.start.copy()
-    if start is not None:
-        warm = np.where(free, np.maximum(start, THETA_FLOOR), THETA_FLOOR)
-        if agg.log_lik(warm) >= agg.log_lik(theta):
-            theta = warm
     best, x, steps, done = _lockstep_max(
         agg.tot_surv[None], theta[~free].sum(), agg.surv[free][None],
         theta[free][None])
@@ -406,11 +405,11 @@ def fit_node_dm(data, start=None) -> FitResult:
                      divergence_flag=diverged)
 
 
-def _dm_fit(data, start=None) -> Optional[FitResult]:
+def _dm_fit(data) -> Optional[FitResult]:
     """The DM fit, or None when it fails or diverges and the multinomial
     stands in."""
     try:
-        fit = fit_node_dm(data, start=start)
+        fit = fit_node_dm(data)
     except (ConvergenceError, UsageError):
         return None
     return None if fit.divergence_flag else fit
@@ -489,7 +488,8 @@ class _FitCache:
     """DM node fits keyed by the (unordered) composition of child
     subsets.  Each entry holds the AIC and the fitted weights in sorted
     child order, or ``None`` for the weights when the DM fit failed or
-    diverged and the multinomial fit stands in.
+    diverged and the multinomial fit stands in.  A node is fitted once,
+    from its moment start, so its entry depends on the node alone.
 
     A miss assembles the node's :class:`_DmAggregates` from statistics
     kept once: per child subset, the survival row of its subsums (in the
@@ -502,8 +502,6 @@ class _FitCache:
     def __init__(self, counts: np.ndarray):
         self.counts = counts
         self.cache: Dict[frozenset, Tuple[float, Optional[np.ndarray]]] = {}
-        self.starts: Dict[frozenset, Tuple[Optional[dict], list]] = {}
-        self.merged_keys: List[frozenset] = []
         self.subsets: Dict[tuple, Tuple[np.ndarray, float]] = {}
         self.moments: Dict[tuple, Dict[tuple, Optional[Tuple[float, float]]]] \
             = {}
@@ -539,52 +537,14 @@ class _FitCache:
                              [moments[c] for c in order],
                              self.counts.shape[0])
 
-    def ask(self, children: Sequence[Tuple[int, ...]],
-            start: Optional[dict] = None, parts: list = ()) -> None:
-        """Request the node over ``children`` without fitting it: unless
-        it is fitted already, keep the start of its first request, which
-        its fit will use whenever it runs, so that the fitted weights do
-        not depend on which later round happens to fit the node."""
-        key = frozenset(children)
-        if key not in self.cache and key not in self.starts:
-            self.starts[key] = (start, parts)
-            if parts:
-                self.merged_keys.append(key)
-
-    def end_round(self) -> None:
-        """Drop the starts that no later round can ask for: those of the
-        nodes asked with ``parts`` since the last call.  Such a node has
-        a child merged from parts, so it is a round's outer node after a
-        move, and every later round of the search sees a different outer
-        node.  The other nodes are over single leaves, and their starts
-        are kept: a later create round asks the same leaf pairs again,
-        and the transfer rounds inside a created node can ask again a
-        grown node of the round that grew it."""
-        for key in self.merged_keys:
-            self.starts.pop(key, None)
-        self.merged_keys.clear()
-
-    def fit(self, children: Sequence[Tuple[int, ...]],
-            start: Optional[dict] = None, parts: list = ()
+    def fit(self, children: Sequence[Tuple[int, ...]]
             ) -> Tuple[float, Optional[dict]]:
-        """AIC and weights of the node over ``children``.  On a miss the
-        DM fit starts from the start of the node's first request
-        (:meth:`ask`, else this one): ``start[child]`` for each child in
-        ``start``, the sum of ``start[part]`` over ``parts`` for the one
-        child that is not, and cold when there is no start or the started
-        fit fails or diverges."""
+        """AIC and weights of the node over ``children``, fitted on a miss
+        from its moment start."""
         key = frozenset(children)
         if key not in self.cache:
-            start, parts = self.starts.pop(key, (start, parts))
             order = sorted(children)
-            agg = self._aggregates(order)
-            fit = None
-            if start is not None:
-                fit = _dm_fit(agg, start=[
-                    start[c] if c in start else sum(start[p] for p in parts)
-                    for c in order])
-            if fit is None:
-                fit = _dm_fit(agg)
+            fit = _dm_fit(self._aggregates(order))
             if fit is None:
                 data = np.column_stack([self._subsums(c) for c in order])
                 self.cache[key] = (fit_node_multinomial(data).aic, None)
@@ -634,7 +594,7 @@ def _derivative_sums(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
 
 
 def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
-                  start: np.ndarray) -> Tuple[np.ndarray, ...]:
+                  x0: np.ndarray) -> Tuple[np.ndarray, ...]:
     """For every problem i at once, the maximum over x > 0 of
 
         f_i(x) = sum_j sum_u cols[i, j, u] log(x_j + u)
@@ -642,7 +602,7 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
 
     the DM log-likelihood in the weights x of a node's free children, up
     to terms without them; ``tot`` may hold one row for every problem.
-    Damped Newton in log x from ``start``: each step is halved until it
+    Damped Newton in log x from ``x0``: each step is halved until it
     raises f, and a problem stops once half its Newton decrement is below
     ``NEWTON_TOL`` or no step raises f.  Returns the maxima, their
     arguments, each problem's number of iterations and a mask of the
@@ -661,7 +621,7 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
         return (cols[idx] * np.log(x[:, :, None] + u_col)).sum(axis=(1, 2)) \
             - (tot_rows(idx) * np.log(shift)).sum(axis=1)
 
-    x = np.array(start, dtype=float)
+    x = np.array(x0, dtype=float)
     best = value(np.arange(count), x)
     steps = np.zeros(count, dtype=int)
     done = np.zeros(count, dtype=bool)
@@ -872,13 +832,9 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
     the round's fitted moves, if that is larger.  Moves without a score
     are always fitted.
 
-    Candidate DM fits start from the current fits by the aggregation
-    property: the grown node starts at the sum of its parts' weights,
-    every other child at its weight in the node fit it comes from, and a
-    moved leaf at its weight in the outer fit.  Candidates of a base that
-    fell back to multinomial start cold.  A node is fitted from the start
-    of the first round that asked for it (:meth:`_FitCache.ask`), fitted
-    then or not, so that every fit is the one an exhaustive loop makes.
+    Every node is fitted from its moment start (:meth:`_FitCache.fit`),
+    so each fit is the one an exhaustive loop makes, whichever round
+    makes it.
     """
     label = _subset_label(_leaves_under(children))
     created: list = []
@@ -889,26 +845,15 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
         outer = [_leaves_under(ch) for ch in children]
         base, outer_w = cache.fit(outer)
         # in a transfer round: the grown node's subset (a part of every
-        # move), its children's subsets, and the start of its candidates
-        grown, inner, inner_w, inner_start = [], [], None, outer_w
+        # move) and its children's subsets
+        grown, inner, inner_w = [], [], None
         if node is not None:
             grown = [_leaves_under(node)]
             inner = [_leaves_under(ch) for ch in node]
             inner_aic, inner_w = cache.fit(inner)
             base += inner_aic
-            inner_start = None if outer_w is None or inner_w is None \
-                else {**outer_w, **inner_w}
         moves = list(combinations(leaves, 2)) if node is None \
             else [(pos,) for pos in leaves]
-        requests = []
-        for move in moves:
-            moved = [outer[pos] for pos in move]
-            parts = moved + grown
-            merged = tuple(sorted(sum(parts, ())))
-            rest = [s for s in outer if s not in parts] + [merged]
-            cache.ask(rest, outer_w, parts)
-            cache.ask(inner + moved, inner_start)
-            requests.append((rest, inner + moved))
         scores = _screen_scores(cache, moves, outer, outer_w, grown, inner,
                                 inner_w)
         best = None
@@ -921,14 +866,16 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
                 if scores[i] > bar + max(SCREEN_MARGIN, miss,
                                          SCREEN_SHARE * abs(bar)):
                     break
-            rest, grown_node = requests[i]
-            delta = (cache.fit(rest)[0] + cache.fit(grown_node)[0] - base)
+            moved = [outer[pos] for pos in moves[i]]
+            parts = moved + grown
+            rest = [s for s in outer if s not in parts] + [
+                tuple(sorted(chain.from_iterable(parts)))]
+            delta = cache.fit(rest)[0] + cache.fit(inner + moved)[0] - base
             fitted += 1
             if not np.isnan(scores[i]):
                 miss = max(miss, abs(scores[i] - delta))
             if best is None or (delta, i) < best:
                 best = (delta, i)
-        cache.end_round()
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("search round at %s, %s: %d moves scored, %d fully "
                        "fitted, %d unscreenable, best ΔAIC %s", label,

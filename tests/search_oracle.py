@@ -4,7 +4,9 @@ one in ``treepolya.fit``.
 :func:`exhaustive_grow_node` fully fits every move of every round and
 takes the lowest ΔAIC, the first in enumeration order on a tie.  It is the
 search's candidate loop as it was before moves were screened, kept to
-check that screening changes no move and no ΔAIC.
+check that screening changes no move and no ΔAIC.  Its fits are those of
+the same :class:`treepolya.fit._FitCache`, every node from its moment
+start.
 """
 
 from itertools import combinations
@@ -18,8 +20,8 @@ from treepolya.tree import _subset_label
 
 def exhaustive_grow_node(children: list, cache, trace: list) -> list:
     """Greedy node creation among one node's children, in place; returns
-    the created nodes in order of creation.  Same moves, starts and
-    acceptance rule as :func:`treepolya.fit._grow_node`, every move fitted."""
+    the created nodes in order of creation.  Same moves and acceptance
+    rule as :func:`treepolya.fit._grow_node`, every move fitted."""
     leaves_under = fit_module._leaves_under
     label = _subset_label(leaves_under(children))
     created: list = []
@@ -28,15 +30,12 @@ def exhaustive_grow_node(children: list, cache, trace: list) -> list:
         leaves = [idx for idx, ch in enumerate(children)
                   if isinstance(ch, int)]
         outer = [leaves_under(ch) for ch in children]
-        base, outer_w = cache.fit(outer)
-        grown, inner, inner_start = [], [], outer_w
+        base = cache.fit(outer)[0]
+        grown, inner = [], []
         if node is not None:
             grown = [leaves_under(node)]
             inner = [leaves_under(ch) for ch in node]
-            inner_aic, inner_w = cache.fit(inner)
-            base += inner_aic
-            inner_start = None if outer_w is None or inner_w is None \
-                else {**outer_w, **inner_w}
+            base += cache.fit(inner)[0]
         best = None
         for move in (combinations(leaves, 2) if node is None
                      else [(pos,) for pos in leaves]):
@@ -44,10 +43,7 @@ def exhaustive_grow_node(children: list, cache, trace: list) -> list:
             parts = moved + grown
             merged = tuple(sorted(sum(parts, ())))
             rest = [s for s in outer if s not in parts] + [merged]
-            rest_start = None if outer_w is None else {
-                **outer_w, merged: sum(outer_w[p] for p in parts)}
-            delta = (cache.fit(rest, rest_start)[0]
-                     + cache.fit(inner + moved, inner_start)[0] - base)
+            delta = cache.fit(rest)[0] + cache.fit(inner + moved)[0] - base
             if best is None or delta < best[0]:
                 best = (delta, move)
         if best is None or best[0] >= -fit_module.AIC_EPSILON:
