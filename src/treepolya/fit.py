@@ -68,15 +68,16 @@ class FitResult:
 
 def _count_matrix(data) -> np.ndarray:
     """``data`` as an int64 array: the count check of the fit layer's entry
-    points.  Integral-valued floats pass; a string, bytes or boolean
-    entry (numpy reads each as a number) and a non-finite, non-integral,
-    negative or int64-overflowing entry are UsageErrors."""
+    points.  Integral-valued floats pass; a string, bytes, boolean or
+    complex entry (numpy reads each as a number, or casts it to one) and
+    a non-finite, non-integral, negative or int64-overflowing entry are
+    UsageErrors."""
     try:
         # a list can hide a boolean among ints, which numpy casts to int
         cells = data if isinstance(data, np.ndarray) \
             else np.asarray(data, dtype=object)
         data = np.asarray(data)
-        words = data.dtype.kind in "bSU" or (cells.dtype.kind == "O" and any(
+        words = data.dtype.kind in "bcSU" or (cells.dtype.kind == "O" and any(
             isinstance(v, (bool, np.bool_, str, bytes)) for v in cells.flat))
         if data.dtype.kind not in "iu" and not words:
             data = np.asarray(data, dtype=float)
@@ -251,74 +252,44 @@ def _log_factorial_sum(hist: np.ndarray) -> float:
     return float(hist @ gammaln(np.arange(1.0, hist.size + 1)))
 
 
-def _log_multinomial_coef(data: np.ndarray) -> float:
-    """sum_i log(n_i!) - sum_ij log(y_ij!), each from a count histogram."""
-    return _log_factorial_sum(np.bincount(data.sum(axis=1))) \
-        - _log_factorial_sum(np.bincount(data.ravel()))
-
-
-def fit_node_multinomial(data: np.ndarray) -> FitResult:
-    """Column proportions.  A node without counts has log-likelihood 0
-    under every split; it gets uniform proportions and ``empty`` set."""
-    data = _count_table(data)
-    k = data.shape[1]
-    colsum = data.sum(axis=0).astype(float)
-    grand = colsum.sum()
-    if grand <= 0:
-        return FitResult("multinomial", {"pi": np.full(k, 1.0 / k)}, 0.0,
-                         k - 1, empty=True)
-    pi = colsum / grand
-    with np.errstate(divide="ignore"):
-        log_pi = np.where(pi > 0, np.log(np.maximum(pi, 1e-300)), 0.0)
-    ll = _log_multinomial_coef(data) + float(colsum @ log_pi)
-    return FitResult("multinomial", {"pi": pi}, ll, k - 1)
-
-
-def _proportion_moments(col: np.ndarray, totals: np.ndarray
-                        ) -> Optional[Tuple[float, float]]:
-    """Mean and variance of ``col / totals`` over the rows with a positive
-    total, or None when there are none.  Both are sequential sums, the
-    arithmetic of ``props.mean(axis=0)`` and ``props.var(axis=0)`` on the
-    stacked proportion matrix; a one-dimensional ``mean`` sums pairwise
-    and can differ in the last bit."""
-    pos = totals > 0
-    if not pos.any():
-        return None
-    props = col[pos] / totals[pos]
-    mean = float(np.cumsum(props)[-1] / props.size)
-    dev = props - mean
-    return mean, float(np.cumsum(dev * dev)[-1] / props.size)
-
-
 class _DmAggregates:
-    """Sufficient statistics of one node's data: the input of the DM fit.
+    """Sufficient statistics of one node's data: the input of the node
+    fits.
 
     Row j of the K x U matrix ``surv`` holds S_j(u) = #{i : data_ij > u}
     for u = 0..U-1, zero past column j's maximum (U is the largest
     count).  All likelihood quantities reduce to sums over u of
     S(u)/(theta+u) and S(u)*log(theta+u), which are exact (row-order
     independent) and cost one array expression over the matrix instead
-    of O(rows) per evaluation.
+    of O(rows) per evaluation.  So do the moments of the start, since
+    sum_u S(u) and sum_u (2u+1) S(u) are a column's sum and its sum of
+    squares.
 
-    Everything is assembled from per-column statistics (a column's
-    survival row, and the mean and variance of its share of the row
-    totals) and from the totals' survival row and log-factorial sum.
-    Rows whose total is 0 change none of them, so the search's cache
-    keeps these per child subset and node leaf set and builds any node
-    from them (:meth:`_FitCache._aggregates`); :meth:`from_matrix`
-    builds them from a count matrix.  ``free`` marks the columns with
-    counts, ``start`` is the moment start (None for a node without
-    counts) and ``shape`` is the node matrix's shape.
+    Everything is built from survival rows, each child's and that of the
+    row totals, and from the totals' log-factorial sum.  Rows whose total
+    is 0 change none of them, so the search's cache keeps these per leaf
+    subset and builds any node from them (:meth:`_FitCache._aggregates`);
+    :meth:`from_matrix` builds them from a count matrix.  ``free`` marks
+    the columns with counts, ``log_coef`` is the log of the rows'
+    multinomial coefficients, ``start`` is the moment start (None for a
+    node without counts) and ``shape`` is the node matrix's shape.
+
+    The moment start takes the pooled proportions pi_j = sum_u S_j(u) / N1
+    and the precision A whose DM(A pi) expects the cells' summed squares,
+    given the totals:
+
+        sum_j sum_u (2u+1) S_j(u) = (1-R) (N2 + A N1) / (1+A) + R N2,
+
+    with R = sum_j pi_j^2, and N1 and N2 the sum and summed squares of the
+    totals.  A is clipped to [0.1, 1e6] (1e6 when the cells show no
+    overdispersion), and theta_j = A max(pi_j, 1e-3).
     """
 
     def __init__(self, survs: Sequence[np.ndarray],
-                 totals: Tuple[np.ndarray, float],
-                 moments: Sequence[Optional[Tuple[float, float]]],
-                 rows: int):
+                 totals: Tuple[np.ndarray, float], rows: int):
         """``survs`` holds each child's survival row and ``totals`` that
         of the row totals and their log-factorial sum, all over the same
-        ``rows`` rows; ``moments`` holds each child's proportion (mean,
-        variance), or None entries when the node has no counts."""
+        ``rows`` rows."""
         k = len(survs)
         self.surv = np.zeros((k, max((s.size for s in survs), default=0)))
         for j, col_surv in enumerate(survs):
@@ -329,28 +300,43 @@ class _DmAggregates:
         self.tot_u = np.arange(self.tot_surv.size)
         # the cells' count histogram from the survival counts: bin u
         # holds S(u-1) - S(u) summed over the columns, with S(-1) = rows
-        hist = np.diff(-self.surv.sum(axis=0), prepend=-k * rows, append=0)
+        cells = self.surv.sum(axis=0)
+        hist = np.diff(-cells, prepend=-k * rows, append=0)
         self.log_coef = log_fact_totals - _log_factorial_sum(hist)
         self.free = np.array([s.size > 0 for s in survs], dtype=bool)
         self.shape = (rows, k)
         self.start = None
         if self.tot_surv.size:
-            pbar, pvar = (np.array(m) for m in zip(*moments))
-            self.start = np.maximum(_dm_moment_init(pbar, pvar), THETA_FLOOR)
+            n1 = self.tot_surv.sum()
+            n2 = float(self.tot_surv @ (2 * self.tot_u + 1))
+            squares = float(cells @ (2 * self.u + 1))
+            pi = self.surv.sum(axis=1) / n1
+            r = float(pi @ pi)
+            # the moment equation solved for A: A * excess = cross, where
+            # cross is the cross products' sum and excess the cells'
+            # second factorial moment past the multinomial's
+            cross, excess = n2 - squares, squares - n1 - r * (n2 - n1)
+            precision = float(np.clip(cross / excess, 0.1, 1e6)) \
+                if excess > 0 else 1e6
+            self.start = np.maximum(pi, 1e-3) * precision
             self.start[~self.free] = THETA_FLOOR
 
     @classmethod
     def from_matrix(cls, data: np.ndarray) -> "_DmAggregates":
         """Of a checked count matrix (rows x children)."""
         rows = data.shape[0]
-        totals = data.sum(axis=1)
-        totals_hist = np.bincount(totals)
+        totals_hist = np.bincount(data.sum(axis=1))
         return cls([_survival_counts(np.bincount(col), rows)
                     for col in data.T],
                    (_survival_counts(totals_hist, rows),
                     _log_factorial_sum(totals_hist)),
-                   [_proportion_moments(col, totals) for col in data.T],
                    rows)
+
+    @classmethod
+    def of(cls, data) -> "_DmAggregates":
+        """``data`` itself if prebuilt, else those of a count matrix."""
+        return data if isinstance(data, cls) \
+            else cls.from_matrix(_count_table(data))
 
     def log_lik(self, theta: np.ndarray) -> float:
         per_column = (self.surv * np.log(theta[:, None] + self.u)).sum(axis=1)
@@ -359,15 +345,24 @@ class _DmAggregates:
             + float(per_column.sum())
 
 
-def _dm_moment_init(pbar: np.ndarray, pvar: np.ndarray) -> np.ndarray:
-    """Moment-matching start (Mosimann) from the column proportions'
-    means and variances: precision from their average binomial-excess."""
-    keep = (pbar > 0) & (pbar < 1) & (pvar > 0)
-    if not np.any(keep):
-        return np.maximum(pbar, 0.01) * 10.0
-    ratios = pbar[keep] * (1 - pbar[keep]) / pvar[keep] - 1.0
-    precision = float(np.clip(np.median(ratios), 0.1, 1e6))
-    return np.maximum(pbar, 1e-3) * precision
+def fit_node_multinomial(data) -> FitResult:
+    """Column proportions.  ``data`` is the node's count matrix (rows x
+    children) or its prebuilt :class:`_DmAggregates`: the column sums are
+    the sums of the survival rows, and the multinomial coefficients are
+    ``log_coef``.  A node without counts has log-likelihood 0 under every
+    split; it gets uniform proportions and ``empty`` set."""
+    agg = _DmAggregates.of(data)
+    k = agg.shape[1]
+    colsum = agg.surv.sum(axis=1)
+    grand = colsum.sum()
+    if grand <= 0:
+        return FitResult("multinomial", {"pi": np.full(k, 1.0 / k)}, 0.0,
+                         k - 1, empty=True)
+    pi = colsum / grand
+    with np.errstate(divide="ignore"):
+        log_pi = np.where(pi > 0, np.log(np.maximum(pi, 1e-300)), 0.0)
+    ll = agg.log_coef + float(colsum @ log_pi)
+    return FitResult("multinomial", {"pi": pi}, ll, k - 1)
 
 
 def fit_node_dm(data) -> FitResult:
@@ -385,8 +380,7 @@ def fit_node_dm(data) -> FitResult:
     failing; one that is not reached within ``NEWTON_MAX_ITER``
     iterations raises ConvergenceError.
     """
-    agg = data if isinstance(data, _DmAggregates) \
-        else _DmAggregates.from_matrix(_count_table(data))
+    agg = _DmAggregates.of(data)
     if agg.tot_surv.size == 0:
         raise UsageError("node has no counts to fit")
     free = agg.free
@@ -415,14 +409,15 @@ def _dm_fit(data) -> Optional[FitResult]:
     return None if fit.divergence_flag else fit
 
 
-def select_node_split(data: np.ndarray) -> FitResult:
+def select_node_split(data) -> FitResult:
     """Lower-AIC choice between multinomial and Dirichlet-multinomial;
     the multinomial wins automatically, flagged, when the DM fit fails or
     diverges."""
-    multi = fit_node_multinomial(data)
+    agg = _DmAggregates.of(data)
+    multi = fit_node_multinomial(agg)
     if multi.empty:
         return multi
-    dm = _dm_fit(data)
+    dm = _dm_fit(agg)
     if dm is None:
         multi.divergence_flag = True
         return multi
@@ -492,50 +487,37 @@ class _FitCache:
     from its moment start, so its entry depends on the node alone.
 
     A miss assembles the node's :class:`_DmAggregates` from statistics
-    kept once: per child subset, the survival row of its subsums (in the
+    kept once per leaf subset: the survival row of its subsums (in the
     smallest integer type that holds the row count) and their
-    log-factorial sum, which a node over that leaf set takes for its row
-    totals; and per node leaf set, the proportion mean and variance of
-    each child subset.  A survival row is O(largest count); no per-row
-    array outlives the miss that needed it."""
+    log-factorial sum.  A node takes a child's entry for its column and
+    its leaf set's entry for its row totals, so a node over subsets seen
+    before costs no pass over the rows.  A survival row is O(largest
+    count); no per-row array outlives the miss that needed it."""
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts
         self.cache: Dict[frozenset, Tuple[float, Optional[np.ndarray]]] = {}
         self.subsets: Dict[tuple, Tuple[np.ndarray, float]] = {}
-        self.moments: Dict[tuple, Dict[tuple, Optional[Tuple[float, float]]]] \
-            = {}
-
-    def _keep_subset(self, leaves: tuple, subsums: np.ndarray) -> None:
-        """Keep the survival row and log-factorial sum of ``subsums``, the
-        row sums over ``leaves``, unless they are kept already."""
-        if leaves not in self.subsets:
-            rows = self.counts.shape[0]
-            hist = np.bincount(subsums)
-            self.subsets[leaves] = (
-                _survival_counts(hist, rows).astype(np.min_scalar_type(rows)),
-                _log_factorial_sum(hist))
 
     def _subsums(self, leaves: Sequence[int]) -> np.ndarray:
         return self.counts[:, np.subtract(leaves, 1)].sum(axis=1)
 
+    def _subset(self, leaves: tuple) -> Tuple[np.ndarray, float]:
+        """The survival row and log-factorial sum of the row sums over
+        ``leaves``, computed on first use."""
+        if leaves not in self.subsets:
+            rows = self.counts.shape[0]
+            hist = np.bincount(self._subsums(leaves))
+            self.subsets[leaves] = (
+                _survival_counts(hist, rows).astype(np.min_scalar_type(rows)),
+                _log_factorial_sum(hist))
+        return self.subsets[leaves]
+
     def _aggregates(self, order: Sequence[Tuple[int, ...]]) -> _DmAggregates:
-        """The node over the child subsets ``order``, from the kept
-        statistics, computing the missing ones."""
-        leaf_set = tuple(sorted(chain.from_iterable(order)))
-        moments = self.moments.setdefault(leaf_set, {})
-        missing = [c for c in order if c not in moments]
-        if missing or leaf_set not in self.subsets:
-            totals = self._subsums(leaf_set)
-            self._keep_subset(leaf_set, totals)
-            for child in missing:
-                col = self._subsums(child)
-                self._keep_subset(child, col)
-                moments[child] = _proportion_moments(col, totals)
-        return _DmAggregates([self.subsets[c][0] for c in order],
-                             self.subsets[leaf_set],
-                             [moments[c] for c in order],
-                             self.counts.shape[0])
+        """The node over the child subsets ``order``."""
+        return _DmAggregates([self._subset(c)[0] for c in order],
+                             self._subset(tuple(sorted(chain.from_iterable(
+                                 order)))), self.counts.shape[0])
 
     def fit(self, children: Sequence[Tuple[int, ...]]
             ) -> Tuple[float, Optional[dict]]:
@@ -543,13 +525,10 @@ class _FitCache:
         from its moment start."""
         key = frozenset(children)
         if key not in self.cache:
-            order = sorted(children)
-            fit = _dm_fit(self._aggregates(order))
-            if fit is None:
-                data = np.column_stack([self._subsums(c) for c in order])
-                self.cache[key] = (fit_node_multinomial(data).aic, None)
-            else:
-                self.cache[key] = (fit.aic, fit.params["theta"])
+            agg = self._aggregates(sorted(children))
+            fit = _dm_fit(agg)
+            self.cache[key] = (fit_node_multinomial(agg).aic, None) \
+                if fit is None else (fit.aic, fit.params["theta"])
         aic, theta = self.cache[key]
         return aic, None if theta is None else dict(zip(sorted(key), theta))
 

@@ -168,8 +168,12 @@ def sumlaw_support_max(law: SumLaw) -> Optional[int]:
 
 
 def count_array(y) -> np.ndarray:
-    """Counts as floats; NaN or infinite entries are a usage error."""
-    y = np.asarray(y, dtype=float)
+    """Counts as floats; complex, NaN or infinite entries are a usage
+    error."""
+    y = np.asarray(y)
+    if y.dtype.kind == "c":
+        raise UsageError("counts must be numbers")
+    y = y.astype(float, copy=False)
     if not np.all(np.isfinite(y)):
         raise UsageError("counts must be finite numbers")
     return y

@@ -339,7 +339,7 @@ def search_nodes(draw):
 def _stacked_aggregates(data):
     """surv, log_coef and moment start of a node matrix as whole-matrix
     expressions over its rows with positive totals: the reference for
-    the per-column assembly."""
+    the assembly from survival rows."""
     totals = data.sum(axis=1)
     data, totals = data[totals > 0], totals[totals > 0]
     width = int(data.max(initial=0)) + 1
@@ -347,11 +347,19 @@ def _stacked_aggregates(data):
                        minlength=data.shape[1] * width
                        ).reshape(data.shape[1], width)
     surv = (data.shape[0] - np.cumsum(hist, axis=1))[:, :-1].astype(float)
-    props = data / totals[:, None]
-    start = np.maximum(fit_module._dm_moment_init(
-        props.mean(axis=0), props.var(axis=0)), fit_module.THETA_FLOOR)
+    log_coef = fit_module._log_factorial_sum(np.bincount(totals)) \
+        - fit_module._log_factorial_sum(np.bincount(data.ravel()))
+    # pooled proportions, and the precision whose DM expects the cells'
+    # summed squares given the totals
+    n1, n2, squares = totals.sum(), (totals ** 2).sum(), (data ** 2).sum()
+    pi = data.sum(axis=0) / n1
+    r = pi @ pi
+    excess = squares - n1 - r * (n2 - n1)
+    precision = np.clip((n2 - squares) / excess, 0.1, 1e6) \
+        if excess > 0 else 1e6
+    start = np.maximum(pi, 1e-3) * precision
     start[data.sum(axis=0) == 0] = fit_module.THETA_FLOOR
-    return surv, fit_module._log_multinomial_coef(data), start
+    return surv, log_coef, start
 
 
 class TestAggregateConstructors:
@@ -380,6 +388,25 @@ class TestAggregateConstructors:
         assert np.array_equal(from_matrix.surv, surv)
         assert from_matrix.log_coef.hex() == log_coef.hex()
         assert np.array_equal(from_matrix.start, start)
+
+    def test_one_pass_over_the_rows_per_leaf_subset(self, monkeypatch):
+        """The cache keeps one statistic per leaf subset, so a node over
+        subsets it holds costs no pass over the rows: after the flat node
+        and the node {1}, {2}, the node {1,2}, {3}, {4} costs none."""
+        counts = np.random.default_rng(118).integers(0, 6, size=(50, 4))
+        cache = fit_module._FitCache(counts)
+        passes = []
+        subsums = cache._subsums
+        monkeypatch.setattr(cache, "_subsums", lambda leaves: passes.append(
+            tuple(leaves)) or subsums(leaves))
+        cache.fit([(1,), (2,), (3,), (4,)])
+        assert sorted(passes) == [(1,), (1, 2, 3, 4), (2,), (3,), (4,)]
+        passes.clear()
+        cache.fit([(1,), (2,)])
+        assert passes == [(1, 2)]
+        passes.clear()
+        cache.fit([(1, 2), (3,), (4,)])
+        assert passes == []
 
 
 class TestNodeData:
@@ -485,15 +512,18 @@ class TestCountChecks:
     @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
     @pytest.mark.parametrize("bad", [
         "strings", "string_among_ints", "bytes", "boolean_among_ints",
-        "booleans"])
+        "booleans", "complex_among_ints"])
     def test_non_numbers_are_a_usage_error(self, entry, bad):
-        # numpy read each of these as counts, and they were fitted
+        # numpy read each of these as counts, and they were fitted (a
+        # complex count by its real part, with a ComplexWarning)
         counts = self._counts().astype(int)
         data = {"strings": lambda: counts.astype(str),
                 "string_among_ints": lambda: self._with_first_cell("2"),
                 "bytes": lambda: counts.astype(bytes),
                 "boolean_among_ints": lambda: self._with_first_cell(True),
-                "booleans": lambda: counts > 2}[bad]()
+                "booleans": lambda: counts > 2,
+                "complex_among_ints": lambda: self._with_first_cell(
+                    complex(2, 1))}[bad]()
         with pytest.raises(UsageError, match="counts must be numbers"):
             COUNT_ENTRY_POINTS[entry](data)
 
@@ -925,9 +955,9 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.fcd4388a59000p+3"),
-            ("create", root, [5, 6], "-0x1.0f9bc4062c000p+1"),
-            ("transfer", root, [4, 5, 6], "-0x1.177e60c76a000p+1")]
+            ("create", root, [1, 2], "-0x1.fcd4388c65800p+3"),
+            ("create", root, [5, 6], "-0x1.0f9bc40619000p+1"),
+            ("transfer", root, [4, 5, 6], "-0x1.177e60c365000p+1")]
         assert trace == exhaustive_search(counts)[0]
 
     def test_candidates_of_a_multinomial_base_start_cold(self, monkeypatch):
@@ -953,9 +983,9 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5}"
         assert trace == [
-            ("create", root, [4, 5], "-0x1.cba4bb947a400p+4"),
-            ("create", root, [1, 3], "-0x1.744e96500c000p+1"),
-            ("transfer", root, [1, 2, 3], "-0x1.8608660bc0000p+0")]
+            ("create", root, [4, 5], "-0x1.cba4bb8e9a400p+4"),
+            ("create", root, [1, 3], "-0x1.744e95f980000p+1"),
+            ("transfer", root, [1, 2, 3], "-0x1.860866d678000p+0")]
         assert [sorted(key) for key, (_, weights) in cache.cache.items()
                 if weights is None] == [[(1,), (2,), (3,), (4,), (5,)],
                                         [(4,), (5,)]]
@@ -974,10 +1004,10 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5,6,7}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.7c902998a9400p+4"),
-            ("create", root, [6, 7], "-0x1.3898602fc6000p+1"),
-            ("transfer", root, [5, 6, 7], "-0x1.86b14353f0000p-2"),
-            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f0bd98000p-1")]
+            ("create", root, [1, 2], "-0x1.7c9029ab08c00p+4"),
+            ("create", root, [6, 7], "-0x1.389860325a000p+1"),
+            ("transfer", root, [5, 6, 7], "-0x1.86b1437988000p-2"),
+            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f09c14000p-1")]
         assert all(weights is not None
                    for _, weights in cache.cache.values())
         assert trace == exhaustive_search(counts)[0]
@@ -1012,11 +1042,11 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         assert trace == [
-            ("create", root, [7, 8], "-0x1.7420e9412fc00p+4"),
-            ("transfer", root, [6, 7, 8], "-0x1.50e32dcd08000p+3"),
-            ("create", root, [2, 4], "-0x1.0863403173a00p+5"),
-            ("transfer", root, [2, 3, 4], "-0x1.3cf119d813b00p+5"),
-            ("create", root, [1, 5], "-0x1.569489f7f1000p+1"),
-            ("create", "{6,7,8}", [6, 7], "-0x1.a49869d5af000p-1"),
-            ("create", "{2,3,4}", [2, 3], "-0x1.b68b55cb1c000p-2")]
+            ("create", root, [7, 8], "-0x1.7420e97948c00p+4"),
+            ("transfer", root, [6, 7, 8], "-0x1.50e32d8b02800p+3"),
+            ("create", root, [2, 4], "-0x1.0863402a23d00p+5"),
+            ("transfer", root, [2, 3, 4], "-0x1.3cf119d72d600p+5"),
+            ("create", root, [1, 5], "-0x1.569489fb34000p+1"),
+            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bdd79000p-1"),
+            ("create", "{2,3,4}", [2, 3], "-0x1.b68b52e348000p-2")]
         assert trace == exhaustive_search(counts)[0]

@@ -116,10 +116,12 @@ class TestJointPmf:
         assert model.joint_log_pmf_many(y[None, :])[0] == -math.inf
         assert polya_pmf([1.5, 0.5], SplitSpec(1, (1.0, 2.0))).sign == 0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, 2)])
     def test_nan_or_infinite_count_is_usage_error(self, bad):
+        # a complex count was a bare TypeError in a list, and an array's
+        # complex counts were cast to their real parts
         model = ten_leaf_example()
-        y = np.ones(10)
+        y = np.ones(10, dtype=type(bad))
         y[2] = bad
         with pytest.raises(UsageError):
             model.joint_log_pmf(y)
@@ -339,7 +341,8 @@ class TestMarginals:
         assert marginal_pmf(chain, 2.5) == 0.0
         assert marginal_pmf(chain, 2.0) == marginal_pmf(chain, 2) > 0.0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(2, 1)])
     def test_nan_or_infinite_n_is_usage_error(self, bad):
         chain = ten_leaf_example(alpha=2.0, p=0.45).leaf_marginal_chain(6)
         with pytest.raises(UsageError):
