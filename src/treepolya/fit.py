@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from .exceptions import ConvergenceError, DomainError, UsageError
 from .model import TreePolyaModel
-from .polya import SUM_LAWS, SplitSpec, sumlaw_log_pmf_many
+from .polya import SUM_LAWS, SplitSpec, count_int64, sumlaw_log_pmf_many
 from .tree import PartitionTree, _subset_label
 
 __all__ = [
@@ -66,42 +66,14 @@ class FitResult:
         return 2.0 * self.n_params - 2.0 * self.log_lik
 
 
-def _count_matrix(data) -> np.ndarray:
-    """``data`` as an int64 array: the count check of the fit layer's entry
-    points.  Integral-valued floats pass; a string, bytes, boolean or
-    complex entry (numpy reads each as a number, or casts it to one) and
-    a non-finite, non-integral, negative or int64-overflowing entry are
-    UsageErrors."""
-    try:
-        # a list can hide a boolean among ints, which numpy casts to int
-        cells = data if isinstance(data, np.ndarray) \
-            else np.asarray(data, dtype=object)
-        data = np.asarray(data)
-        words = data.dtype.kind in "bcSU" or (cells.dtype.kind == "O" and any(
-            isinstance(v, (bool, np.bool_, str, bytes)) for v in cells.flat))
-        if data.dtype.kind not in "iu" and not words:
-            data = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        raise UsageError("counts must be finite numbers") from None
-    if words:
-        raise UsageError("counts must be numbers")
-    if data.dtype.kind == "f":
-        if not np.all(np.isfinite(data)):
-            raise UsageError("counts must be finite numbers")
-        if np.any(data != np.floor(data)):
-            raise UsageError("counts must be integers")
-    if np.any(data < 0):
-        raise UsageError("counts must be nonnegative")
-    if np.any(data >= 2 ** 63):
-        raise UsageError("counts must be below 2**63, the int64 range")
-    return data.astype(np.int64, copy=False)
-
-
-def _count_table(data) -> np.ndarray:
-    """A count matrix (rows x columns) that passes :func:`_count_matrix`."""
-    data = _count_matrix(data)
+def _count_table(data, tree: Optional[PartitionTree] = None) -> np.ndarray:
+    """Counts as an int64 matrix, one column per leaf of ``tree`` if given."""
+    data = count_int64(data)
     if data.ndim != 2:
         raise UsageError("counts must be a matrix")
+    if tree is not None and data.shape[1] != tree.leaf_count:
+        raise UsageError(f"data has {data.shape[1]} columns, tree has "
+                         f"{tree.leaf_count} leaves")
     return data
 
 
@@ -109,6 +81,7 @@ def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
     """Child-subsum matrix (n_sites x J_A) for one internal node."""
     if tree.is_leaf(node):
         raise UsageError("node data is defined for internal nodes only")
+    counts = _count_table(counts, tree)
     children = tree.incidence[list(tree.children(node))]
     return (counts @ children.T).astype(counts.dtype)
 
@@ -165,7 +138,7 @@ def fit_sum_law(totals, family: str) -> FitResult:
         law = SUM_LAWS[family]
     except (KeyError, TypeError):
         raise UsageError(f"unknown sum-law family {family!r}") from None
-    totals = _count_matrix(totals)
+    totals = count_int64(totals)
     if totals.ndim != 1 or totals.size == 0:
         raise UsageError("totals must be a nonempty vector")
     n = totals.size
@@ -441,10 +414,7 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     (no counts reach the node: a uniform multinomial with log-likelihood
     0).
     """
-    counts = _count_table(counts)
-    if counts.shape[1] != tree.leaf_count:
-        raise UsageError(f"data has {counts.shape[1]} columns, tree has "
-                         f"{tree.leaf_count} leaves")
+    counts = _count_table(counts, tree)
     return _fit_nodes(tree, counts, fit_sum_law(counts.sum(axis=1), family))
 
 

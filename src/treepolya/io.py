@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import ParseError, UsageError, ValidationError
 from .model import TreePolyaModel
-from .polya import SUM_LAWS, SplitSpec, SumLaw
+from .polya import SUM_LAWS, SplitSpec, SumLaw, count_int64, count_numbers
 from .tree import PartitionTree, _subset_label
 
 __all__ = ["CountMatrix", "load_counts_csv", "write_counts_csv",
@@ -29,19 +29,22 @@ SCHEMA_VERSION = "1"
 @dataclass(frozen=True)
 class CountMatrix:
     column_names: Tuple[str, ...]
-    rows: np.ndarray  # n_sites x J, nonnegative integers
+    rows: np.ndarray  # n_sites x J nonnegative integers, kept as int64
 
     def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[0] == 0:
+        rows = count_numbers(self.rows)
+        if rows.dtype.kind not in "iu":
+            raise UsageError(f"counts must be integers, not {rows.dtype}")
+        if rows.ndim != 2 or rows.shape[0] == 0:
             raise ValidationError("count matrix needs at least one row",
                                   ["empty matrix"])
-        if self.rows.shape[1] != len(self.column_names):
+        if rows.shape[1] != len(self.column_names):
             raise ValidationError(
                 "column count does not match header",
-                [f"{len(self.column_names)} names, "
-                 f"{self.rows.shape[1]} columns"])
-        if np.any(self.rows < 0):
+                [f"{len(self.column_names)} names, {rows.shape[1]} columns"])
+        if np.any(rows < 0):
             raise ValidationError("negative counts", ["negative entry"])
+        object.__setattr__(self, "rows", count_int64(rows))
 
     @property
     def n_sites(self) -> int:
@@ -139,13 +142,6 @@ def _encode_counts(block: np.ndarray) -> bytes:
     return cells[keep].tobytes()
 
 
-def _count_block(rows, names: Tuple[str, ...]) -> CountMatrix:
-    rows = np.asarray(rows)
-    if rows.dtype.kind not in "iu":
-        raise UsageError(f"counts must be integers, not {rows.dtype}")
-    return CountMatrix(names, rows.astype(np.int64, copy=False))
-
-
 def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
     """Write a header and nonnegative integer rows as the CSV that
     :func:`load_counts_csv` reads; ``out`` None or "-" is stdout.
@@ -162,7 +158,7 @@ def write_counts_csv(out: Optional[str], rows, names: Sequence[str]) -> None:
     cells, so memory stays bounded however many rows there are.
     """
     names = tuple(names)
-    blocks = (_count_block(block, names) for block in
+    blocks = (CountMatrix(names, block) for block in
               ((rows,) if isinstance(rows, (np.ndarray, list, tuple))
                else rows))
     counts = next(blocks, None)

@@ -19,7 +19,7 @@ from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
 from .polya import (NegativeBinomial, SplitSpec, SumLaw, count_array,
-                    polya_log_pmf_many, polya_sample_many,
+                    count_int64, polya_log_pmf_many, polya_sample_many,
                     sumlaw_factorial_moment, sumlaw_log_pmf_many,
                     sumlaw_sample_many, sumlaw_support_max,
                     sumlaw_truncated_log_pmf)
@@ -174,7 +174,7 @@ class TreePolyaModel:
 
     def joint_log_pmf(self, y) -> LogValue:
         return LogValue.from_log(
-            self.joint_log_pmf_many(np.reshape(y, (1, -1)))[0])
+            self.joint_log_pmf_many(count_array(y).reshape(1, -1))[0])
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws; returns shape (size, J) in leaf order.
@@ -229,11 +229,12 @@ class TreePolyaModel:
 
     def factorial_moment(self, r) -> float:
         """Mixed factorial moment E[prod_j (Y_j)(Y_j-1)...(Y_j-r_j+1)]."""
-        r = np.asarray(r, dtype=np.int64)
+        r = count_array(r)
         if r.shape != (self.tree.leaf_count,):
             raise UsageError("moment order vector must have one entry per leaf")
         if np.any(r < 0):
             raise DomainError("moment orders must be nonnegative")
+        r = count_int64(r)
         total = sumlaw_factorial_moment(int(r.sum()), self.sum_law)
         # the product over splits of (theta_C)_(r_C) / (|theta|)_(r_A) is
         # their p.m.f. at the subsums of r times prod_j r_j! / |r|!

@@ -167,21 +167,50 @@ def sumlaw_support_max(law: SumLaw) -> Optional[int]:
     return None
 
 
-def count_array(y) -> np.ndarray:
-    """Counts as floats; complex, NaN or infinite entries are a usage
-    error."""
-    y = np.asarray(y)
-    if y.dtype.kind == "c":
+def count_numbers(y) -> np.ndarray:
+    """The package's one count gate: ``y`` as an integer or float array.
+    Strings, bytes, booleans, complex values (numpy reads or casts each
+    as a number), ragged input, NaN and infinity are UsageErrors."""
+    try:
+        # a list can hide a boolean among ints, which numpy casts to int
+        cells = y if isinstance(y, np.ndarray) \
+            else np.asarray(y, dtype=object)
+        y = np.asarray(y)
+        words = y.dtype.kind in "bcSU" or (cells.dtype.kind == "O" and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in cells.flat))
+        if y.dtype.kind not in "iu" and not words:
+            y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        raise UsageError("counts must be finite numbers") from None
+    if words:
         raise UsageError("counts must be numbers")
-    y = y.astype(float, copy=False)
-    if not np.all(np.isfinite(y)):
+    if y.dtype.kind == "f" and not np.all(np.isfinite(y)):
         raise UsageError("counts must be finite numbers")
     return y
 
 
+def count_array(y) -> np.ndarray:
+    """Gated counts as floats, for the model layer, which gives a
+    negative or non-integral count zero mass."""
+    return count_numbers(y).astype(float, copy=False)
+
+
+def count_int64(y) -> np.ndarray:
+    """Gated counts as int64, for the fit layer, the sampler and moment
+    orders: a non-integral, negative or ≥ 2**63 count is a UsageError."""
+    y = count_numbers(y)
+    if y.dtype.kind == "f" and np.any(y != np.floor(y)):
+        raise UsageError("counts must be integers")
+    if np.any(y < 0):
+        raise UsageError("counts must be nonnegative")
+    if y.dtype.kind != "i" and np.any(y >= 2 ** 63):
+        raise UsageError("counts must be below 2**63, the int64 range")
+    return y.astype(np.int64, copy=False)
+
+
 def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
     """Log p.m.f. of a sum law at each total; ``-inf`` for zero mass."""
-    n = np.asarray(n, dtype=float)
+    n = count_array(n)
     ok = (n >= 0) & (n == np.floor(n))
     k = np.where(ok, n, 0.0)
     if isinstance(law, Dirac):
@@ -201,13 +230,15 @@ def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
 
 
 def sumlaw_log_pmf(n: int, law: SumLaw) -> LogValue:
-    return LogValue.from_log(sumlaw_log_pmf_many(count_array(n), law))
+    return LogValue.from_log(sumlaw_log_pmf_many(n, law))
 
 
 def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
     """r-th factorial moment E[(N)(N-1)...(N-r+1)]."""
+    r = count_array(r)
     if r < 0:
         raise DomainError("moment order must be nonnegative")
+    r = int(count_int64(r))
     if isinstance(law, Poisson):
         return law.rate ** r
     if isinstance(law, Dirac):
@@ -291,7 +322,7 @@ def sumlaw_truncated_log_pmf(law: SumLaw, tail: float = 1e-14) -> np.ndarray:
 def polya_log_pmf_many(y, spec: SplitSpec) -> np.ndarray:
     """Log p.m.f. of the singular Pólya split at each row of an
     (n, arity) count array; ``-inf`` for rows of zero mass."""
-    y = np.asarray(y, dtype=float)
+    y = count_array(y)
     theta = np.array(spec.theta)
     ok = np.all((y >= 0) & (y == np.floor(y)), axis=1)
     if spec.c == -1:
@@ -316,6 +347,7 @@ def polya_pmf(y, spec: SplitSpec) -> LogValue:
 def polya_uni_pmf(y: int, n: int, theta: float, tau: float,
                   c: int) -> LogValue:
     """Univariate (non-singular) Pólya p.m.f. at y out of a total n."""
+    y, n = count_array([y, n])
     return polya_pmf((y, n - y), SplitSpec(c, (theta, tau)))
 
 
@@ -327,9 +359,7 @@ def polya_sample_many(totals, spec: SplitSpec,
     is binomial (c=0), beta-binomial via a beta draw (c=1), or
     hypergeometric (c=-1).
     """
-    totals = np.asarray(totals, dtype=np.int64)
-    if np.any(totals < 0):
-        raise DomainError("totals must be nonnegative")
+    totals = count_int64(totals)
     if spec.c == -1 and np.any(totals > round(spec.total)):
         raise DomainError("total exceeds |theta| for a hypergeometric split")
     size = totals.shape[0]

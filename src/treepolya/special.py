@@ -19,7 +19,6 @@ from .exceptions import ConvergenceError, DomainError, UsageError
 __all__ = [
     "LogValue",
     "ln_gen_factorial",
-    "ln_gen_factorial_many",
     "pfq_terminating",
     "pfq_convergent",
 ]
@@ -103,8 +102,11 @@ def ln_gen_factorial(theta: float, n: int, c: int) -> LogValue:
         raise UsageError(f"c must be in {{-1, 0, 1}}, got {c}")
     if theta <= 0:
         raise DomainError(f"generalized factorial needs theta > 0, got {theta}")
-    if n < 0:
+    # the count gate lives in polya, which imports this module
+    from .polya import count_array, count_int64
+    if count_array(n) < 0:
         raise DomainError(f"generalized factorial needs n >= 0, got {n}")
+    n = count_int64(n)
     if c == -1 and abs(theta - round(theta)) > _INT_TOL:
         raise DomainError(
             f"falling factorial needs an integer base, got theta={theta}")

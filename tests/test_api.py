@@ -4,12 +4,15 @@
 ``bootstrap.load_lazy`` calls ``treepolya.special.pfq_convergent``; a
 deletion that breaks either should fail here before it breaks a
 benchmark run.  The README's CLI synopsis is checked against the parser
-here too.
+here too, and so is the reach of the count checks: every public entry
+point that takes counts is in ``test_inference``'s table of non-number
+inputs.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 import typing
@@ -21,6 +24,8 @@ import pytest
 import treepolya
 import treepolya.cli  # noqa: F401  (loads every module the CLI uses)
 from treepolya import polya
+
+from test_inference import NON_NUMBER_ENTRY_POINTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,3 +116,36 @@ def test_readme_synopsis_lists_every_option_of_every_verb():
                         {action.option_strings[0] for action in options
                          if not action.required})
     assert _readme_synopsis() == parsed
+
+
+# the parameter names under which the package takes counts (and moment
+# orders, which pass the same check)
+COUNT_PARAMETERS = {"counts", "data", "rows", "y", "n", "totals", "r"}
+
+
+def _count_entry_points():
+    """Names of the public callables with a count parameter: what each
+    module's ``__all__`` lists, and the public methods of its classes."""
+    names = set()
+    for info in pkgutil.iter_modules(treepolya.__path__):
+        module = importlib.import_module(f"treepolya.{info.name}")
+        for name in getattr(module, "__all__", []):
+            obj = getattr(module, name)
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(attr, getattr(obj, attr)) for attr in vars(obj)
+                            if not attr.startswith("_")]
+            for label, member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # not a callable
+                    continue
+                if COUNT_PARAMETERS & set(params):
+                    names.add(label)
+    return names
+
+
+def test_every_count_entry_point_meets_the_non_number_table():
+    names = _count_entry_points()
+    assert {"polya_pmf", "joint_log_pmf_many", "CountMatrix"} <= names
+    assert names == set(NON_NUMBER_ENTRY_POINTS)

@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 from itertools import combinations
 
 import numpy as np
@@ -12,10 +13,14 @@ import treepolya.fit as fit_module
 from treepolya.exceptions import ConvergenceError, DomainError, UsageError
 from treepolya.fit import (fit_node_dm, fit_node_multinomial, fit_sum_law,
                            fit_tree, node_data, search_tree, select_node_split)
-from treepolya.model import TreePolyaModel
+from treepolya.io import CountMatrix, write_counts_csv
+from treepolya.model import TreePolyaModel, marginal_pmf
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, SplitSpec,
-                             polya_log_pmf_many, polya_sample_many,
-                             sumlaw_log_pmf_many, sumlaw_sample_many)
+                             polya_log_pmf_many, polya_pmf, polya_sample_many,
+                             polya_uni_pmf, sumlaw_factorial_moment,
+                             sumlaw_log_pmf, sumlaw_log_pmf_many,
+                             sumlaw_sample_many)
+from treepolya.special import ln_gen_factorial
 from treepolya.tree import PartitionTree, incidence_matrix
 
 from search_oracle import exhaustive_grow_node, exhaustive_search
@@ -416,6 +421,23 @@ class TestNodeData:
         got = node_data(tree, counts, tree.ROOT)
         assert got.tolist() == [[3, 3], [4, 1]]
 
+    @pytest.mark.parametrize("counts, message", [
+        ([[1, 2, 3], [4, 0, 1]], None),
+        (np.array([[1, 2, 3]]).astype(str), "counts must be numbers"),
+        ([[1.5, 2, 3]], "counts must be integers"),
+        (np.array([[1, 2]]), "data has 2 columns, tree has 3 leaves")])
+    def test_counts_pass_the_fit_layer_check(self, counts, message):
+        # a list was a bare AttributeError, strings a bare UFuncTypeError,
+        # 1.5 came back as a float subsum and a wrong width was a bare
+        # ValueError
+        tree = PartitionTree.from_nested([[1, 2], 3])
+        if message is None:
+            got = node_data(tree, counts, tree.ROOT)
+            assert got.dtype == np.int64 and got.tolist() == [[3, 3], [4, 1]]
+            return
+        with pytest.raises(UsageError, match=message):
+            node_data(tree, counts, tree.ROOT)
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -483,6 +505,46 @@ COUNT_ENTRY_POINTS = {
         "poisson"),
     "fit_node_dm": fit_node_dm,
     "fit_node_multinomial": fit_node_multinomial,
+    "select_node_split": select_node_split,
+}
+
+
+def _first_column(x):
+    return x[:, 0] if isinstance(x, np.ndarray) else [row[0] for row in x]
+
+
+_FLAT = PartitionTree.flat(3)
+_SPLIT = SplitSpec(1, (1.0, 2.0, 3.0))
+_LAW = NegativeBinomial(2.0, 0.5)
+_MODEL = TreePolyaModel(_FLAT, {_FLAT.ROOT: _SPLIT}, _LAW)
+
+# every public entry point that takes counts, on the same count matrix:
+# the whole of it, its first row, its first column or its first cell,
+# whichever the entry point takes; the fit layer's entry points first
+NON_NUMBER_ENTRY_POINTS = {
+    **COUNT_ENTRY_POINTS,
+    "node_data": lambda x: node_data(_FLAT, x, _FLAT.ROOT),
+    "joint_log_pmf_many": _MODEL.joint_log_pmf_many,
+    "joint_log_pmf": lambda x: _MODEL.joint_log_pmf(x[0]),
+    "factorial_moment": lambda x: _MODEL.factorial_moment(x[0]),
+    "node_factorial_moment": lambda x: _MODEL.node_factorial_moment(
+        1, x[0][0]),
+    "marginal_pmf": lambda x: marginal_pmf(_MODEL.leaf_marginal_chain(1),
+                                           x[0][0]),
+    "polya_pmf": lambda x: polya_pmf(x[0], _SPLIT),
+    "polya_log_pmf_many": lambda x: polya_log_pmf_many(x, _SPLIT),
+    "polya_uni_pmf": lambda x: polya_uni_pmf(x[0][0], 9, 1.0, 2.0, 1),
+    "polya_sample_many": lambda x: polya_sample_many(
+        _first_column(x), _SPLIT, np.random.default_rng(0)),
+    "sumlaw_log_pmf": lambda x: sumlaw_log_pmf(x[0][0], _LAW),
+    "sumlaw_log_pmf_many": lambda x: sumlaw_log_pmf_many(_first_column(x),
+                                                         _LAW),
+    "sumlaw_factorial_moment": lambda x: sumlaw_factorial_moment(x[0][0],
+                                                                 _LAW),
+    "ln_gen_factorial": lambda x: ln_gen_factorial(2.0, x[0][0], 1),
+    "CountMatrix": lambda x: CountMatrix(("a", "b", "c"), x),
+    "write_counts_csv": lambda x: write_counts_csv(os.devnull, x,
+                                                   ["a", "b", "c"]),
 }
 
 
@@ -509,13 +571,15 @@ class TestCountChecks:
         rows[0][0] = value
         return rows
 
-    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("entry", NON_NUMBER_ENTRY_POINTS)
     @pytest.mark.parametrize("bad", [
         "strings", "string_among_ints", "bytes", "boolean_among_ints",
         "booleans", "complex_among_ints"])
     def test_non_numbers_are_a_usage_error(self, entry, bad):
         # numpy read each of these as counts, and they were fitted (a
-        # complex count by its real part, with a ComplexWarning)
+        # complex count by its real part, with a ComplexWarning); past
+        # the fit layer they were evaluated, drawn from or written, or
+        # raised a bare ValueError or TypeError
         counts = self._counts().astype(int)
         data = {"strings": lambda: counts.astype(str),
                 "string_among_ints": lambda: self._with_first_cell("2"),
@@ -525,7 +589,13 @@ class TestCountChecks:
                 "complex_among_ints": lambda: self._with_first_cell(
                     complex(2, 1))}[bad]()
         with pytest.raises(UsageError, match="counts must be numbers"):
-            COUNT_ENTRY_POINTS[entry](data)
+            NON_NUMBER_ENTRY_POINTS[entry](data)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_int_past_the_float_range_is_a_usage_error(self, entry):
+        # numpy's float cast of it was a bare OverflowError
+        with pytest.raises(UsageError, match="finite numbers"):
+            COUNT_ENTRY_POINTS[entry](self._with_first_cell(10 ** 400))
 
     @pytest.mark.parametrize("family", ["dirac", "poisson", "binomial", "nb"])
     @pytest.mark.parametrize("totals", [[[3, 5], [9, 1]], 4])

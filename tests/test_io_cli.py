@@ -20,7 +20,8 @@ import treepolya
 from treepolya import cli, io
 from treepolya.cli import main
 from treepolya.examples import TEN_LEAF_NESTED, ten_leaf_example
-from treepolya.exceptions import DomainError, ParseError, TreePolyaError
+from treepolya.exceptions import (DomainError, ParseError, TreePolyaError,
+                                  UsageError)
 from treepolya.io import (load_counts_csv, parse_model, serialize_model,
                           write_counts_csv)
 from treepolya.model import TreePolyaModel
@@ -147,6 +148,18 @@ class TestCountWriter:
         assert not path.exists()
         with pytest.raises(TreePolyaError, match="at least one row"):
             write_counts_csv(str(path), iter([]), ["a", "b"])
+
+    def test_count_matrix_checks_its_rows(self):
+        # a float matrix was kept as it came, a list of rows was a bare
+        # AttributeError, and the writer cast a uint64 count of 2**63 to
+        # a negative int64 and reported it as a negative count
+        with pytest.raises(UsageError, match="integers, not float64"):
+            io.CountMatrix(("a",), np.array([[1.5]]))
+        counts = io.CountMatrix(("a", "b"), [[1, 2], [3, 4]])
+        assert counts.rows.dtype == np.int64
+        assert counts.rows.tolist() == [[1, 2], [3, 4]]
+        with pytest.raises(UsageError, match="int64 range"):
+            io.CountMatrix(("a",), np.array([[2 ** 63]], dtype=np.uint64))
 
     def test_negative_count_is_categorised(self, tmp_path):
         with pytest.raises(TreePolyaError) as err:

@@ -13,9 +13,9 @@ from treepolya.model import (ChainStage, MarginalChain, TreePolyaModel,
                              absorb_binomials, marginal_pmf,
                              marginal_pmf_vector)
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
-                             SplitSpec, polya_pmf, sumlaw_log_pmf,
-                             sumlaw_support_max)
-from treepolya.special import pfq_convergent
+                             SplitSpec, polya_pmf, sumlaw_factorial_moment,
+                             sumlaw_log_pmf, sumlaw_support_max)
+from treepolya.special import ln_gen_factorial, pfq_convergent
 from treepolya.tree import PartitionTree
 
 from conftest import enumerate_joint, simplex
@@ -221,6 +221,16 @@ class TestBatchProperties:
                            atol=1e-12)
         perm = rng.permutation(rows.shape[0])
         assert np.array_equal(model.joint_log_pmf_many(rows[perm]), got[perm])
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=small_models(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_form_of_a_count_matrix_gives_the_same_bits(self, model,
+                                                              seed):
+        rows = np.random.default_rng(seed).integers(
+            -1, 9, size=(12, model.tree.leaf_count))
+        got = model.joint_log_pmf_many(rows)
+        for same in (rows.astype(float), rows.tolist()):
+            assert np.array_equal(got, model.joint_log_pmf_many(same))
 
     @settings(max_examples=60, deadline=None)
     @given(model=small_models())
@@ -474,6 +484,33 @@ class TestMoments:
             assert model.node_factorial_moment(node, r) == pytest.approx(
                 vec @ falling, rel=1e-9, abs=1e-12)
             falling *= n - r
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda m: sumlaw_factorial_moment(1.5, Poisson(2.0)), UsageError,
+         "counts must be integers"),
+        (lambda m: m.node_factorial_moment(1, 1.5), UsageError,
+         "counts must be integers"),
+        (lambda m: m.node_factorial_moment(1, True), UsageError,
+         "counts must be numbers"),
+        (lambda m: m.factorial_moment([1.5] + [0] * 9), UsageError,
+         "counts must be integers"),
+        (lambda m: ln_gen_factorial(2.0, 1.5, 1), UsageError,
+         "counts must be integers"),
+        (lambda m: sumlaw_factorial_moment(-1, Poisson(2.0)), DomainError,
+         "moment order must be nonnegative"),
+        (lambda m: m.node_factorial_moment(1, -1), DomainError,
+         "moment order must be nonnegative"),
+        (lambda m: m.factorial_moment([-1] + [0] * 9), DomainError,
+         "moment orders must be nonnegative"),
+        (lambda m: ln_gen_factorial(2.0, -1, 1), DomainError,
+         "n >= 0")], ids=[
+        "sumlaw-1.5", "node-1.5", "node-True", "vector-1.5", "ln_gen-1.5",
+        "sumlaw-neg", "node-neg", "vector-neg", "ln_gen-neg"])
+    def test_orders_pass_the_int64_count_rule(self, call, error, message):
+        # the non-integral and boolean orders were evaluated: 2.83, 0.0,
+        # 57.0, 28.5 (the order cut to 1) and a product of 1.5 factors
+        with pytest.raises(error, match=message):
+            call(ten_leaf_example())
 
     def test_mean_variance_against_enumeration(self):
         model = five_leaf(Dirac(8))

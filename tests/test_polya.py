@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from treepolya import polya
-from treepolya.exceptions import DomainError
+from treepolya.exceptions import DomainError, UsageError
 from treepolya.model import MarginalChain, marginal_pmf
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, polya_sample_many,
@@ -274,6 +274,14 @@ class TestSampling:
         out = polya_sample_many(np.zeros(4, dtype=int),
                                 SplitSpec(0, (0.5, 0.5)), rng)
         assert np.array_equal(out, np.zeros((4, 2), dtype=int))
+
+    @pytest.mark.parametrize("totals, message", [
+        ([2.7, 3], "integers"), ([-1, 3], "nonnegative")])
+    def test_totals_pass_the_int64_count_rule(self, totals, message):
+        # 2.7 was drawn as a total of 2, and -1 was a DomainError
+        with pytest.raises(UsageError, match=message):
+            polya_sample_many(totals, SplitSpec(0, (0.5, 0.5)),
+                              np.random.default_rng(0))
 
     def test_seed_determinism(self):
         a = polya_sample_many(np.full(50, 10), SplitSpec(1, (1.0, 2.0)),
