@@ -6,6 +6,15 @@ subsums and the model AIC is the straight sum of per-node AICs.  Node
 log-likelihoods here include the multinomial coefficients, i.e. they are
 full conditional log-probabilities, which makes the AIC of the assembled
 model identical to 2k minus twice the joint log-likelihood.
+
+Every Dirichlet-multinomial node fit, and every fit in the search's move
+screen, is one damped Newton iteration in log weights
+(:func:`_lockstep_max`) on the node's survival rows.  One pass over
+those rows (:func:`_evaluate`) gives both the log-likelihood at a trial
+point and the sums of its derivatives there, so each trial point costs
+one pass.  A fit whose weights run off towards the multinomial limit
+stops just past ``DIVERGENCE_THETA`` and is flagged; the multinomial
+stands in for it.
 """
 
 from __future__ import annotations
@@ -348,10 +357,11 @@ def fit_node_dm(data) -> FitResult:
     from the moment start that stops once half the Newton decrement is
     below ``NEWTON_TOL`` (log-likelihood units); the other children keep
     the floor weight.  ``iterations`` counts the Newton iterations.  A
-    maximiser whose weight sum is past the divergence threshold (the
-    multinomial boundary at infinity) sets ``divergence_flag`` instead of
-    failing; one that is not reached within ``NEWTON_MAX_ITER``
-    iterations raises ConvergenceError.
+    fit whose weight sum passes the divergence threshold while the
+    likelihood still rises along the weights' scale (towards the
+    multinomial boundary at infinity) stops there and sets
+    ``divergence_flag`` instead of failing; a maximum that is not reached
+    within ``NEWTON_MAX_ITER`` iterations raises ConvergenceError.
     """
     agg = _DmAggregates.of(data)
     if agg.tot_surv.size == 0:
@@ -359,7 +369,7 @@ def fit_node_dm(data) -> FitResult:
     free = agg.free
     k = agg.shape[1]
     theta = agg.start.copy()
-    best, x, steps, done = _lockstep_max(
+    best, x, steps, done, _ = _lockstep_max(
         agg.tot_surv[None], theta[~free].sum(), agg.surv[free][None],
         theta[free][None])
     if not done[0]:
@@ -528,18 +538,26 @@ def _survival_rows(values: np.ndarray) -> np.ndarray:
     return (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
 
 
-def _derivative_sums(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
-                     x: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The sums that the derivatives of :func:`_lockstep_max`'s f take at
-    x: a1 and a2 of tot(u) / (fixed + sum_j x_j + u) and of its square
-    over u, and b1 and b2 of cols_j(u) / (x_j + u) and of its square."""
-    recip = 1.0 / ((fixed + x.sum(axis=1))[:, None]
-                   + np.arange(tot.shape[1], dtype=float))
+def _evaluate(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
+              x: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """:func:`_lockstep_max`'s f at x, and the sums its derivatives take
+    there: a1 and a2 of tot(u) / (fixed + sum_j x_j + u) and of its
+    square over u, and b1 and b2 of cols_j(u) / (x_j + u) and of its
+    square, so that the gradient is b1 - a1 and the Hessian
+    a2 - diag(b2).  The logs and the reciprocals share one pair of
+    shifted arrays."""
+    shift = (fixed + x.sum(axis=1))[:, None] \
+        + np.arange(tot.shape[1], dtype=float)
+    col_shift = x[:, :, None] + np.arange(cols.shape[2], dtype=float)
+    value = (cols * np.log(col_shift)).sum(axis=(1, 2)) \
+        - (tot * np.log(shift)).sum(axis=1)
+    # the reciprocals overwrite the shifts, which are not needed again
+    recip = np.divide(1.0, shift, out=shift)
     weighted = tot * recip
     a1, a2 = weighted.sum(axis=1), (weighted * recip).sum(axis=1)
-    recip = 1.0 / (x[:, :, None] + np.arange(cols.shape[2], dtype=float))
+    recip = np.divide(1.0, col_shift, out=col_shift)
     weighted = cols * recip
-    return a1, a2, weighted.sum(axis=2), (weighted * recip).sum(axis=2)
+    return value, a1, a2, weighted.sum(axis=2), (weighted * recip).sum(axis=2)
 
 
 def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
@@ -552,36 +570,48 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
     the DM log-likelihood in the weights x of a node's free children, up
     to terms without them; ``tot`` may hold one row for every problem.
     Damped Newton in log x from ``x0``: each step is halved until it
-    raises f, and a problem stops once half its Newton decrement is below
-    ``NEWTON_TOL`` or no step raises f.  Returns the maxima, their
-    arguments, each problem's number of iterations and a mask of the
-    problems that stopped within ``NEWTON_MAX_ITER`` iterations.
+    raises f.  A problem stops once half its Newton decrement is below
+    ``NEWTON_TOL``, once no step raises f, or once its weight sum
+    fixed_i + sum_j x_j is past ``DIVERGENCE_THETA`` while f still rises
+    along the scale of x (sum_j of the gradient in log x is positive):
+    it is then on its way to the multinomial limit, which its caller
+    flags.  A step that overshoots a finite maximiser past the threshold
+    meets a falling f along the scale, and comes back.  Returns the
+    maxima, their arguments, each problem's number of iterations, a mask
+    of the problems that stopped within ``NEWTON_MAX_ITER`` iterations,
+    and the derivative sums (a1, a2, b1, b2) of :func:`_evaluate` at the
+    arguments.
+
+    Every trial point costs one :func:`_evaluate`, whose sums at the
+    accepted trial are the next iteration's derivatives.  The active
+    problems' inputs and state are kept compacted, and taken anew only in
+    an iteration where some problem stops.
     """
     count = cols.shape[0]
-    u_tot = np.arange(tot.shape[1], dtype=float)
-    u_col = np.arange(cols.shape[2], dtype=float)
+    shared = tot.shape[0] == 1
     fixed = np.broadcast_to(np.asarray(fixed, dtype=float), (count,))
-
-    def tot_rows(idx):
-        return tot if tot.shape[0] == 1 else tot[idx]
-
-    def value(idx, x):
-        shift = (fixed[idx] + x.sum(axis=1))[:, None] + u_tot
-        return (cols[idx] * np.log(x[:, :, None] + u_col)).sum(axis=(1, 2)) \
-            - (tot_rows(idx) * np.log(shift)).sum(axis=1)
-
-    x = np.array(x0, dtype=float)
-    best = value(np.arange(count), x)
-    steps = np.zeros(count, dtype=int)
+    steps = np.full(count, NEWTON_MAX_ITER)
     done = np.zeros(count, dtype=bool)
+    # x, f and the derivative sums at x: ``state`` over the active
+    # problems, ``final`` over all, filled in as each problem stops
     active = np.arange(count)
-    for _ in range(NEWTON_MAX_ITER):
-        if active.size == 0:
-            break
-        steps[active] += 1
-        xa = x[active]
-        a1, a2, b1, b2 = _derivative_sums(tot_rows(active), fixed[active],
-                                          cols[active], xa)
+    x = np.array(x0, dtype=float)
+    state = (x, *_evaluate(tot, fixed, cols, x))
+    final = [np.empty_like(part) for part in state]
+
+    def retire(leaving, iteration):
+        """Record the problems under mask ``leaving`` as stopped at
+        ``iteration``; return the active set's arrays without them."""
+        idx = active[leaving]
+        for whole, part in zip(final, state):
+            whole[idx] = part[leaving]
+        steps[idx], done[idx] = iteration, True
+        keep = ~leaving
+        return (active[keep], tot if shared else tot[keep], fixed[keep],
+                cols[keep], tuple(part[keep] for part in state))
+
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
+        xa, _, a1, a2, b1, b2 = state
         # gradient and Hessian in log x: H = diag(d) + a2 * x x^T
         grad = xa * (b1 - a1[:, None])
         d = grad - xa * xa * b2
@@ -590,7 +620,7 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
             denom = 1.0 + a2 * (xa * inv_x).sum(axis=1)
             newton = -(inv_g - inv_x * (
                 a2 * (xa * inv_g).sum(axis=1) / denom)[:, None])
-        concave = np.all(d < 0, axis=1) & (denom > 0)
+        concave = (d < 0).all(axis=1) & (denom > 0)
         step = newton
         if not concave.all():
             # where H is not negative definite, the Newton step on -|H|
@@ -604,26 +634,45 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
             coef = (v * grad[bent][:, :, None]).sum(axis=1)
             step[bent] = (v * (coef / np.maximum(np.abs(w), 1e-12))[:, None, :]
                           ).sum(axis=2)
-        stop = concave & ((grad * step).sum(axis=1) < 2.0 * NEWTON_TOL)
-        done[active[stop]] = True
-        active, xa, step = active[~stop], xa[~stop], step[~stop]
+        stop = (concave & ((grad * step).sum(axis=1) < 2.0 * NEWTON_TOL)) | (
+            (fixed + xa.sum(axis=1) > DIVERGENCE_THETA)
+            & (grad.sum(axis=1) > 0))
+        if stop.any():
+            active, tot, fixed, cols, state = retire(stop, iteration)
+            step = step[~stop]
+        if active.size == 0:
+            break
         step *= np.minimum(1.0, 4.0 / np.abs(step).max(axis=1,
                                                        initial=1.0))[:, None]
-        log_x, trying, scale = np.log(xa), np.arange(active.size), 1.0
+        log_x, scale, trying = np.log(state[0]), 1.0, None
         for _ in range(50):
-            trial = np.exp(log_x[trying] + scale * step[trying])
-            trial_value = value(active[trying], trial)
-            up = trial_value > best[active[trying]]
-            x[active[trying[up]]] = trial[up]
-            best[active[trying[up]]] = trial_value[up]
+            # the full step is tried on every active problem, as views
+            pick = slice(None) if trying is None else trying
+            trial = np.exp(log_x[pick] + scale * step[pick])
+            new = (trial, *_evaluate(tot if shared else tot[pick],
+                                     fixed[pick], cols[pick], trial))
+            up = new[1] > state[1][pick]
+            if trying is None:
+                if up.all():
+                    break
+                trying = np.arange(active.size)
+            for kept, fresh in zip(state, new):
+                kept[trying[up]] = fresh[up]
             trying = trying[~up]
             if trying.size == 0:
                 break
             scale *= 0.5
-        # no step raises f: the problem is at its maximum to rounding
-        done[active[trying]] = True
-        active = np.delete(active, trying)
-    return best, x, steps, done
+        if trying is None:
+            state = new
+        elif trying.size:
+            # no step raises f: the problem is at its maximum to rounding
+            failed = np.zeros(active.size, dtype=bool)
+            failed[trying] = True
+            active, tot, fixed, cols, state = retire(failed, iteration)
+    for whole, part in zip(final, state):
+        whole[active] = part
+    x, best, *sums = final
+    return best, x, steps, done, sums
 
 
 def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
@@ -631,11 +680,10 @@ def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
                 kept_theta: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Half the Newton decrement in log weights of a DM node in all its
     weights: the gain that refitting its kept weights too predicts, with
-    the free ones at :func:`_lockstep_max`'s maximum x (``sums`` from
-    :func:`_derivative_sums` there) and the kept ones at their current
-    fit ``kept_theta`` (mask ``kept`` over columns whose b1 and b2 are
-    ``kept_b1`` and ``kept_b2``).  NaN where the node's Hessian there is
-    not negative definite."""
+    the free ones at :func:`_lockstep_max`'s maximum x (``sums`` its
+    derivative sums there) and the kept ones at their current fit ``kept_theta`` (mask ``kept`` over
+    columns whose b1 and b2 are ``kept_b1`` and ``kept_b2``).  NaN where
+    the node's Hessian there is not negative definite."""
     a1, a2, b1, b2 = sums
     count = a1.size
     theta = np.concatenate([x, np.broadcast_to(kept_theta, (count,
@@ -705,8 +753,8 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
         outer_cols[0, j, :surv[c].size] = surv[c]
     # b1 and b2 of each outer child at its fit (0 for a child without
     # counts, whose weight is not free)
-    outer_b = [b[0] for b in _derivative_sums(
-        tot[None, :], np.zeros(1), outer_cols, outer_theta[None, :])[2:]]
+    outer_b = [b[0] for b in _evaluate(
+        tot[None, :], np.zeros(1), outer_cols, outer_theta[None, :])[3:]]
     # in a transfer round the grown node's children with counts are free
     # in its screen, the others stay at their (floor) weights
     free_inner = [c for c in inner if surv[c].size]
@@ -734,21 +782,20 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
         parts_w = np.array([[outer_w[c] for c in row + grown]
                             for row in moved]).sum(axis=1)
         merged_cols = merged[:, None, :]
-        outer_max, outer_x, _, outer_ok = _lockstep_max(
+        outer_max, outer_x, _, outer_ok, outer_sums = _lockstep_max(
             tot, theta_sum - parts_w, merged_cols, parts_w[:, None])
         kept = np.ones((len(idx), len(outer)), dtype=bool)
         for row, i in enumerate(idx):
             kept[row, [outer.index(c) for c in moved[row] + grown]] = False
-        refit = _refit_gain(
-            _derivative_sums(tot, theta_sum - parts_w, merged_cols, outer_x),
-            outer_x, *outer_b, outer_theta, kept & (outer_b[1] > 0))
+        refit = _refit_gain(outer_sums, outer_x, *outer_b, outer_theta,
+                            kept & (outer_b[1] > 0))
         # the grown node: the moved leaves' and its children's weights free
         cols = np.zeros((len(idx), free, max(
             surv[c].size for c in chain(free_inner, *moved))))
         for row, parts in enumerate(moved):
             for j, c in enumerate(parts + free_inner):
                 cols[row, j, :surv[c].size] = surv[c]
-        grown_max, _, _, grown_ok = _lockstep_max(
+        grown_max, _, _, grown_ok, _ = _lockstep_max(
             merged, fixed, cols, [[outer_w[c] for c in row]
                                   + [inner_w[c] for c in free_inner]
                                   for row in moved])

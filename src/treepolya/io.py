@@ -127,8 +127,12 @@ _WRITE_BLOCK_ENTRIES = 1 << 16
 def _encode_counts(block: np.ndarray) -> bytes:
     """CSV bytes of a block of nonnegative int64 rows: every cell's
     digits at the block's widest width, leading zeros masked out, then a
-    comma, or a newline after a row's last cell."""
+    comma, or a newline after a row's last cell.  A block of at most nine
+    digits, below 2**32, takes its digits in uint32, which numpy divides
+    faster than int64."""
     width = len(str(int(block.max())))
+    if width < 10:
+        block = block.astype(np.uint32)
     cells = np.empty(block.shape + (width + 1,), dtype=np.uint8)
     keep = np.ones(cells.shape, dtype=bool)
     rest = block
@@ -239,8 +243,10 @@ def _tree_depth(tree: PartitionTree) -> int:
 
 def serialize_model(model: TreePolyaModel,
                     column_names: Sequence[str] = None) -> str:
-    """Canonical JSON text for a model; leaf names default to the
-    1-based leaf labels.
+    """Canonical JSON text for a model, with sorted keys and no
+    whitespace, ending in a newline; leaf names default to the 1-based
+    leaf labels.  The text grows linearly with the tree's depth, and the
+    ``json`` module's C encoder writes it.
 
     A tree too deep for the ``json`` module's nesting limit (a few
     hundred levels) raises ``ParseError``.
@@ -255,7 +261,7 @@ def serialize_model(model: TreePolyaModel,
            "sum_law": {"family": model.sum_law.family,
                        "params": asdict(model.sum_law)}}
     try:
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     except RecursionError:
         raise ParseError(f"a tree of depth {_tree_depth(model.tree)} nests "
                          "deeper than the json module allows") from None

@@ -19,10 +19,10 @@ from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
 from .polya import (NegativeBinomial, SplitSpec, SumLaw, count_array,
-                    count_int64, polya_log_pmf_many, polya_sample_many,
-                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
-                    sumlaw_sample_many, sumlaw_support_max,
-                    sumlaw_truncated_log_pmf)
+                    count_int64, count_scalar, polya_log_pmf_many,
+                    polya_sample_many, sumlaw_factorial_moment,
+                    sumlaw_log_pmf_many, sumlaw_sample_many,
+                    sumlaw_support_max, sumlaw_truncated_log_pmf)
 from .special import LogValue, ln_gen_factorial_many
 from .tree import PartitionTree
 
@@ -173,8 +173,13 @@ class TreePolyaModel:
         return out
 
     def joint_log_pmf(self, y) -> LogValue:
-        return LogValue.from_log(
-            self.joint_log_pmf_many(count_array(y).reshape(1, -1))[0])
+        """Log joint p.m.f. of one observation, a count vector in leaf
+        order."""
+        y = count_array(y)
+        if y.ndim != 1:
+            raise UsageError(f"an observation is a count vector, not an "
+                             f"array of shape {y.shape}")
+        return LogValue.from_log(self.joint_log_pmf_many(y[None, :])[0])
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws; returns shape (size, J) in leaf order.
@@ -449,7 +454,7 @@ def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
     return dist
 
 
-def marginal_pmf(chain: MarginalChain, n) -> float:
+def marginal_pmf(chain: MarginalChain, n: int) -> float:
     """P.m.f. of a marginal chain at n: a lookup in
     :func:`marginal_pmf_vector`, so within ``MARGINAL_TAIL`` of the exact
     value.
@@ -458,7 +463,7 @@ def marginal_pmf(chain: MarginalChain, n) -> float:
     end; NaN or infinite n raises ``UsageError``.
     """
     if type(n) is not int:
-        n = float(count_array(n))
+        n = float(count_scalar(n))
         if n < 0 or n != math.floor(n):
             return 0.0
         n = int(n)

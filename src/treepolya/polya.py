@@ -195,6 +195,17 @@ def count_array(y) -> np.ndarray:
     return count_numbers(y).astype(float, copy=False)
 
 
+def count_scalar(y) -> np.ndarray:
+    """One gated count, as :func:`count_array` gives it (a 0-d float
+    array), for the entry points that take a single count; a vector or a
+    matrix is a UsageError."""
+    y = count_array(y)
+    if y.ndim:
+        raise UsageError(f"expected a single count, got an array of shape "
+                         f"{y.shape}")
+    return y
+
+
 def count_int64(y) -> np.ndarray:
     """Gated counts as int64, for the fit layer, the sampler and moment
     orders: a non-integral, negative or ≥ 2**63 count is a UsageError."""
@@ -230,12 +241,12 @@ def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
 
 
 def sumlaw_log_pmf(n: int, law: SumLaw) -> LogValue:
-    return LogValue.from_log(sumlaw_log_pmf_many(n, law))
+    return LogValue.from_log(sumlaw_log_pmf_many(count_scalar(n), law))
 
 
 def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
     """r-th factorial moment E[(N)(N-1)...(N-r+1)]."""
-    r = count_array(r)
+    r = count_scalar(r)
     if r < 0:
         raise DomainError("moment order must be nonnegative")
     r = int(count_int64(r))
@@ -347,7 +358,7 @@ def polya_pmf(y, spec: SplitSpec) -> LogValue:
 def polya_uni_pmf(y: int, n: int, theta: float, tau: float,
                   c: int) -> LogValue:
     """Univariate (non-singular) Pólya p.m.f. at y out of a total n."""
-    y, n = count_array([y, n])
+    y, n = count_scalar(y), count_scalar(n)
     return polya_pmf((y, n - y), SplitSpec(c, (theta, tau)))
 
 

@@ -103,8 +103,8 @@ def ln_gen_factorial(theta: float, n: int, c: int) -> LogValue:
     if theta <= 0:
         raise DomainError(f"generalized factorial needs theta > 0, got {theta}")
     # the count gate lives in polya, which imports this module
-    from .polya import count_array, count_int64
-    if count_array(n) < 0:
+    from .polya import count_int64, count_scalar
+    if count_scalar(n) < 0:
         raise DomainError(f"generalized factorial needs n >= 0, got {n}")
     n = count_int64(n)
     if c == -1 and abs(theta - round(theta)) > _INT_TOL:

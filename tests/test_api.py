@@ -24,6 +24,10 @@ import pytest
 import treepolya
 import treepolya.cli  # noqa: F401  (loads every module the CLI uses)
 from treepolya import polya
+from treepolya.exceptions import UsageError
+from treepolya.examples import ten_leaf_example
+from treepolya.model import marginal_pmf
+from treepolya.special import ln_gen_factorial
 
 from test_inference import NON_NUMBER_ENTRY_POINTS
 
@@ -123,10 +127,10 @@ def test_readme_synopsis_lists_every_option_of_every_verb():
 COUNT_PARAMETERS = {"counts", "data", "rows", "y", "n", "totals", "r"}
 
 
-def _count_entry_points():
-    """Names of the public callables with a count parameter: what each
-    module's ``__all__`` lists, and the public methods of its classes."""
-    names = set()
+def _count_parameters():
+    """(callable name, parameter) for every count parameter of the public
+    callables: what each module's ``__all__`` lists, and the public
+    methods of its classes."""
     for info in pkgutil.iter_modules(treepolya.__path__):
         module = importlib.import_module(f"treepolya.{info.name}")
         for name in getattr(module, "__all__", []):
@@ -140,12 +144,45 @@ def _count_entry_points():
                     params = inspect.signature(member).parameters
                 except (TypeError, ValueError):  # not a callable
                     continue
-                if COUNT_PARAMETERS & set(params):
-                    names.add(label)
-    return names
+                for param in params.values():
+                    if param.name in COUNT_PARAMETERS:
+                        yield label, param
 
 
 def test_every_count_entry_point_meets_the_non_number_table():
-    names = _count_entry_points()
+    names = {label for label, _ in _count_parameters()}
     assert {"polya_pmf", "joint_log_pmf_many", "CountMatrix"} <= names
     assert names == set(NON_NUMBER_ENTRY_POINTS)
+
+
+_MODEL = ten_leaf_example()
+_LAW = polya.NegativeBinomial(2.0, 0.5)
+
+# every public entry point that takes a single count (its count parameter
+# is annotated ``int``), called with a count
+SINGLE_COUNT_ENTRY_POINTS = {
+    "marginal_pmf": lambda n: marginal_pmf(_MODEL.leaf_marginal_chain(1), n),
+    "sumlaw_log_pmf": lambda n: polya.sumlaw_log_pmf(n, _LAW),
+    "sumlaw_factorial_moment": lambda n: polya.sumlaw_factorial_moment(
+        n, _LAW),
+    "node_factorial_moment": lambda n: _MODEL.node_factorial_moment(1, n),
+    "ln_gen_factorial": lambda n: ln_gen_factorial(2.0, n, 1),
+    "polya_uni_pmf": lambda n: polya.polya_uni_pmf(n, 9, 1.0, 2.0, 1),
+}
+
+
+def test_every_single_count_entry_point_is_in_the_table():
+    names = {label for label, param in _count_parameters()
+             if param.annotation in (int, "int")}
+    assert names == set(SINGLE_COUNT_ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("entry", SINGLE_COUNT_ENTRY_POINTS)
+def test_a_single_count_takes_no_array(entry):
+    # an array was a bare TypeError or ValueError (the truth value of an
+    # array), except in polya_uni_pmf, where it was ragged input
+    call = SINGLE_COUNT_ENTRY_POINTS[entry]
+    call(3)
+    for array in ([3, 4], [[3]]):
+        with pytest.raises(UsageError, match="a single count"):
+            call(array)

@@ -219,6 +219,36 @@ class TestNodeFits:
         node = report["rows"][1]
         assert node["kind"] == "multinomial" and node["divergence"]
 
+    def test_divergence_stops_past_the_threshold(self):
+        """Multinomial data: the fit stops once its weight sum is past
+        the divergence threshold while the likelihood still rises along
+        the weights' scale, and is flagged.  It ran on to a weight sum of
+        2.2e10 in 11 iterations when only the decrement stopped it."""
+        rng = np.random.default_rng(6)
+        data = polya_sample_many(np.full(4_000, 40),
+                                 SplitSpec(0, (0.3, 0.7)), rng)
+        fit = fit_node_dm(data)
+        assert fit.divergence_flag and fit.iterations < 11
+        assert fit_module.DIVERGENCE_THETA < fit.params["theta"].sum() \
+            < 100 * fit_module.DIVERGENCE_THETA
+
+    def test_start_past_the_threshold_returns_to_the_maximiser(self):
+        """A start 1e7 times a finite maximiser, past the divergence
+        threshold, where the likelihood falls along the weights' scale:
+        the fit comes back to the maximiser and is not flagged."""
+        data = polya_sample_many(np.full(2_000, 30),
+                                 SplitSpec(1, (10.0, 20.0)),
+                                 np.random.default_rng(1))
+        cold = fit_node_dm(data)
+        far = fit_module._DmAggregates.from_matrix(data)
+        far.start = 1e7 * cold.params["theta"]
+        assert far.start.sum() > fit_module.DIVERGENCE_THETA
+        fit = fit_node_dm(far)
+        assert not fit.divergence_flag and fit.converged
+        assert fit.log_lik == pytest.approx(cold.log_lik, abs=1e-6)
+        assert fit.params["theta"] == pytest.approx(cold.params["theta"],
+                                                    rel=1e-4)
+
     def test_zero_column_handled(self, rng):
         data = polya_sample_many(np.full(200, 20),
                                  SplitSpec(1, (1.0, 3.0)), rng)
@@ -256,10 +286,10 @@ class TestDmAggregates:
     @settings(max_examples=80, deadline=None)
     @given(case=node_counts(), fixed=st.floats(1e-3, 10.0))
     def test_derivatives_match_central_differences(self, case, fixed):
-        """The sums of :func:`fit._derivative_sums` give the gradient
-        b1 - a1 and the Hessian a2 * ones - diag(b2) of
-        :func:`fit._lockstep_max`'s objective, for three problems at once
-        that share one row of totals and hold positive fixed weights."""
+        """:func:`fit._evaluate` gives :func:`fit._lockstep_max`'s
+        objective, and its sums the gradient b1 - a1 and the Hessian
+        a2 * ones - diag(b2) of it, for three problems at once that share
+        one row of totals and hold positive fixed weights."""
         data, theta = case
         agg = fit_module._DmAggregates.from_matrix(data)
         k = theta.size
@@ -274,12 +304,13 @@ class TestDmAggregates:
                 for xi, fi in zip(x, fixed)])
 
         def gradient(x):
-            a1, _, b1, _ = fit_module._derivative_sums(
+            _, a1, _, b1, _ = fit_module._evaluate(
                 agg.tot_surv[None], fixed, cols, x)
             return b1 - a1[:, None]
 
-        _, a2, _, b2 = fit_module._derivative_sums(agg.tot_surv[None], fixed,
+        value, _, a2, _, b2 = fit_module._evaluate(agg.tot_surv[None], fixed,
                                                    cols, x)
+        assert value == pytest.approx(objective(x), rel=1e-12, abs=1e-9)
         hessian = a2[:, None, None] - b2[:, :, None] * np.eye(k)
         for j in range(k):
             step = np.zeros_like(x)
@@ -910,7 +941,7 @@ class TestScreen:
         for i, agg in enumerate(aggs):
             tot[i, :agg.tot_surv.size] = agg.tot_surv
             cols[i, :, :agg.surv.shape[1]] = agg.surv
-        best, x, steps, done = fit_module._lockstep_max(
+        best, x, steps, done, _ = fit_module._lockstep_max(
             tot, 0.0, cols, [agg.start for agg in aggs])
         assert done.all() and np.all(steps > 1)
         for i, (data, agg) in enumerate(zip(nodes, aggs)):

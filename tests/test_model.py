@@ -130,6 +130,13 @@ class TestJointPmf:
         with pytest.raises(UsageError):
             polya_pmf([1.0, bad], SplitSpec(0, (0.5, 0.5)))
 
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 10), ()])
+    def test_observation_must_be_a_vector(self, shape):
+        # a (2, 5) matrix was read as one ten-leaf row (log-mass -29.14)
+        model = ten_leaf_example()
+        with pytest.raises(UsageError, match="count vector"):
+            model.joint_log_pmf(np.ones(shape, dtype=int))
+
 
 class TestDeepTrees:
     def test_1500_leaf_cascade(self):
