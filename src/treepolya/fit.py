@@ -43,8 +43,6 @@ _log = logging.getLogger(__name__)
 
 DIVERGENCE_THETA = 1e8
 THETA_FLOOR = 1e-10
-NB_TOL = 1e-10
-NB_MAX_ITER = 200
 # the DM Newton iteration (:func:`_lockstep_max`): its stop on half the
 # Newton decrement, in log-likelihood units, and its iteration budget
 NEWTON_TOL = 1e-7
@@ -99,28 +97,35 @@ def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
 # Sum-law fits
 
 
-def _survival_counts(hist: np.ndarray, n: int) -> np.ndarray:
-    """S(u) = #{i : values_i > u} for u = 0..max-1, from the histogram
-    of n count values.
+def _survival_rows(values: np.ndarray) -> np.ndarray:
+    """Row j holds S_j(u) = #{i : values_ij > u} for u = 0..max-1, over
+    the columns of a count matrix (rows x columns), from one histogram.
 
     Aggregating rows this way makes every downstream digamma-style sum
     exact regardless of row order: sum_i [psi(x + v_i) - psi(x)] =
     sum_u S(u) / (x + u).  Zeros only add to the histogram's first bin.
     """
-    return (n - np.cumsum(hist))[:-1].astype(float)
+    rows, cols = values.shape
+    width = int(values.max(initial=0)) + 1
+    hist = np.bincount((values + np.arange(cols) * width).ravel(),
+                       minlength=cols * width).reshape(cols, width)
+    return (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
 
 
-def _nb_profile_score(alpha: float, totals: np.ndarray,
-                      surv: np.ndarray) -> Tuple[float, float]:
-    """Profile score and its derivative in alpha (p concentrated out)."""
-    n = totals.size
-    ybar = totals.mean()
+def _histogram(surv: np.ndarray, n: int) -> np.ndarray:
+    """The histogram of n count values from their survival row: bin u is
+    S(u-1) - S(u), with S(-1) = n."""
+    hist = np.concatenate(([n], surv))
+    hist[:-1] -= surv
+    return hist
+
+
+def _nb_profile_score(alpha: float, surv: np.ndarray, n: int,
+                      ybar: float) -> float:
+    """Profile score in alpha (p concentrated out) of n totals of mean
+    ybar, from their survival counts S(u)."""
     u = np.arange(surv.size)
-    score = float(surv @ (1.0 / (alpha + u))) \
-        + n * (math.log(alpha) - math.log(alpha + ybar))
-    dscore = -float(surv @ (1.0 / (alpha + u) ** 2)) \
-        + n * (1.0 / alpha - 1.0 / (alpha + ybar))
-    return score, dscore
+    return float(surv @ (1.0 / (alpha + u))) - n * math.log1p(ybar / alpha)
 
 
 def _binomial_profile_step(size: int, surv: np.ndarray, n: int,
@@ -140,8 +145,9 @@ def _binomial_profile_step(size: int, surv: np.ndarray, n: int,
 def fit_sum_law(totals, family: str) -> FitResult:
     """MLE of the grand-total law.
 
-    The negative binomial uses Newton iteration on the profile score in
-    alpha with a moment-based start; the other families are closed form.
+    The negative binomial's alpha and the binomial's size are bracketed
+    and bisected on their profile score and step (``iterations`` counts
+    the NB score's evaluations); the others are closed form.
     """
     try:
         law = SUM_LAWS[family]
@@ -179,7 +185,7 @@ def fit_sum_law(totals, family: str) -> FitResult:
         # the profile is unimodal in size (DeRiggi 1983): the MLE is the
         # first size from the largest total whose step does not rise,
         # bracketed by doubling, then found by bisection
-        surv = _survival_counts(np.bincount(totals), n)
+        surv = _survival_rows(totals[:, None])[0]
         lo = hi = int(totals.max())
         while _binomial_profile_step(hi, surv, n, ybar) > 0:
             lo, hi = hi, 2 * hi
@@ -201,28 +207,31 @@ def fit_sum_law(totals, family: str) -> FitResult:
     if var <= ybar:
         raise DomainError("totals show no overdispersion; the negative "
                           "binomial profile has no interior maximum")
-    alpha = ybar ** 2 / max(var - ybar, 1e-8)
-    surv = _survival_counts(np.bincount(totals), n)
-    iterations = 0
-    for iterations in range(1, NB_MAX_ITER + 1):
-        score, dscore = _nb_profile_score(alpha, totals, surv)
-        if abs(score) < NB_TOL * n:
-            break
-        step = score / dscore if dscore < 0 else -score
-        new_alpha = alpha - step
-        backtrack = 0
-        while new_alpha <= 0 and backtrack < 60:
-            step *= 0.5
-            new_alpha = alpha - step
-            backtrack += 1
-        if abs(new_alpha - alpha) < 1e-14 * alpha:
-            alpha = new_alpha
-            break
-        alpha = new_alpha
-    else:
-        raise ConvergenceError("negative binomial profile Newton did not "
-                               f"converge in {NB_MAX_ITER} iterations")
-    return result({"alpha": alpha, "p": ybar / (alpha + ybar)}, iterations)
+    # the profile score falls through its one root when the totals are
+    # overdispersed (Aragón, Eberly & Eberly 1992): bracketed from the
+    # moment start, then bisected in log alpha down to adjacent floats
+    surv = _survival_rows(totals[:, None])[0]
+    scores = []
+
+    def rising(alpha):
+        scores.append(_nb_profile_score(alpha, surv, n, ybar))
+        return scores[-1] > 0
+
+    near = ybar ** 2 / max(var - ybar, 1e-8)
+    up = rising(near)
+    factor = 2.0 if up else 0.5
+    while rising(far := near * factor) == up:
+        near = far
+        if not 0.0 < near * factor < math.inf:
+            raise DomainError("totals are too close to Poisson for the "
+                              "negative binomial alpha to be resolved")
+    lo, hi = sorted((near, far))
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if not lo < mid < hi:
+            mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    return result({"alpha": lo, "p": ybar / (lo + ybar)}, len(scores))
 
 
 # ---------------------------------------------------------------------
@@ -249,12 +258,12 @@ class _DmAggregates:
 
     Everything is built from survival rows, each child's and that of the
     row totals, and from the totals' log-factorial sum.  Rows whose total
-    is 0 change none of them, so the search's cache keeps these per leaf
-    subset and builds any node from them (:meth:`_FitCache._aggregates`);
-    :meth:`from_matrix` builds them from a count matrix.  ``free`` marks
-    the columns with counts, ``log_coef`` is the log of the rows'
-    multinomial coefficients, ``start`` is the moment start (None for a
-    node without counts) and ``shape`` is the node matrix's shape.
+    is 0 change none of them, so the leaf-subset store keeps them per leaf
+    subset and builds every node from them (:meth:`_FitCache._aggregates`;
+    a count matrix's through :meth:`from_matrix`).  ``free`` marks the
+    columns with counts, ``log_coef`` is the log of the rows' multinomial
+    coefficients, ``start`` is the moment start (None for a node without
+    counts) and ``shape`` is the node matrix's shape.
 
     The moment start takes the pooled proportions pi_j = sum_u S_j(u) / N1
     and the precision A whose DM(A pi) expects the cells' summed squares,
@@ -280,11 +289,9 @@ class _DmAggregates:
         tot_surv, log_fact_totals = totals
         self.tot_surv = tot_surv.astype(float)
         self.tot_u = np.arange(self.tot_surv.size)
-        # the cells' count histogram from the survival counts: bin u
-        # holds S(u-1) - S(u) summed over the columns, with S(-1) = rows
-        cells = self.surv.sum(axis=0)
-        hist = np.diff(-cells, prepend=-k * rows, append=0)
-        self.log_coef = log_fact_totals - _log_factorial_sum(hist)
+        cells = self.surv.sum(axis=0)  # the k * rows cells' survival row
+        self.log_coef = log_fact_totals - _log_factorial_sum(
+            _histogram(cells, k * rows))
         self.free = np.array([s.size > 0 for s in survs], dtype=bool)
         self.shape = (rows, k)
         self.start = None
@@ -305,14 +312,9 @@ class _DmAggregates:
 
     @classmethod
     def from_matrix(cls, data: np.ndarray) -> "_DmAggregates":
-        """Of a checked count matrix (rows x children)."""
-        rows = data.shape[0]
-        totals_hist = np.bincount(data.sum(axis=1))
-        return cls([_survival_counts(np.bincount(col), rows)
-                    for col in data.T],
-                   (_survival_counts(totals_hist, rows),
-                    _log_factorial_sum(totals_hist)),
-                   rows)
+        """The leaf-subset store's, over a checked count matrix's columns."""
+        return _FitCache(data)._aggregates(
+            [(j,) for j in range(1, data.shape[1] + 1)])
 
     @classmethod
     def of(cls, data) -> "_DmAggregates":
@@ -425,11 +427,13 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
     0).
     """
     counts = _count_table(counts, tree)
-    return _fit_nodes(tree, counts, fit_sum_law(counts.sum(axis=1), family))
+    return _fit_nodes(tree, _FitCache(counts),
+                      fit_sum_law(counts.sum(axis=1), family))
 
 
-def _fit_nodes(tree: PartitionTree, counts: np.ndarray, law_fit: FitResult):
-    """:func:`fit_tree`'s model and report, given its sum-law fit."""
+def _fit_nodes(tree: PartitionTree, cache: "_FitCache", law_fit: FitResult):
+    """:func:`fit_tree`'s model and report, given its sum-law fit, with
+    every node built from the leaf-subset store ``cache``."""
     rows = [{"node": "total", "kind": law_fit.kind,
              "n_params": law_fit.n_params, "log_lik": law_fit.log_lik,
              "aic": law_fit.aic, "converged": law_fit.converged,
@@ -438,7 +442,11 @@ def _fit_nodes(tree: PartitionTree, counts: np.ndarray, law_fit: FitResult):
     total_aic = law_fit.aic
     total_params = law_fit.n_params
     for nid in tree.internal_ids:
-        fit = select_node_split(node_data(tree, counts, nid))
+        fit = select_node_split(cache._aggregates(
+            [tree.subset(c) for c in tree.children(nid)]))
+        # in preorder, no node ahead reads this one's leaf set or leaves
+        for done in (nid, *filter(tree.is_leaf, tree.children(nid))):
+            cache.subsets.pop(tree.subset(done), None)
         splits[nid] = _split_from_fit(fit)
         rows.append({"node": _subset_label(tree.subset(nid)),
                      "kind": fit.kind, "n_params": fit.n_params,
@@ -460,19 +468,19 @@ def _fit_nodes(tree: PartitionTree, counts: np.ndarray, law_fit: FitResult):
 
 
 class _FitCache:
-    """DM node fits keyed by the (unordered) composition of child
-    subsets.  Each entry holds the AIC and the fitted weights in sorted
-    child order, or ``None`` for the weights when the DM fit failed or
-    diverged and the multinomial fit stands in.  A node is fitted once,
-    from its moment start, so its entry depends on the node alone.
+    """The leaf-subset store, through which every node fit sees the
+    counts, and the search's DM fits keyed by the (unordered) composition
+    of child subsets.  A fit entry holds the AIC and the fitted weights
+    in sorted child order, or ``None`` for the weights when the DM fit
+    failed or diverged and the multinomial stands in.  A node is fitted
+    once, from its moment start, so its entry depends on the node alone.
 
-    A miss assembles the node's :class:`_DmAggregates` from statistics
-    kept once per leaf subset: the survival row of its subsums (in the
-    smallest integer type that holds the row count) and their
-    log-factorial sum.  A node takes a child's entry for its column and
-    its leaf set's entry for its row totals, so a node over subsets seen
-    before costs no pass over the rows.  A survival row is O(largest
-    count); no per-row array outlives the miss that needed it."""
+    A node's :class:`_DmAggregates` (:meth:`_aggregates`) come from one
+    entry per leaf subset: the survival row of its subsums, in the
+    smallest integer type that holds the row count, and their
+    log-factorial sum.  A node reads its children's entries as columns
+    and its leaf set's as row totals, so a node over subsets seen before
+    costs no pass over the rows.  An entry is O(largest subsum)."""
 
     def __init__(self, counts: np.ndarray):
         self.counts = counts
@@ -487,10 +495,10 @@ class _FitCache:
         ``leaves``, computed on first use."""
         if leaves not in self.subsets:
             rows = self.counts.shape[0]
-            hist = np.bincount(self._subsums(leaves))
+            surv = _survival_rows(self._subsums(leaves)[:, None])[0]
             self.subsets[leaves] = (
-                _survival_counts(hist, rows).astype(np.min_scalar_type(rows)),
-                _log_factorial_sum(hist))
+                surv.astype(np.min_scalar_type(rows)),
+                _log_factorial_sum(_histogram(surv, rows)))
         return self.subsets[leaves]
 
     def _aggregates(self, order: Sequence[Tuple[int, ...]]) -> _DmAggregates:
@@ -526,16 +534,6 @@ def _search_node(children: list, cache: _FitCache, trace: list) -> None:
     work = [children]
     while work:
         work.extend(reversed(_grow_node(work.pop(), cache, trace)))
-
-
-def _survival_rows(values: np.ndarray) -> np.ndarray:
-    """Row j holds S_j(u) = #{i : values_ij > u} for u = 0..max-1, over
-    the columns of a count matrix (rows x columns), from one histogram."""
-    rows, cols = values.shape
-    width = int(values.max(initial=0)) + 1
-    hist = np.bincount((values + np.arange(cols) * width).ravel(),
-                       minlength=cols * width).reshape(cols, width)
-    return (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
 
 
 def _evaluate(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
@@ -915,7 +913,8 @@ def search_tree(counts: np.ndarray, family: str = "nb"):
     law_fit = fit_sum_law(counts.sum(axis=1), family)
     trace: list = []
     children: list = list(range(1, counts.shape[1] + 1))
-    _search_node(children, _FitCache(counts), trace)
-    model, report = _fit_nodes(PartitionTree.from_nested(children), counts,
+    cache = _FitCache(counts)
+    _search_node(children, cache, trace)
+    model, report = _fit_nodes(PartitionTree.from_nested(children), cache,
                                law_fit)
     return model, report, trace

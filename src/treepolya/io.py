@@ -249,7 +249,9 @@ def serialize_model(model: TreePolyaModel,
     ``json`` module's C encoder writes it.
 
     A tree too deep for the ``json`` module's nesting limit (a few
-    hundred levels) raises ``ParseError``.
+    hundred levels) raises ``ParseError``.  The decoder reaches that
+    limit a level before the encoder, so the text is read back before it
+    is returned: :func:`parse_model` reads it from the same caller.
     """
     names = list(column_names) if column_names is not None else \
         [str(j) for j in range(1, model.tree.leaf_count + 1)]
@@ -261,10 +263,12 @@ def serialize_model(model: TreePolyaModel,
            "sum_law": {"family": model.sum_law.family,
                        "params": asdict(model.sum_law)}}
     try:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    except RecursionError:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        _json_loads(text)
+    except (RecursionError, ParseError):
         raise ParseError(f"a tree of depth {_tree_depth(model.tree)} nests "
                          "deeper than the json module allows") from None
+    return text
 
 
 def _collect_leaves(tree_doc: dict) -> Tuple[object, List[str]]:

@@ -334,6 +334,9 @@ def polya_log_pmf_many(y, spec: SplitSpec) -> np.ndarray:
     """Log p.m.f. of the singular Pólya split at each row of an
     (n, arity) count array; ``-inf`` for rows of zero mass."""
     y = count_array(y)
+    if y.ndim != 2 or y.shape[1] != spec.arity:
+        raise UsageError(f"count rows have shape {y.shape}, split has "
+                         f"{spec.arity} components")
     theta = np.array(spec.theta)
     ok = np.all((y >= 0) & (y == np.floor(y)), axis=1)
     if spec.c == -1:
@@ -371,6 +374,9 @@ def polya_sample_many(totals, spec: SplitSpec,
     hypergeometric (c=-1).
     """
     totals = count_int64(totals)
+    if totals.ndim != 1:
+        raise UsageError(f"totals must be a vector, got an array of shape "
+                         f"{totals.shape}")
     if spec.c == -1 and np.any(totals > round(spec.total)):
         raise DomainError("total exceeds |theta| for a hypergeometric split")
     size = totals.shape[0]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import treepolya.fit as fit_module
+from treepolya.examples import ten_leaf_example
 from treepolya.exceptions import ConvergenceError, DomainError, UsageError
 from treepolya.fit import (fit_node_dm, fit_node_multinomial, fit_sum_law,
                            fit_tree, node_data, search_tree, select_node_split)
@@ -50,6 +51,28 @@ class TestSumLawFit:
                 assert ll(fit.params["alpha"] + da,
                           fit.params["p"] + dp) <= best + 1e-6
 
+    def test_near_poisson_nb_is_the_profile_maximum(self):
+        # variance/mean 1.02: the profile Newton iteration stopped on its
+        # score test after one iteration, 0.12% low in alpha and below the
+        # profile at alpha * (1 + 1e-3)
+        totals = sumlaw_sample_many(NegativeBinomial(1e4, 0.01), 2_000,
+                                    np.random.default_rng(2))
+        fit = fit_sum_law(totals, "nb")
+        ybar = totals.mean()
+
+        def profile(alpha):
+            law = NegativeBinomial(alpha, ybar / (alpha + ybar))
+            return float(sumlaw_log_pmf_many(totals, law).sum())
+        alpha = fit.params["alpha"]
+        assert fit.log_lik >= max(profile(alpha * (1 - 1e-3)),
+                                  profile(alpha * (1 + 1e-3)))
+
+    def test_a_score_that_never_falls_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(fit_module, "_nb_profile_score",
+                            lambda *args: 1.0)
+        with pytest.raises(DomainError, match="too close to Poisson"):
+            fit_sum_law(np.array([0, 1, 5, 9]), "nb")
+
     def test_poisson_closed_form(self):
         totals = np.array([3, 5, 2, 4, 6])
         fit = fit_sum_law(totals, "poisson")
@@ -61,6 +84,13 @@ class TestSumLawFit:
         assert fit.log_lik == 0.0
         with pytest.raises(DomainError):
             fit_sum_law(np.array([4, 5]), "dirac")
+
+    def test_closed_forms_build_no_survival_row(self):
+        """Totals near 2**62 pass the count gate, and the closed-form fits
+        return at once instead of counting up to the largest total."""
+        totals = np.array([2 ** 62, 2 ** 62])
+        assert fit_sum_law(totals, "dirac").params["m"] == 2 ** 62
+        assert fit_sum_law(totals, "poisson").params["rate"] == 2.0 ** 62
 
     def test_binomial_recovery(self, rng):
         totals = rng.binomial(20, 0.4, size=20_000)
@@ -524,6 +554,69 @@ class TestFitTree:
         for entry in (search_tree, fit_node_dm, fit_node_multinomial):
             with pytest.raises(UsageError, match="matrix"):
                 entry(np.array([1, 2, 3]))
+
+
+def _ten_leaf_and_cascade():
+    """(tree, counts) on the ten-leaf example's tree (7 internal nodes)
+    and on a 40-leaf cascade (39), whose splits alternate DM and
+    multinomial."""
+    ten = ten_leaf_example()
+    tree = PartitionTree.cascade(list(range(1, 41)))
+    cascade = TreePolyaModel(tree, {nid: SplitSpec(nid % 2, (2.0, 5.0))
+                                    for nid in tree.internal_ids},
+                             NegativeBinomial(3.0, 0.95))
+    return [(model.tree, model.sample_many(300, np.random.default_rng(119)))
+            for model in (ten, cascade)]
+
+
+class TestFitTreeNodes:
+    def test_counts_are_gated_once_per_fit(self, monkeypatch):
+        # node_data and the node fit each gated every node's matrix again:
+        # 16 calls for the ten-leaf tree and 80 for the cascade
+        calls = []
+        gate = fit_module.count_int64
+        monkeypatch.setattr(fit_module, "count_int64",
+                            lambda y: calls.append(1) or gate(y))
+        per_tree = []
+        for tree, counts in _ten_leaf_and_cascade():
+            calls.clear()
+            fit_tree(tree, counts)
+            per_tree.append(len(calls))
+        assert per_tree == [2, 2]
+
+    def test_the_store_keeps_only_what_nodes_ahead_read(self, monkeypatch):
+        """A cascade node reads one leaf and the rest, and the store drops
+        each entry that no later node reads: it never holds more than the
+        three entries of the node being fitted, not one per node."""
+        held = []
+        build = fit_module._FitCache._aggregates
+        monkeypatch.setattr(
+            fit_module._FitCache, "_aggregates",
+            lambda cache, order: (build(cache, order),
+                                  held.append(len(cache.subsets)))[0])
+        tree, counts = _ten_leaf_and_cascade()[1]
+        fit_tree(tree, counts)
+        assert len(held) == len(tree.internal_ids)
+        assert max(held) == 3
+
+    def test_node_rows_are_the_node_matrix_fits(self):
+        """fit_tree builds its nodes from the leaf-subset store; each row
+        is the fit of the node's child-subsum matrix, to the bit."""
+        def hexed(row):
+            return {k: v.hex() if isinstance(v, float) else v
+                    for k, v in row.items()}
+        for tree, counts in _ten_leaf_and_cascade():
+            _, report = fit_tree(tree, counts)
+            assert len(report["rows"]) == len(tree.internal_ids) + 1
+            for nid, row in zip(tree.internal_ids, report["rows"][1:]):
+                fit = select_node_split(node_data(tree, counts, nid))
+                assert hexed(row) == hexed({
+                    "node": "{" + ",".join(map(str, tree.subset(nid))) + "}",
+                    "kind": fit.kind, "n_params": fit.n_params,
+                    "log_lik": fit.log_lik, "aic": fit.aic,
+                    "divergence": fit.divergence_flag,
+                    "converged": fit.converged,
+                    "iterations": fit.iterations, "empty": fit.empty})
 
 
 # each entry point of the fit layer, called on a count matrix (an array or

@@ -716,6 +716,35 @@ def test_model_text_grows_linearly_with_depth():
     assert serialize_model(_cascade_model(1)).count("\n") == 1
 
 
+def test_what_serializes_parses_back_at_the_nesting_limit():
+    # the decoder reaches the json nesting limit a level before the
+    # encoder: a cascade one level short of the encoder's limit was
+    # written, but its text raised ParseError when parsed back
+    written = []
+    for depth in range(440, 511):
+        model = _cascade_model(depth)
+        with mock.patch.object(io, "_json_loads", lambda text: None):
+            try:
+                unchecked = serialize_model(model)
+            except ParseError:
+                unchecked = None
+        try:
+            back = unchecked and parse_model(unchecked)[0]
+        except ParseError:
+            back = None
+        try:
+            text = serialize_model(model)
+        except ParseError as exc:
+            assert back is None and f"depth {depth} " in str(exc)
+            continue
+        assert text == unchecked
+        assert back.tree.nodes == model.tree.nodes
+        assert back.splits == model.splits and back.sum_law == model.sum_law
+        written.append(depth)
+    assert written == list(range(440, written[-1] + 1))
+    assert written[-1] < 510
+
+
 @pytest.mark.parametrize("depth", [600, 1200])
 class TestDeepTrees:
     def test_tree_documents_without_recursion(self, depth):

@@ -122,6 +122,22 @@ class TestKnownPmfs:
             assert merged == pytest.approx(expect, rel=1e-10)
 
 
+_SPLIT3 = SplitSpec(1, (1.0, 2.0, 3.0))
+
+
+class TestKernelShapes:
+    # a 3-d array was evaluated as rows (a (2, 3) array came back), a
+    # vector was a bare AxisError and a row of the wrong arity a bare
+    # ValueError
+    @pytest.mark.parametrize("y", [np.ones((2, 2, 3)), np.ones(3),
+                                   np.ones((2, 4))], ids=["3-d", "vector",
+                                                          "arity"])
+    def test_rows_of_another_shape_are_usage_errors(self, y):
+        with pytest.raises(UsageError, match=re.escape(
+                f"count rows have shape {y.shape}, split has 3 components")):
+            polya.polya_log_pmf_many(y, _SPLIT3)
+
+
 class TestSumLaws:
     @pytest.mark.parametrize("law", [
         Dirac(7), Binomial(12, 0.3), Poisson(4.5),
@@ -276,9 +292,12 @@ class TestSampling:
         assert np.array_equal(out, np.zeros((4, 2), dtype=int))
 
     @pytest.mark.parametrize("totals, message", [
-        ([2.7, 3], "integers"), ([-1, 3], "nonnegative")])
+        ([2.7, 3], "integers"), ([-1, 3], "nonnegative"),
+        ([[2, 3], [4, 5]], r"a vector, got an array of shape \(2, 2\)"),
+        (3, r"a vector, got an array of shape \(\)")])
     def test_totals_pass_the_int64_count_rule(self, totals, message):
-        # 2.7 was drawn as a total of 2, and -1 was a DomainError
+        # 2.7 was drawn as a total of 2, -1 was a DomainError, a matrix a
+        # bare ValueError and a single total a bare IndexError
         with pytest.raises(UsageError, match=message):
             polya_sample_many(totals, SplitSpec(0, (0.5, 0.5)),
                               np.random.default_rng(0))
