@@ -14,7 +14,10 @@ those rows (:func:`_evaluate`) gives both the log-likelihood at a trial
 point and the sums of its derivatives there, so each trial point costs
 one pass.  A fit whose weights run off towards the multinomial limit
 stops just past ``DIVERGENCE_THETA`` and is flagged; the multinomial
-stands in for it.
+stands in for it.  The Newton step, and the screen's gain from a step
+in every weight of a wide node, are one Sherman-Morrison solve
+(:func:`_newton_step`).  Fits and screen alike read a node's survival
+rows from the leaf-subset store, as its :class:`_DmAggregates`.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ def _count_table(data, tree: Optional[PartitionTree] = None) -> np.ndarray:
     return data
 
 
-def node_data(tree: PartitionTree, counts: np.ndarray, node: int) -> np.ndarray:
+def node_data(tree: PartitionTree, counts: np.ndarray,
+              node: int) -> np.ndarray:
     """Child-subsum matrix (n_sites x J_A) for one internal node."""
     if tree.is_leaf(node):
         raise UsageError("node data is defined for internal nodes only")
@@ -322,11 +326,17 @@ class _DmAggregates:
         return data if isinstance(data, cls) \
             else cls.from_matrix(_count_table(data))
 
+    def column_terms(self, theta: np.ndarray) -> np.ndarray:
+        """sum_u S_j(u) log(theta_j + u) for each child j."""
+        return (self.surv * np.log(theta[:, None] + self.u)).sum(axis=1)
+
+    def total_term(self, theta_sum: float) -> float:
+        """sum_u S_tot(u) log(theta_sum + u)."""
+        return float(self.tot_surv @ np.log(theta_sum + self.tot_u))
+
     def log_lik(self, theta: np.ndarray) -> float:
-        per_column = (self.surv * np.log(theta[:, None] + self.u)).sum(axis=1)
-        return self.log_coef - float(
-            self.tot_surv @ np.log(theta.sum() + self.tot_u)) \
-            + float(per_column.sum())
+        return self.log_coef - self.total_term(theta.sum()) \
+            + float(self.column_terms(theta).sum())
 
 
 def fit_node_multinomial(data) -> FitResult:
@@ -558,6 +568,20 @@ def _evaluate(tot: np.ndarray, fixed: np.ndarray, cols: np.ndarray,
     return value, a1, a2, weighted.sum(axis=2), (weighted * recip).sum(axis=2)
 
 
+def _newton_step(x: np.ndarray, grad: np.ndarray, d: np.ndarray,
+                 a2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's Newton step -H^-1 grad for H = diag(d) + a2 x x^T, by
+    Sherman-Morrison, and a mask of the rows where H is negative
+    definite.  A coordinate with grad 0 and d = -inf is frozen: its step
+    is 0 and the others' is as if its row and column were not in H."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_g, inv_x = grad / d, x / d
+        denom = 1.0 + a2 * (x * inv_x).sum(axis=1)
+        step = -(inv_g - inv_x * (
+            a2 * (x * inv_g).sum(axis=1) / denom)[:, None])
+    return step, (d < 0).all(axis=1) & (denom > 0)
+
+
 def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
                   x0: np.ndarray) -> Tuple[np.ndarray, ...]:
     """For every problem i at once, the maximum over x > 0 of
@@ -613,13 +637,7 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
         # gradient and Hessian in log x: H = diag(d) + a2 * x x^T
         grad = xa * (b1 - a1[:, None])
         d = grad - xa * xa * b2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_g, inv_x = grad / d, xa / d
-            denom = 1.0 + a2 * (xa * inv_x).sum(axis=1)
-            newton = -(inv_g - inv_x * (
-                a2 * (xa * inv_g).sum(axis=1) / denom)[:, None])
-        concave = (d < 0).all(axis=1) & (denom > 0)
-        step = newton
+        step, concave = _newton_step(xa, grad, d, a2)
         if not concave.all():
             # where H is not negative definite, the Newton step on -|H|
             # (each eigenvalue's sign made negative) ascends; a flat
@@ -676,39 +694,29 @@ def _lockstep_max(tot: np.ndarray, fixed, cols: np.ndarray,
 def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
                 kept_b1: np.ndarray, kept_b2: np.ndarray,
                 kept_theta: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Half the Newton decrement in log weights of a DM node in all its
-    weights: the gain that refitting its kept weights too predicts, with
-    the free ones at :func:`_lockstep_max`'s maximum x (``sums`` its
-    derivative sums there) and the kept ones at their current fit ``kept_theta`` (mask ``kept`` over
-    columns whose b1 and b2 are ``kept_b1`` and ``kept_b2``).  NaN where
-    the node's Hessian there is not negative definite."""
+    """Half the Newton decrement g^T (-H)^-1 g = grad . step in log
+    weights of a DM node: the gain that refitting its kept weights too
+    predicts, with the free ones at :func:`_lockstep_max`'s maximum x
+    (``sums`` its derivative sums there), the kept ones (mask ``kept``)
+    at ``kept_theta`` with sums ``kept_b1`` and ``kept_b2``, and the
+    others frozen.  NaN where the Hessian is not negative definite."""
     a1, a2, b1, b2 = sums
-    count = a1.size
-    theta = np.concatenate([x, np.broadcast_to(kept_theta, (count,
-                                                            kept.shape[1]))],
+    theta = np.concatenate([x, np.broadcast_to(kept_theta, kept.shape)],
                            axis=1)
-    grad = theta * (np.concatenate([b1, np.broadcast_to(
-        kept_b1, kept.shape)], axis=1) - a1[:, None])
-    # -H = diag(d) - a2 * theta theta^T in log weights
-    d = theta * theta * np.concatenate(
-        [b2, np.broadcast_to(kept_b2, kept.shape)], axis=1) - grad
-    use = np.concatenate([np.ones(b1.shape, dtype=bool), kept], axis=1)
-    concave = np.all(~use | (d > 0), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = np.where(use & (d > 0), 1.0 / d, 0.0)
-    grad = np.where(use, grad, 0.0)
-    denom = 1.0 - a2 * (theta * theta * inv_d).sum(axis=1)
-    concave &= denom > 0
-    # Sherman-Morrison for g^T (-H)^-1 g
-    decrement = (grad * grad * inv_d).sum(axis=1) + a2 * (
-        theta * grad * inv_d).sum(axis=1) ** 2 / np.where(concave, denom, 1.0)
-    return np.where(concave, decrement / 2.0, np.nan)
+    grad = theta * (np.concatenate(
+        [b1, np.broadcast_to(kept_b1, kept.shape)], axis=1) - a1[:, None])
+    d = grad - theta * theta * np.concatenate(
+        [b2, np.broadcast_to(kept_b2, kept.shape)], axis=1)
+    grad[:, x.shape[1]:][~kept], d[:, x.shape[1]:][~kept] = 0.0, -np.inf
+    step, concave = _newton_step(theta, grad, d, a2)
+    return np.where(concave, (grad * step).sum(axis=1) / 2.0, np.nan)
 
 
 def _screen_scores(cache: "_FitCache", moves: list, outer: list,
                    outer_w: Optional[dict], grown: list,
                    inner: list, inner_w: Optional[dict]) -> np.ndarray:
     """Each move's screen score, NaN for a move that cannot be screened.
+    A move is positions in ``outer``, the outer node's child subsets.
 
     The score predicts the move's ΔAIC without a fit of the wide outer
     node.  In the outer node only the merged child's weight m is
@@ -717,8 +725,8 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
     is added (:func:`_refit_gain`); the grown node, whose children are
     few, has all its weights refitted.  By the DM aggregation property
     the outer node at the merged start, plus a node splitting the merged
-    child into its parts, has the outer fit's log-likelihood exactly.  So with parts
-    P (the moved leaves and, in a transfer round, the grown node G),
+    child into its parts, has the outer fit's log-likelihood exactly.
+    So with parts P (the moved leaves and, in a transfer round, G),
     merged child M, outer total T, outer weights theta (sum Theta) and
     the grown node's weights w (sum W), the log-likelihood gain is
 
@@ -727,7 +735,9 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
         + sum_u S_G(u) log(W + u) - sum_{j in G} sum_u S_j(u) log(w_j + u),
 
     f as in :func:`_lockstep_max`, and the last line only in a transfer
-    round.  It needs the survival rows of T, the children and M only.
+    round, whose grown node G has the children ``inner``.  It needs the
+    :class:`_DmAggregates` of the outer node and G (their weights
+    ``outer_w`` and ``inner_w``) and the survival rows of M only.
     Moves whose base has no DM fit, or that move a leaf without counts,
     get no score, nor do those whose maxima do not converge or whose
     outer node is not concave at its maximum.
@@ -735,70 +745,59 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
     scores = np.full(len(moves), np.nan)
     if not moves or outer_w is None or (grown and inner_w is None):
         return scores
-    surv = {c: cache.subsets[c][0] for c in chain(outer, inner)}
-    tot = cache.subsets[tuple(sorted(chain.from_iterable(outer)))][0]
-    u = np.arange(tot.size, dtype=float)
-
-    def log_term(c, theta):
-        return float(surv[c] @ np.log(theta + u[:surv[c].size]))
-
+    node = cache._aggregates(outer)
+    theta = np.array([outer_w[c] for c in outer])
     theta_sum = sum(outer_w.values())
-    const = float(tot @ np.log(theta_sum + u))
-    outer_terms = {c: log_term(c, outer_w[c]) for c in outer}
-    outer_theta = np.array([outer_w[c] for c in outer])
-    outer_cols = np.zeros((1, len(outer), tot.size))
-    for j, c in enumerate(outer):
-        outer_cols[0, j, :surv[c].size] = surv[c]
-    # b1 and b2 of each outer child at its fit (0 for a child without
-    # counts, whose weight is not free)
-    outer_b = [b[0] for b in _evaluate(
-        tot[None, :], np.zeros(1), outer_cols, outer_theta[None, :])[3:]]
-    # in a transfer round the grown node's children with counts are free
-    # in its screen, the others stay at their (floor) weights
-    free_inner = [c for c in inner if surv[c].size]
+    const = node.total_term(theta_sum)
+    # b1 and b2 of the outer children at the fit (0 without counts)
+    b1, b2 = _evaluate(node.tot_surv[None], 0.0, node.surv[None],
+                       theta[None])[3:]
+    moves = parts = np.array(moves)  # parts: the moved leaves, then G
     fixed, grown_sums = 0.0, 0
+    inner_theta, inner_surv = np.empty(0), np.empty((0, 0))
     if grown:
-        fixed = sum(inner_w[c] for c in inner if not surv[c].size)
-        const += log_term(grown[0], sum(inner_w.values())) - sum(
-            log_term(c, inner_w[c]) for c in free_inner)
+        inner_node = cache._aggregates(inner)
+        inner_theta = np.array([inner_w[c] for c in inner])
+        fixed = float(inner_theta[~inner_node.free].sum())
+        const += inner_node.total_term(sum(inner_w.values())) - float(
+            inner_node.column_terms(inner_theta).sum())
+        inner_theta = inner_theta[inner_node.free]
+        inner_surv = inner_node.surv[inner_node.free]
+        parts = np.column_stack(
+            [moves, np.full(len(moves), outer.index(grown[0]))])
         grown_sums = cache._subsums(grown[0])
-    screenable = [i for i, move in enumerate(moves)
-                  if all(surv[outer[pos]].size for pos in move)]
-    width = len(moves[0])
-    free = width + len(free_inner)
+    # the likelihood terms that a move takes out of the outer node
+    const -= node.column_terms(theta)[parts].sum(axis=1)
+    screenable = np.flatnonzero(node.free[moves].all(axis=1))
+    widths = np.count_nonzero(node.surv, axis=1)
+    column = np.array([c[0] for c in outer]) - 1  # a leaf child's column
+    free = moves.shape[1] + inner_theta.size
     block = max(1, SCREEN_BLOCK // (free * max(cache.counts.shape[0],
-                                               tot.size)))
-    tot = tot.astype(float)[None, :]
-    for first in range(0, len(screenable), block):
+                                               node.tot_surv.size)))
+    for first in range(0, screenable.size, block):
         idx = screenable[first:first + block]
-        moved = [[outer[pos] for pos in moves[i]] for i in idx]
-        labels = np.array([[c[0] for c in row] for row in moved]) - 1
-        merged = _survival_rows(
-            cache.counts[:, labels].sum(axis=2) + np.reshape(grown_sums,
-                                                             (-1, 1)))
+        moved, merging = moves[idx], parts[idx]
+        merged = _survival_rows(cache.counts[:, column[moved]].sum(axis=2)
+                                + np.reshape(grown_sums, (-1, 1)))
         # the outer node: the merged child's weight free
-        parts_w = np.array([[outer_w[c] for c in row + grown]
-                            for row in moved]).sum(axis=1)
-        merged_cols = merged[:, None, :]
+        parts_w = theta[merging].sum(axis=1)
         outer_max, outer_x, _, outer_ok, outer_sums = _lockstep_max(
-            tot, theta_sum - parts_w, merged_cols, parts_w[:, None])
-        kept = np.ones((len(idx), len(outer)), dtype=bool)
-        for row, i in enumerate(idx):
-            kept[row, [outer.index(c) for c in moved[row] + grown]] = False
-        refit = _refit_gain(outer_sums, outer_x, *outer_b, outer_theta,
-                            kept & (outer_b[1] > 0))
-        # the grown node: the moved leaves' and its children's weights free
-        cols = np.zeros((len(idx), free, max(
-            surv[c].size for c in chain(free_inner, *moved))))
-        for row, parts in enumerate(moved):
-            for j, c in enumerate(parts + free_inner):
-                cols[row, j, :surv[c].size] = surv[c]
+            node.tot_surv[None], theta_sum - parts_w, merged[:, None, :],
+            parts_w[:, None])
+        kept = np.repeat(b2 > 0, idx.size, axis=0)
+        kept[np.arange(idx.size)[:, None], merging] = False
+        refit = _refit_gain(outer_sums, outer_x, b1, b2, theta, kept)
+        # the grown node: the weights of the moved leaves and of G's
+        # children with counts free (the others' is ``fixed``), its rows
+        # as wide as the widest of those children
+        span = max(inner_surv.shape[1], widths[moved].max())
+        cols = np.zeros((idx.size, free, span))
+        cols[:, :moved.shape[1]] = node.surv[moved, :span]
+        cols[:, moved.shape[1]:, :inner_surv.shape[1]] = inner_surv
         grown_max, _, _, grown_ok, _ = _lockstep_max(
-            merged, fixed, cols, [[outer_w[c] for c in row]
-                                  + [inner_w[c] for c in free_inner]
-                                  for row in moved])
-        gain = outer_max + refit + grown_max + const - np.array(
-            [sum(outer_terms[c] for c in row + grown) for row in moved])
+            merged, fixed, cols, np.concatenate([theta[moved], np.broadcast_to(
+                inner_theta, (idx.size, inner_theta.size))], axis=1))
+        gain = outer_max + refit + grown_max + const[idx]
         scores[idx] = np.where(outer_ok & grown_ok,
                                2.0 * (1 - len(grown)) - 2.0 * gain, np.nan)
     return scores

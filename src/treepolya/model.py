@@ -236,7 +236,8 @@ class TreePolyaModel:
         """Mixed factorial moment E[prod_j (Y_j)(Y_j-1)...(Y_j-r_j+1)]."""
         r = count_array(r)
         if r.shape != (self.tree.leaf_count,):
-            raise UsageError("moment order vector must have one entry per leaf")
+            raise UsageError("moment order vector must have one entry per "
+                             "leaf")
         if np.any(r < 0):
             raise DomainError("moment orders must be nonnegative")
         r = count_int64(r)

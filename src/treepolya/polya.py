@@ -164,7 +164,9 @@ def sumlaw_support_max(law: SumLaw) -> Optional[int]:
         return law.m
     if isinstance(law, Binomial):
         return law.size
-    return None
+    if isinstance(law, (Poisson, NegativeBinomial)):
+        return None
+    raise UsageError(f"unknown sum law {law!r}")
 
 
 def count_numbers(y) -> np.ndarray:
@@ -219,6 +221,42 @@ def count_int64(y) -> np.ndarray:
     return y.astype(np.int64, copy=False)
 
 
+def _poisson_log_pmf(k: np.ndarray, rate: float) -> np.ndarray:
+    """Poisson log p.m.f. at counts k >= 1 in the saddle-point form
+    -stirlerr(k) - bd0(k, rate) - log(2 pi k) / 2 (Loader 2000, "Fast and
+    accurate computation of binomial probabilities"; R's ``dpois_raw``).
+    It keeps its precision where k log(rate) - rate - lgamma(k + 1)
+    cancels, near k = rate once rate is large.
+
+    stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k / e)^k) comes from its
+    asymptotic series past k = 15.  bd0(k, rate) = k log(k / rate) + rate
+    - k = (k - rate) v + 2k sum_{j>=1} v^(2j+1) / (2j+1), with v = (k -
+    rate) / (k + rate), is summed as that series where |v| < 0.1, where
+    its closed form cancels.
+    """
+    small = np.minimum(k, 15.0)
+    inv2 = 1.0 / (k * k)
+    stirlerr = np.where(
+        k > 15.0, (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv2 / 1188)
+                                        * inv2) * inv2) * inv2) / k,
+        gammaln(small + 1.0) - (small + 0.5) * np.log(small) + small
+        - 0.5 * math.log(2.0 * math.pi))
+    near = np.abs(k - rate) < 0.1 * (k + rate)
+    v = np.where(near, (k - rate) / (k + rate), 0.0)
+    total, term = (k - rate) * v, 2.0 * k * v
+    for j in range(1, 1000):  # |v| < 0.1: 16 digits take 8 terms
+        term = term * v * v
+        ahead = total + term / (2 * j + 1)
+        if np.array_equal(ahead, total):
+            break
+        total = ahead
+    with np.errstate(over="ignore"):  # k / rate past the floats
+        ratio = np.log(k / rate)
+    ratio = np.where(np.isinf(ratio), np.log(k) - math.log(rate), ratio)
+    bd0 = np.where(near, total, k * ratio + rate - k)
+    return -stirlerr - bd0 - 0.5 * np.log(2.0 * math.pi * k)
+
+
 def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
     """Log p.m.f. of a sum law at each total; ``-inf`` for zero mass."""
     n = count_array(n)
@@ -231,7 +269,8 @@ def sumlaw_log_pmf_many(n, law: SumLaw) -> np.ndarray:
                + k * math.log(law.prob)
                + (law.size - k) * math.log1p(-law.prob))
     elif isinstance(law, Poisson):
-        out = k * math.log(law.rate) - law.rate - gammaln(k + 1)
+        out = np.where(k > 0, _poisson_log_pmf(np.maximum(k, 1.0), law.rate),
+                       -law.rate)
     elif isinstance(law, NegativeBinomial):
         out = (ln_gen_factorial_many(law.alpha, k, 1) - gammaln(k + 1)
                + k * math.log(law.p) + law.alpha * math.log1p(-law.p))

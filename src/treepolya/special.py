@@ -101,7 +101,8 @@ def ln_gen_factorial(theta: float, n: int, c: int) -> LogValue:
     if c not in (-1, 0, 1):
         raise UsageError(f"c must be in {{-1, 0, 1}}, got {c}")
     if theta <= 0:
-        raise DomainError(f"generalized factorial needs theta > 0, got {theta}")
+        raise DomainError(f"generalized factorial needs theta > 0, got "
+                          f"{theta}")
     # the count gate lives in polya, which imports this module
     from .polya import count_int64, count_scalar
     if count_scalar(n) < 0:

@@ -78,7 +78,8 @@ class PartitionTree:
                 stack.extend((child, nid) for child in reversed(spec))
         for node in reversed(nodes):
             if node[0] is None:
-                node[0] = tuple(sorted(j for c in node[2] for j in nodes[c][0]))
+                node[0] = tuple(sorted(j for c in node[2]
+                                       for j in nodes[c][0]))
         nodes = tuple(_Node(sub, par, tuple(ch)) for sub, par, ch in nodes)
         tree = PartitionTree(len(nodes[0].subset), nodes)
         tree._check()
@@ -108,7 +109,8 @@ class PartitionTree:
         expected_root = tuple(range(1, self.leaf_count + 1))
         if root.subset != expected_root:
             violations.append(
-                f"root subset {root.subset} is not {{1,...,{self.leaf_count}}}")
+                f"root subset {root.subset} is not "
+                f"{{1,...,{self.leaf_count}}}")
         seen_leaves = set()
         for nid, node in enumerate(self.nodes):
             if node.children:

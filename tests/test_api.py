@@ -6,7 +6,7 @@ deletion that breaks either should fail here before it breaks a
 benchmark run.  The README's CLI synopsis is checked against the parser
 here too, and so is the reach of the count checks: every public entry
 point that takes counts is in ``test_inference``'s table of non-number
-inputs.
+inputs, and every line of the package's source fits in 79 columns.
 """
 
 import ast
@@ -186,3 +186,11 @@ def test_a_single_count_takes_no_array(entry):
     for array in ([3, 4], [[3]]):
         with pytest.raises(UsageError, match="a single count"):
             call(array)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (ROOT / "src" / "treepolya").glob("*.py")), ids=lambda p: p.name)
+def test_source_lines_fit_in_79_columns(path):
+    long = [number for number, line in enumerate(
+        path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 79]
+    assert not long, f"{path.name}: lines {long} pass 79 columns"

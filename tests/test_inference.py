@@ -3,6 +3,7 @@ import math
 import os
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -87,10 +88,17 @@ class TestSumLawFit:
 
     def test_closed_forms_build_no_survival_row(self):
         """Totals near 2**62 pass the count gate, and the closed-form fits
-        return at once instead of counting up to the largest total."""
+        return at once instead of counting up to the largest total, with
+        the Poisson log-likelihood that 50 digits give (it read 0.0 when
+        k log(rate) - rate - log k! cancelled)."""
         totals = np.array([2 ** 62, 2 ** 62])
         assert fit_sum_law(totals, "dirac").params["m"] == 2 ** 62
-        assert fit_sum_law(totals, "poisson").params["rate"] == 2.0 ** 62
+        poisson = fit_sum_law(totals, "poisson")
+        assert poisson.params["rate"] == 2.0 ** 62
+        with mpmath.workdps(50):
+            k = mpmath.mpf(2) ** 62
+            exact = 2 * float(k * mpmath.log(k) - k - mpmath.loggamma(k + 1))
+        assert poisson.log_lik == pytest.approx(exact, rel=1e-13)
 
     def test_binomial_recovery(self, rng):
         totals = rng.binomial(20, 0.4, size=20_000)
@@ -353,6 +361,73 @@ class TestDmAggregates:
                 / width[:, None]
             assert num_col == pytest.approx(hessian[:, :, j], rel=1e-5,
                                             abs=1e-4)
+
+
+class TestNewtonSolve:
+    """The one Sherman-Morrison solve, :func:`fit._newton_step`, and the
+    screen's refit gain built on it, against a dense solve of the
+    Hessian H = diag(d) + a2 x x^T."""
+
+    @staticmethod
+    def _rows():
+        """(x, grad, d, a2) for three rows: H negative definite; d with a
+        positive entry; d < 0 with a rank-one term that makes H
+        indefinite."""
+        rng = np.random.default_rng(120)
+        x = np.exp(rng.uniform(-1.0, 2.0, size=(3, 4)))
+        grad = rng.normal(size=(3, 4))
+        d = -np.exp(rng.uniform(0.0, 2.0, size=(3, 4)))
+        d[1, 2] = 0.5
+        a2 = np.array([0.05, 0.05, 2.0 / float(x[2] @ (x[2] / -d[2]))])
+        return x, grad, d, a2
+
+    def test_newton_step_is_the_dense_solve(self):
+        x, grad, d, a2 = self._rows()
+        step, concave = fit_module._newton_step(x, grad, d, a2)
+        for i in range(3):
+            hess = np.diag(d[i]) + a2[i] * np.outer(x[i], x[i])
+            assert step[i] == pytest.approx(np.linalg.solve(hess, -grad[i]),
+                                            rel=1e-9)
+            assert concave[i] == np.all(np.linalg.eigvalsh(hess) < 0)
+        assert concave.tolist() == [True, False, False]
+
+    def test_a_frozen_coordinate_leaves_the_solve(self):
+        """grad 0 and d = -inf take a coordinate out of H: its step is 0
+        and the others' is the solve without its row and column."""
+        x, grad, d, a2 = (v[:1].copy() for v in self._rows())
+        grad[0, 1], d[0, 1] = 0.0, -np.inf
+        step, concave = fit_module._newton_step(x, grad, d, a2)
+        rest = [0, 2, 3]
+        hess = np.diag(d[0, rest]) + a2[0] * np.outer(x[0, rest], x[0, rest])
+        assert step[0, 1] == 0.0 and concave[0]
+        assert step[0, rest] == pytest.approx(
+            np.linalg.solve(hess, -grad[0, rest]), rel=1e-9)
+
+    def test_refit_gain_is_half_the_dense_decrement(self):
+        """Half of g^T (-H)^-1 g over the free weight and the kept ones,
+        for a concave row, a row with a frozen kept weight, and a row
+        whose H is not negative definite (NaN)."""
+        rng = np.random.default_rng(121)
+        x = np.exp(rng.uniform(-1.0, 1.0, size=(3, 1)))
+        a1 = rng.uniform(0.5, 1.0, size=3)
+        a2 = np.array([0.01, 0.01, 100.0])
+        b1, b2 = rng.uniform(0.5, 1.5, (3, 1)), rng.uniform(3.0, 4.0, (3, 1))
+        theta = np.exp(rng.uniform(-1.0, 1.0, size=4))
+        kept_b1, kept_b2 = rng.uniform(0.5, 1.5, 4), rng.uniform(3.0, 4.0, 4)
+        kept = np.ones((3, 4), dtype=bool)
+        kept[1, 2] = False
+        gain = fit_module._refit_gain((a1, a2, b1, b2), x, kept_b1, kept_b2,
+                                      theta, kept)
+        assert np.isnan(gain).tolist() == [False, False, True]
+        for i in range(2):
+            use = np.concatenate([[True], kept[i]])
+            w = np.concatenate([x[i], theta])[use]
+            g = w * (np.concatenate([b1[i], kept_b1])[use] - a1[i])
+            hess = np.diag(g - w * w * np.concatenate([b2[i], kept_b2])[use]) \
+                + a2[i] * np.outer(w, w)
+            assert np.all(np.linalg.eigvalsh(hess) < 0)
+            assert gain[i] == pytest.approx(
+                -g @ np.linalg.solve(hess, g) / 2.0, rel=1e-9)
 
 
 def _tight_dm_max(agg) -> float:

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,41 @@ class TestSumLaws:
                          for n in range(cutoff + 1))
             assert sumlaw_factorial_moment(r, law) == pytest.approx(
                 direct, rel=1e-8)
+
+    @pytest.mark.parametrize("rate", [5e-324, 0.5, 30.0, 1e6, 1e15, 1e16,
+                                      2.0 ** 62])
+    def test_poisson_log_pmf_matches_mpmath(self, rate):
+        """k log(rate) - rate - log k! at 50 digits, from k = 0 to far
+        past the rate.  In floats that form cancels near k = rate: at
+        rate 1e16 it gave +64 for k = rate - 3, and 0 from 1e17.  At the
+        least rate, k / rate overflows."""
+        ks = np.unique(np.round(np.concatenate([
+            np.arange(41.0),
+            rate * np.array([0.5, 0.8, 0.9, 0.99, 1.0, 1.01, 1.1, 1.3, 2.0,
+                             10.0]),
+            rate + np.array([-3.0, 3.0, -5.0, 5.0]) * math.sqrt(rate)])))
+        ks = ks[ks >= 0]
+        got = sumlaw_log_pmf_many(ks, Poisson(rate))
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(rate)
+            want = [float(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+                    for k in map(mpmath.mpf, ks.tolist())]
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got.max() < 0.0
+
+    @pytest.mark.parametrize("call", [
+        lambda law: sumlaw_log_pmf(1, law),
+        lambda law: sumlaw_log_pmf_many([1, 2], law),
+        lambda law: sumlaw_factorial_moment(2, law),
+        lambda law: sumlaw_sample_many(law, 3, np.random.default_rng(0)),
+        lambda law: polya.sumlaw_support_max(law),
+        lambda law: sumlaw_truncation_point(law),
+        lambda law: sumlaw_truncated_log_pmf(law),
+    ], ids=["log_pmf", "log_pmf_many", "factorial_moment", "sample_many",
+            "support_max", "truncation_point", "truncated_log_pmf"])
+    def test_a_non_law_is_an_unknown_sum_law(self, call):
+        with pytest.raises(UsageError, match="unknown sum law"):
+            call("x")
 
     def test_sampling_matches_moments(self, rng):
         law = NegativeBinomial(3.0, 0.7)
