@@ -121,8 +121,9 @@ def _cmd_pmf(args) -> None:
                          f"leaves: {data.column_names} vs {names}")
     order = [data.column_names.index(name) for name in names]
     values = model.joint_log_pmf_many(data.rows[:, order])
-    rows = [[i + 1, f"{logp:.12g}"] for i, logp in enumerate(values)]
-    _write_text(args.out, _csv_text(["row", "log_pmf"], rows))
+    # an index and a formatted float never need CSV quoting
+    _write_text(args.out, "row,log_pmf\n" + "".join(
+        f"{i},{logp:.12g}\n" for i, logp in enumerate(values.tolist(), 1)))
 
 
 def _sample_blocks(model: TreePolyaModel, n: int,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import json
@@ -10,8 +11,9 @@ import re
 import stat
 import sys
 from dataclasses import asdict, dataclass, fields
+from io import TextIOWrapper
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,49 +60,203 @@ class CountMatrix:
 def load_counts_csv(path: str) -> CountMatrix:
     """Read a header-plus-integer-rows CSV into a count matrix.
 
-    Header names are kept as written, surrounding whitespace included, so
-    that they read back as :func:`write_counts_csv` wrote them; a name
-    that is only whitespace is blank.  Cells are stripped.  Malformed
-    cells raise a parse error naming the offending row and column
-    (1-based, header excluded from the row count).
+    The file is UTF-8 text; a leading byte-order mark is dropped.  Header
+    names are kept as written, surrounding whitespace included, so that
+    they read back as :func:`write_counts_csv` wrote them; a name that
+    is only whitespace is blank.  A cell is ASCII digits with an optional
+    sign and surrounding whitespace, and its count must fit in int64.
+    Malformed cells raise a parse error naming the offending row and
+    column (1-based, header excluded from the row count).
+
+    A regular file whose rows are only digits, commas and line ends is
+    decoded in blocks of whole lines with numpy; any other file, and any
+    file with a block outside that form, is read cell by cell, which
+    gives the same matrix and is where every parse error comes from.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        names = tuple(header)
-        if any(not n.strip() for n in names):
-            raise ParseError(f"{path}: blank column name in header")
-        if len(set(names)) != len(names):
-            raise ParseError(f"{path}: duplicate column names")
-        rows: List[List[int]] = []
-        for r, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(names):
-                raise ParseError(
-                    f"{path}: row {r} has {len(record)} fields, expected "
-                    f"{len(names)}")
-            parsed = []
-            for c, cell in enumerate(record, start=1):
-                text = cell.strip()
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {r}, column {names[c - 1]!r}: "
-                        f"{cell!r} is not an integer") from None
-                if value < 0:
-                    raise ParseError(
-                        f"{path}: row {r}, column {names[c - 1]!r}: "
-                        f"negative count {value}")
+    with open(path, "rb") as fh:
+        # the block decoder reads the file twice, which a pipe cannot be
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            counts = _read_plain_counts(fh)
+            if counts is not None:
+                return counts
+            fh.seek(0)
+        return _read_counts(path, fh)
+
+
+# the largest count a cell may hold, int64's maximum
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _read_counts(path: str, fh) -> CountMatrix:
+    """The count matrix of the binary file ``fh``, read from its start
+    as UTF-8 by the ``csv`` module and checked cell by cell."""
+    try:
+        with TextIOWrapper(fh, encoding="utf-8-sig", newline="") as text:
+            names, rows = _parse_records(path, csv.reader(text))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: byte "
+                         f"{exc.object[exc.start]:#04x} ({exc.reason})") \
+            from None
+    return CountMatrix(names, np.array(rows, dtype=np.int64))
+
+
+def _header_problem(names: Tuple[str, ...]) -> Optional[str]:
+    """What makes ``names`` no header, or None if they are one."""
+    if any(not n.strip() for n in names):
+        return "blank column name in header"
+    if len(set(names)) != len(names):
+        return "duplicate column names"
+    return None
+
+
+def _parse_records(path: str, reader) -> Tuple[Tuple[str, ...],
+                                               List[List[int]]]:
+    """The header and the counts of the CSV records from ``reader``;
+    blank records are skipped, and a bad one raises ``ParseError``."""
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty file")
+    names = tuple(header)
+    problem = _header_problem(names)
+    if problem:
+        raise ParseError(f"{path}: {problem}")
+    rows: List[List[int]] = []
+    for r, record in enumerate(reader, start=1):
+        if not record or (len(record) == 1 and not record[0].strip()):
+            continue
+        if len(record) != len(names):
+            raise ParseError(
+                f"{path}: row {r} has {len(record)} fields, expected "
+                f"{len(names)}")
+        parsed = []
+        for name, cell in zip(names, record):
+            text = cell.strip()
+            try:
+                value = int(text)
+            except ValueError:
+                value = None
+            # int() also reads "1_0" and digits outside ASCII
+            if value is None or "_" in text or not text.isascii():
+                problem = f"{cell!r} is not an integer"
+            elif value < 0:
+                problem = f"negative count {value}"
+            elif value > _INT64_MAX:
+                problem = f"count {value} does not fit in int64"
+            else:
                 parsed.append(value)
-            rows.append(parsed)
+                continue
+            raise ParseError(f"{path}: row {r}, column {name!r}: {problem}")
+        rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return CountMatrix(names, np.array(rows, dtype=np.int64))
+    return names, rows
+
+
+# bytes of whole lines that the block decoder takes at once; its
+# temporaries are a few times this, however long the file is
+_READ_BLOCK_BYTES = 1 << 20
+
+# the longest cell the block decoder takes: 18 digits stay below 10**18,
+# inside int64, so the place-value sum cannot overflow
+_PLAIN_DIGITS = 18
+
+
+def _read_plain_counts(fh) -> Optional[CountMatrix]:
+    """The count matrix of the regular binary file ``fh`` if its rows are
+    plain, else None.
+
+    The header is read by the ``csv`` module; it must end at the first
+    line end outside quotes, and be a valid header.  The rows are
+    counted, then decoded in blocks of whole lines into the matrix by
+    :func:`_decode_plain_rows`.  None if any of that fails: the per-cell
+    reader then reads the file and names what is wrong with it.
+    """
+    lines = [fh.readline()]
+    quotes = lines[0].count(b'"')
+    while quotes % 2 and lines[-1].endswith(b"\n"):  # a quoted line end
+        lines.append(fh.readline())
+        quotes += lines[-1].count(b'"')
+    head = b"".join(lines)
+    try:
+        records = list(csv.reader(
+            [head.removeprefix(codecs.BOM_UTF8).decode("utf-8")]))
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if len(records) != 1 or not head.endswith(b"\n"):
+        return None
+    names = tuple(records[0])
+    if not names or _header_problem(names):
+        return None
+    body = fh.tell()
+    n_rows, last = 0, b"\n"
+    for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
+        n_rows += chunk.count(b"\n")
+        last = chunk[-1:]
+    n_rows += last != b"\n"
+    fh.seek(body)
+    rows = np.empty((n_rows, len(names)), dtype=np.int64)
+    done = 0
+    for block in _line_blocks(fh):
+        decoded = _decode_plain_rows(block, rows[done:])
+        if not decoded:
+            return None
+        done += decoded
+    if done == 0 or done != n_rows:
+        return None
+    return CountMatrix(names, rows)
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of about ``_READ_BLOCK_BYTES``, each
+    cut after a LF; a last line without one gets one."""
+    pieces = []  # of the line that the last block cut
+    for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join(pieces + [chunk[:cut]])
+            pieces = []
+        pieces.append(chunk[cut:])
+    rest = b"".join(pieces)
+    if rest:
+        yield rest + b"\n"
+
+
+def _decode_plain_rows(block: bytes, out: np.ndarray) -> int:
+    """Decode ``block``, whole lines each ending in LF or CRLF, into the
+    first rows of the int64 matrix ``out``, and return how many rows it
+    held.  0, with ``out`` partly written, if the block is not plain: a
+    line of exactly ``out.shape[1]`` cells, each of 1 to
+    ``_PLAIN_DIGITS`` ASCII digits, separated by commas.
+
+    Every byte below ``'0'`` ends a cell, and each line's terminators
+    must be commas then a LF.  A cell's value is built from its last
+    digit backwards, over as many rounds as the block's widest cell has
+    digits: round k takes the k-th digit from each cell's end (0 in
+    cells shorter than k), so the temporaries are a few per cell."""
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n")  # a lone CR fails below
+    codes = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(codes < ord("0"))
+    n_rows, extra = divmod(ends.size, out.shape[1])
+    if extra or n_rows > out.shape[0] or codes.max() > ord("9"):
+        return 0
+    marks = codes[ends].reshape(n_rows, -1)
+    if not (np.all(marks[:, :-1] == ord(",")) and
+            np.all(marks[:, -1] == ord("\n"))):
+        return 0
+    lengths = np.diff(ends, prepend=-1) - 1
+    shortest, widest = int(lengths.min()), int(lengths.max())
+    if shortest < 1 or widest > _PLAIN_DIGITS:
+        return 0
+    cells = out[:n_rows].reshape(-1)
+    cells[:] = 0
+    for k in range(widest, 0, -1):
+        digit = codes[ends - k] - ord("0")
+        if k > shortest:
+            digit[lengths < k] = 0
+        cells *= 10
+        cells += digit
+    return n_rows
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')

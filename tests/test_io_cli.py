@@ -30,6 +30,7 @@ from treepolya.polya import (SUM_LAWS, Binomial, Dirac, NegativeBinomial,
 from treepolya.tree import PartitionTree
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+ODD_NAMES = ["x,y", 'say "hi"', "cr\r\nlf"] + [f"s{j}" for j in range(4, 11)]
 
 
 class TestCsv:
@@ -76,6 +77,64 @@ class TestCsv:
         path.write_text("a,b\n")
         with pytest.raises(ParseError):
             load_counts_csv(str(path))
+
+    @pytest.mark.parametrize("cell", [str(2 ** 63), "99999999999999999999"])
+    def test_a_count_beyond_int64_is_a_parse_error(self, tmp_path, capsys,
+                                                   cell):
+        # a bare OverflowError from np.array before
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n1,{cell}\n")
+        with pytest.raises(ParseError, match=f"row 2, column 'b': count "
+                                             f"{cell} does not fit in int64"):
+            load_counts_csv(str(path))
+        assert main(["fit", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]: ") and "row 2" in err
+        path.write_text(f"a,b\n1,{INT64_MAX}\n")
+        assert load_counts_csv(str(path)).rows.tolist() == [[1, INT64_MAX]]
+
+    @pytest.mark.parametrize("data", [b"a,b\n1,\xe9", b"a,b\n1,2\n3,\xe9\n",
+                                      b"\xe9,b\n1,2\n"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path,
+                                                       capsys, data):
+        # a bare UnicodeDecodeError before
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8 text: byte 0xe9"):
+            load_counts_csv(str(path))
+        assert main(["fit", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error[parse]: ")
+
+    def test_a_byte_order_mark_is_not_part_of_a_name(self, tmp_path,
+                                                     model_file):
+        counts = ten_leaf_example().sample_many(5, np.random.default_rng(1))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_counts_csv(str(plain), counts, [f"s{j}" for j in range(1, 11)])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got = load_counts_csv(str(marked))
+        assert got.column_names[0] == "s1"
+        assert np.array_equal(got.rows, counts)
+        outs = []
+        for obs in (plain, marked):
+            outs.append(tmp_path / f"{obs.stem}.out")
+            assert main(["pmf", "--model", model_file, "--obs", str(obs),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "\uff11", "1.0", "0x1",
+                                      "+ 1", ""])
+    def test_a_cell_is_ascii_digits_with_a_sign(self, tmp_path, cell):
+        # int() read "1_0" as 10 and the Arabic-Indic one as 1
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(
+                f"row 2, column 'b': {cell!r} is not an integer")):
+            load_counts_csv(str(path))
+
+    def test_padding_and_signs_are_still_read(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n 1 ,+2\n-0,\t007\n")
+        assert load_counts_csv(str(path)).rows.tolist() == [[1, 2], [0, 7]]
 
 
 def _reference_csv(rows, names) -> bytes:
@@ -173,6 +232,143 @@ class TestCountWriter:
         with pytest.raises(TreePolyaError, match="integers"):
             write_counts_csv(str(tmp_path / "x.csv"), np.array([[1.0, 2.0]]),
                              ["a", "b"])
+
+
+def _exact_read(path):
+    """The per-cell reader alone, the reference for load_counts_csv."""
+    with open(path, "rb") as fh:
+        return io._read_counts(str(path), fh)
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the names and the matrix, or the
+    error's type and text."""
+    try:
+        counts = read(path)
+    except TreePolyaError as exc:
+        return type(exc), str(exc)
+    rows = counts.rows
+    assert rows.dtype == np.int64 and rows.flags.c_contiguous
+    return counts.column_names, rows.tolist()
+
+
+# cells that a drawn file may hold in place of a count: errors of each
+# kind, and a quoted count and a cell with a comma, which the block
+# decoder leaves to the per-cell reader
+BAD_CELLS = ["x", "-3", "1_0", "\u0661", "1.5", "", str(2 ** 63),
+             "99999999999999999999", '"7"', "1,2"]
+
+
+@st.composite
+def _irregular_files(draw):
+    """Bytes of a count CSV, drawn with padded and signed cells, leading
+    zeros, CRLF rows, blank lines, a byte-order mark, quoted or padded
+    names, no final newline, and perhaps one bad cell anywhere."""
+    width = draw(st.integers(1, 4))
+    names = draw(st.sampled_from([
+        [f"c{j}" for j in range(width)], ODD_NAMES[:width],
+        [" lead", "trail ", "x\ty", "q"][:width]]))
+    n_rows = draw(st.integers(1, 30))
+    # leading zeros are plain; padding and signs are not
+    forms = draw(st.sampled_from([["{}", "0{}"], ["{}", " {} ", "+{}"]]))
+    cells = [[draw(st.sampled_from(forms)).format(draw(st.integers(
+        0, INT64_MAX))) for _ in range(width)] for _ in range(n_rows)]
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, n_rows - 1))][
+            draw(st.integers(0, width - 1))] = draw(st.sampled_from(BAD_CELLS))
+    pieces, blanks = [], draw(st.booleans())
+    for line in [io._csv_line(names)] + [",".join(row) for row in cells]:
+        pieces += [line, draw(st.sampled_from(["\n", "\r\n"]))]
+        if blanks and draw(st.integers(0, 9)) == 0:
+            pieces.append(draw(st.sampled_from(["\n", " \n", "\r\n"])))
+    if draw(st.booleans()):
+        pieces.pop()  # no final newline
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + "".join(pieces).encode()
+
+
+class TestPlainReader:
+    """``load_counts_csv`` decodes plain files in blocks of whole lines
+    and leaves every other file to the per-cell reader: both give the
+    same names, matrix and errors."""
+
+    @staticmethod
+    def _load(path, block_bytes):
+        with mock.patch.object(io, "_READ_BLOCK_BYTES", block_bytes):
+            with open(path, "rb") as fh:
+                plain = io._read_plain_counts(fh)
+            return plain, _outcome(load_counts_csv, path)
+
+    @given(rows=hnp.arrays(
+               np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                          max_side=30),
+               elements=st.integers(1, 19).flatmap(
+                   lambda w: st.integers(10 ** (w - 1) - (w == 1),
+                                         min(10 ** w - 1, INT64_MAX)))),
+           block_bytes=st.integers(1, 200))
+    @example(rows=np.array([[10 ** 18 - 1, 0], [10 ** 18, 5]]),
+             block_bytes=40)
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_through_the_writer(self, tmp_path_factory, rows,
+                                           block_bytes):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        names = [f"c{j}" for j in range(rows.shape[1])]
+        write_counts_csv(str(path), rows, names)
+        plain, got = self._load(path, block_bytes)
+        assert got == (tuple(names), rows.tolist())
+        assert got == _outcome(_exact_read, path)
+        # only a cell of 19 digits sends the file to the per-cell reader
+        assert (plain is None) == bool(np.any(rows >= 10 ** 18))
+
+    @given(data=_irregular_files(), block_bytes=st.integers(1, 64))
+    @example(data=b"a,b\r\n1,2\r\n\r\n3,4", block_bytes=4)
+    @example(data=b"a,b\n1,2,3\n4\n", block_bytes=64)  # 4 cells, 2 rows
+    @example(data=b"a,b\n" + b"1,2\n" * 40 + b"3,x\n", block_bytes=16)
+    @example(data=b'"x,y",b\n1,2\n' + b"1,2\n" * 40 + b"3\n", block_bytes=8)
+    @settings(max_examples=150, deadline=None)
+    def test_irregular_files_read_as_the_per_cell_reader_reads_them(
+            self, tmp_path_factory, data, block_bytes):
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        path.write_bytes(data)
+        plain, got = self._load(path, block_bytes)
+        assert got == _outcome(_exact_read, path)
+        if plain is not None:
+            assert got == (plain.column_names, plain.rows.tolist())
+
+    def test_a_bad_cell_in_a_later_block_names_its_row(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n" + "12,3\n" * 500 + "4,x\n" + "5,6\n" * 10)
+        plain, got = self._load(path, 64)
+        assert plain is None
+        assert got == (ParseError, f"{path}: row 501, column 'b': 'x' is "
+                                   "not an integer")
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\n1,2\n3,4\n", b"a,b\r\n1,2\r\n3,4", b"\xef\xbb\xbfa,b\n1,2\n",
+        (io._csv_line(ODD_NAMES) + "\n" + ",".join("7" * 10) + "\n").encode()])
+    def test_plain_files_take_the_block_decoder(self, tmp_path, data):
+        path = tmp_path / "x.csv"
+        path.write_bytes(data)
+        plain, got = self._load(path, 5)
+        assert plain is not None
+        assert got == (plain.column_names, plain.rows.tolist())
+        assert got == _outcome(_exact_read, path)
+
+    def test_memory_is_the_matrix_and_a_block(self, tmp_path):
+        """Rows are counted first and decoded into the one matrix: the
+        traced peak is that matrix and a block's temporaries."""
+        rows = np.random.default_rng(3).poisson(30, size=(20_000, 10))
+        path = tmp_path / "x.csv"
+        write_counts_csv(str(path), rows, [f"c{j}" for j in range(10)])
+        with mock.patch.object(io, "_READ_BLOCK_BYTES", 1 << 14):
+            tracemalloc.start()
+            try:
+                counts = load_counts_csv(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(counts.rows, rows)
+        assert peak < 1.5 * rows.nbytes
 
 
 def _random_model(draw_seed):
@@ -342,6 +538,17 @@ class TestModelDocument:
             parse_model(text)
 
 
+def _mixed_model():
+    """Five leaves under a hypergeometric root, a DM and a multinomial
+    split, and a binomial total."""
+    tree = PartitionTree.from_nested([[1, 2], [3, 4], 5])
+    return TreePolyaModel(
+        tree, {tree.ROOT: SplitSpec(-1, (8.0, 6.0, 5.0)),
+               tree.node_by_subset({1, 2}): SplitSpec(1, (1.5, 2.5)),
+               tree.node_by_subset({3, 4}): SplitSpec(0, (0.3, 0.7))},
+        Binomial(12, 0.6))
+
+
 @pytest.fixture
 def model_file(tmp_path):
     path = tmp_path / "model.json"
@@ -392,18 +599,37 @@ class TestCli:
         """sha256 of the sample file as the per-cell ``str()`` writer
         made it: a change to the RNG calls or to the CSV bytes moves it."""
         if which == "mixed":
-            tree = PartitionTree.from_nested([[1, 2], [3, 4], 5])
-            model = TreePolyaModel(
-                tree, {tree.ROOT: SplitSpec(-1, (8.0, 6.0, 5.0)),
-                       tree.node_by_subset({1, 2}): SplitSpec(1, (1.5, 2.5)),
-                       tree.node_by_subset({3, 4}): SplitSpec(0, (0.3, 0.7))},
-                Binomial(12, 0.6))
             model_file = tmp_path / "mixed.json"
-            model_file.write_text(serialize_model(model, list("abcde")))
+            model_file.write_text(serialize_model(_mixed_model(),
+                                                  list("abcde")))
         out = tmp_path / "s.csv"
         assert main(["sample", "--model", str(model_file), "--n", "1000",
                      "--seed", "7", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("which, digest", [
+        ("ten-leaf",
+         "4cab0b4fb2cac084f18e6395768ca2985899a1d452bc3360c0e060f4acf6205d"),
+        ("mixed",
+         "6fca6a207224e44d258e48eaf923c201570f0e88992c06d9547881ad1ca87730")])
+    def test_pmf_output_is_pinned(self, model_file, data_file, tmp_path,
+                                  which, digest):
+        """sha256 of the pmf table as the quoting CSV writer made it; the
+        mixed model's binomial total gives 29 rows of -inf, and its data
+        file has its columns in reverse order."""
+        if which == "mixed":
+            model = _mixed_model()
+            rows = model.sample_many(200, np.random.default_rng(3))
+            rows[::7, 0] += 9  # beyond the binomial's 12
+            model_file, data_file = tmp_path / "mixed.json", tmp_path / "m.csv"
+            model_file.write_text(serialize_model(model, list("abcde")))
+            write_counts_csv(str(data_file), rows[:, ::-1], list("edcba"))
+        out = tmp_path / "p.csv"
+        assert main(["pmf", "--model", str(model_file), "--obs",
+                     str(data_file), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert out.read_bytes().count(b",-inf\n") == \
+            (29 if which == "mixed" else 0)
 
     def test_corr_matches_library(self, model_file, tmp_path):
         out = tmp_path / "c.csv"
@@ -608,9 +834,6 @@ class TestBlockedSample:
         finally:
             tracemalloc.stop()
         assert peak < 20 * block_bytes
-
-
-ODD_NAMES = ["x,y", 'say "hi"', "cr\r\nlf"] + [f"s{j}" for j in range(4, 11)]
 
 
 class TestQuotedNames:
