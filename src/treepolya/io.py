@@ -112,8 +112,11 @@ def _header_problem(names: Tuple[str, ...]) -> Optional[str]:
 def _parse_records(path: str, reader) -> Tuple[Tuple[str, ...],
                                                List[List[int]]]:
     """The header and the counts of the CSV records from ``reader``;
-    blank records are skipped, and a bad one raises ``ParseError``."""
-    header = next(reader, None)
+    blank records are skipped, and a bad one raises ``ParseError``, as
+    does a record the ``csv`` module cannot read (a field past its size
+    limit)."""
+    records = _csv_records(path, reader)
+    header = next(records, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
     names = tuple(header)
@@ -121,35 +124,68 @@ def _parse_records(path: str, reader) -> Tuple[Tuple[str, ...],
     if problem:
         raise ParseError(f"{path}: {problem}")
     rows: List[List[int]] = []
-    for r, record in enumerate(reader, start=1):
+    for r, record in enumerate(records, start=1):
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if len(record) != len(names):
             raise ParseError(
                 f"{path}: row {r} has {len(record)} fields, expected "
                 f"{len(names)}")
-        parsed = []
-        for name, cell in zip(names, record):
-            text = cell.strip()
-            try:
-                value = int(text)
-            except ValueError:
-                value = None
-            # int() also reads "1_0" and digits outside ASCII
-            if value is None or "_" in text or not text.isascii():
-                problem = f"{cell!r} is not an integer"
-            elif value < 0:
-                problem = f"negative count {value}"
-            elif value > _INT64_MAX:
-                problem = f"count {value} does not fit in int64"
-            else:
-                parsed.append(value)
-                continue
-            raise ParseError(f"{path}: row {r}, column {name!r}: {problem}")
+        # the whole record at once; int() also reads "1_0" and digits
+        # outside ASCII, so any doubt goes to the cell by cell check
+        try:
+            parsed = list(map(int, record))
+        except ValueError:
+            parsed = None
+        joined = "".join(record)
+        if parsed is None or "_" in joined or not joined.isascii() \
+                or min(parsed) < 0 or max(parsed) > _INT64_MAX:
+            parsed = _parse_cells(path, r, names, record)
         rows.append(parsed)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return names, rows
+
+
+def _csv_records(path: str, reader) -> Iterator[List[str]]:
+    """The records of ``reader``; the ``csv`` module's error is a
+    ``ParseError`` naming the record's row (0 is the header)."""
+    row = 0
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = f"row {row}" if row else "header"
+            raise ParseError(f"{path}: {where}: {exc}") from None
+        yield record
+        row += 1
+
+
+def _parse_cells(path: str, r: int, names: Tuple[str, ...],
+                 record: List[str]) -> List[int]:
+    """The counts of data row ``r``, checked cell by cell; the first bad
+    cell raises ``ParseError`` naming its row and column."""
+    parsed = []
+    for name, cell in zip(names, record):
+        text = cell.strip()
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        # int() also reads "1_0" and digits outside ASCII
+        if value is None or "_" in text or not text.isascii():
+            problem = f"{cell!r} is not an integer"
+        elif value < 0:
+            problem = f"negative count {value}"
+        elif value > _INT64_MAX:
+            problem = f"count {value} does not fit in int64"
+        else:
+            parsed.append(value)
+            continue
+        raise ParseError(f"{path}: row {r}, column {name!r}: {problem}")
+    return parsed
 
 
 # bytes of whole lines that the block decoder takes at once; its

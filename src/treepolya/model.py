@@ -18,11 +18,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (NegativeBinomial, SplitSpec, SumLaw, count_array,
-                    count_int64, count_scalar, polya_log_pmf_many,
-                    polya_sample_many, sumlaw_factorial_moment,
-                    sumlaw_log_pmf_many, sumlaw_sample_many,
-                    sumlaw_support_max, sumlaw_truncated_log_pmf)
+from .polya import (NegativeBinomial, Poisson, SplitSpec, SumLaw,
+                    count_array, count_int64, count_scalar,
+                    polya_log_pmf_many, polya_sample_many,
+                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
+                    sumlaw_sample_many, sumlaw_support_max,
+                    sumlaw_truncated_log_pmf)
 from .special import LogValue, ln_gen_factorial_many
 from .tree import PartitionTree
 
@@ -30,6 +31,12 @@ __all__ = [
     "TreePolyaModel", "MarginalChain", "ChainStage", "PathConstants",
     "absorb_binomials", "marginal_pmf", "marginal_pmf_vector",
 ]
+
+
+# numpy's largest Poisson mean (its POISSON_LAM_MAX): int64's maximum
+# less ten standard deviations, so a draw stays inside int64
+_POISSON_RATE_MAX = float(np.iinfo(np.int64).max) \
+    - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _classify(excess: float) -> str:
@@ -184,8 +191,63 @@ class TreePolyaModel:
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws; returns shape (size, J) in leaf order.
 
-        A node's totals are dropped once its children have their columns,
-        so only the splits on the current root path hold draws."""
+        A negative binomial or Poisson total takes the rate route
+        (:meth:`_sample_rates`): one Poisson draw per leaf.  A Dirac or
+        binomial total takes the conditional route
+        (:meth:`_sample_conditional`): one draw per split component.  The
+        two routes draw the same law from different streams.  A law past
+        numpy's samplers raises ``DomainError`` naming it."""
+        law = self.sum_law
+        if isinstance(law, NegativeBinomial):
+            rate = rng.standard_gamma(law.alpha, size) \
+                * (law.p / (1.0 - law.p))
+        elif isinstance(law, Poisson):
+            rate = np.full(size, law.rate)
+        else:
+            return self._sample_conditional(size, rng)
+        # a leaf's rate is at most its row's, so this bounds every draw
+        if not rate.max(initial=0.0) <= _POISSON_RATE_MAX:  # NaN too
+            raise DomainError(
+                f"{law} cannot be sampled: a row's total has Poisson rate "
+                f"{rate.max():.6g}, past numpy's limit "
+                f"{_POISSON_RATE_MAX:.6g}")
+        return self._sample_rates(rate, rng)
+
+    def _sample_rates(self, rate: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+        """Draws given each row's Poisson rate for the total (Jones &
+        Marchand 2019, "Multivariate discrete distributions via sums and
+        shares"): a multinomial split shares a Poisson count's rate by
+        theta_j / |theta|, a DM split by Dirichlet(theta) proportions,
+        and shares of a Poisson count are independent Poisson counts.
+
+        A node's rates are dropped once its children have theirs.  The
+        proportions come from ``rng.dirichlet``, which keeps them finite
+        where every gamma draw of a normalised form underflows to 0 (all
+        weights ~1e-10, as a fit leaves on empty children)."""
+        tree = self.tree
+        out = np.empty((rate.size, tree.leaf_count), dtype=np.int64)
+        rates = {tree.ROOT: rate}
+        for nid in tree.preorder():
+            rate = rates.pop(nid)
+            if tree.is_leaf(nid):
+                out[:, tree.subset(nid)[0] - 1] = rng.poisson(rate)
+                continue
+            spec = self.splits[nid]
+            # _child_bounds rejects a hypergeometric split here
+            shares = rng.dirichlet(spec.theta, rate.size).T if spec.c \
+                else [theta / spec.total for theta in spec.theta]
+            for cid, share in zip(tree.children(nid), shares):
+                rates[cid] = rate * share
+        return out
+
+    def _sample_conditional(self, size: int,
+                            rng: np.random.Generator) -> np.ndarray:
+        """Draws of the total, then of each split's components given its
+        total (:func:`polya_sample_many`), which any sum law and split
+        kind allows.  A node's totals are dropped once its children have
+        their columns, so only the splits on the current root path hold
+        draws."""
         totals = {self.tree.ROOT: sumlaw_sample_many(self.sum_law, size, rng)}
         out = np.zeros((size, self.tree.leaf_count), dtype=np.int64)
         for nid in self.tree.preorder():

@@ -305,17 +305,23 @@ def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
 
 def sumlaw_sample_many(law: SumLaw, size: int,
                        rng: np.random.Generator) -> np.ndarray:
+    """``size`` draws of ``law``.  A law whose mean is past numpy's
+    sampler (about 9.2e18) is a DomainError naming it."""
     if isinstance(law, Dirac):
         return np.full(size, law.m, dtype=np.int64)
     if isinstance(law, Binomial):
         return rng.binomial(law.size, law.prob, size=size).astype(np.int64)
-    if isinstance(law, Poisson):
-        return rng.poisson(law.rate, size=size).astype(np.int64)
-    if isinstance(law, NegativeBinomial):
-        # numpy's p is the success probability of the stopping trials,
-        # i.e. 1 - p in the power-series parameterization used here
-        return rng.negative_binomial(law.alpha, 1.0 - law.p,
-                                     size=size).astype(np.int64)
+    try:
+        if isinstance(law, Poisson):
+            return rng.poisson(law.rate, size=size).astype(np.int64)
+        if isinstance(law, NegativeBinomial):
+            # numpy's p is the success probability of the stopping trials,
+            # i.e. 1 - p in the power-series parameterization used here
+            return rng.negative_binomial(law.alpha, 1.0 - law.p,
+                                         size=size).astype(np.int64)
+    except ValueError as exc:  # e.g. "lam value too large"
+        raise DomainError(f"{law} cannot be sampled: numpy's sampler "
+                          f"rejects it ({exc})") from None
     raise UsageError(f"unknown sum law {law!r}")
 
 

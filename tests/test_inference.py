@@ -954,7 +954,7 @@ class TestSearch:
                   for k, v in weights.items()}
         splits[tree.ROOT] = SplitSpec(1, (3.0, 3.0, 1.0))
         model = TreePolyaModel(tree, splits, NegativeBinomial(3.0, 0.8))
-        counts = model.sample_many(1_500, np.random.default_rng(113))
+        counts = model._sample_conditional(1_500, np.random.default_rng(113))
         _, _, trace = search_tree(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         expected = [("create", root, [7, 8], -51.974491),
@@ -1040,6 +1040,36 @@ def _search_trace(counts):
     fit_module._search_node(list(range(1, counts.shape[1] + 1)), cache, trace)
     return [(t["move"], t["parent"], t["node"], t["delta_aic"].hex())
             for t in trace], cache
+
+
+# 61 rows that the screened search and the exhaustive loop search
+# differently: drawn by the conditional route of the model with tree
+# [1, 2, [3, 4, 5, 6]], root DM theta = (5.4759772333532695,
+# 29.436758516396257, 0.8665879474776162), DM theta = 6.126515708593197
+# on each child of {3,4,5,6} and an NB(1.9131882440747598,
+# 0.8497013715451494) total, from default_rng(3307402494)
+_SCREEN_MISS_COUNTS = np.array([
+    [2, 5, 0, 0, 0, 0], [8, 24, 0, 0, 0, 0], [0, 18, 0, 0, 0, 0],
+    [1, 9, 0, 0, 0, 0], [1, 3, 0, 0, 0, 0], [2, 3, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0], [1, 9, 0, 0, 0, 0], [1, 4, 0, 0, 0, 0],
+    [2, 5, 0, 0, 0, 0], [1, 17, 0, 0, 0, 0], [4, 27, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0], [3, 7, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0],
+    [0, 16, 0, 0, 0, 1], [0, 8, 0, 0, 0, 0], [4, 13, 0, 0, 0, 0],
+    [1, 5, 0, 0, 0, 0], [7, 12, 0, 0, 1, 0], [0, 15, 0, 0, 0, 0],
+    [0, 0, 0, 0, 0, 0], [0, 8, 0, 0, 0, 0], [2, 9, 0, 1, 0, 0],
+    [6, 12, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [4, 10, 0, 0, 0, 0],
+    [0, 9, 1, 0, 0, 1], [2, 11, 0, 0, 0, 0], [0, 15, 0, 0, 0, 0],
+    [1, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [2, 14, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0], [1, 9, 0, 0, 1, 0], [0, 2, 0, 0, 0, 0],
+    [2, 13, 0, 0, 0, 0], [0, 5, 0, 0, 0, 0], [0, 6, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [8, 23, 0, 0, 0, 0],
+    [0, 4, 0, 0, 0, 0], [1, 5, 0, 0, 0, 0], [0, 6, 0, 0, 0, 0],
+    [1, 14, 0, 0, 0, 0], [3, 3, 0, 1, 0, 0], [0, 5, 0, 0, 0, 0],
+    [2, 5, 0, 1, 0, 0], [3, 3, 0, 0, 0, 0], [2, 13, 0, 0, 0, 0],
+    [1, 13, 0, 0, 0, 0], [4, 3, 0, 0, 0, 0], [0, 7, 0, 0, 0, 0],
+    [1, 3, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0], [1, 16, 0, 0, 0, 0],
+    [2, 4, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0],
+    [3, 3, 0, 0, 0, 0]])
 
 
 class TestScreen:
@@ -1167,7 +1197,7 @@ class TestScreen:
                     1, (share,) * len(g))
         law = NegativeBinomial(data.draw(st.floats(1.0, 4.0)),
                                data.draw(st.floats(0.8, 0.95)))
-        counts = TreePolyaModel(tree, splits, law).sample_many(
+        counts = TreePolyaModel(tree, splits, law)._sample_conditional(
             data.draw(st.integers(60, 250)),
             np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))))
         model, report, trace = search_tree(counts)
@@ -1179,6 +1209,21 @@ class TestScreen:
         assert {model.tree.subset(n) for n in model.tree.internal_ids} == \
             {oracle_model.tree.subset(n)
              for n in oracle_model.tree.internal_ids}
+        assert report["total_aic"] == oracle_report["total_aic"]
+
+    @pytest.mark.xfail(strict=True, reason="the move screen can skip the "
+                       "exhaustive loop's best move (ROADMAP item 2)")
+    def test_screen_can_skip_the_best_move(self):
+        """The screened search creates {3,6} (ΔAIC -2.468, total AIC
+        647.084); the exhaustive loop creates {1,2} (-2.934, 648.617).
+        About one in 400-1 000 draws of the parameter space of
+        test_screened_search_ends_at_the_oracle is such a case."""
+        _, report, trace = search_tree(_SCREEN_MISS_COUNTS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fit_module, "_grow_node", exhaustive_grow_node)
+            _, oracle_report, oracle_trace = search_tree(_SCREEN_MISS_COUNTS)
+        assert [t["node"] for t in trace] == \
+            [t["node"] for t in oracle_trace]
         assert report["total_aic"] == oracle_report["total_aic"]
 
     def test_each_round_logs_one_debug_record(self, caplog):
@@ -1216,10 +1261,11 @@ class TestScreen:
 class TestSearchIsPinned:
     """Seeded searches whose every move and ΔAIC is pinned to the bit, so
     that a rewrite of the candidate loop keeps the same candidates, fits
-    and order."""
+    and order.  Their counts come from the conditional route, whose
+    stream the NB models' rate route left as it was."""
 
     def test_three_node_model(self):
-        counts = _three_node_model().sample_many(
+        counts = _three_node_model()._sample_conditional(
             1_000, np.random.default_rng(110))
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6}"
@@ -1240,7 +1286,7 @@ class TestSearchIsPinned:
         splits = {tree.ROOT: SplitSpec(0, (0.4, 0.3, 0.3)),
                   tree.node_by_subset((1, 2, 3)): SplitSpec(1, (20.0,) * 3)}
         model = TreePolyaModel(tree, splits, NegativeBinomial(4.0, 0.9))
-        counts = model.sample_many(600, np.random.default_rng(111))
+        counts = model._sample_conditional(600, np.random.default_rng(111))
         original = fit_module.fit_node_dm
 
         def diverge_flat(data, *args, **kwargs):
@@ -1263,7 +1309,7 @@ class TestSearchIsPinned:
     @staticmethod
     def _zero_rows_and_column():
         """Every sixth row all zero, and leaf 4 an all-zero column."""
-        counts = _three_node_model().sample_many(
+        counts = _three_node_model()._sample_conditional(
             800, np.random.default_rng(115))
         counts[::6] = 0
         return np.insert(counts, 3, 0, axis=1)
@@ -1307,7 +1353,7 @@ class TestSearchIsPinned:
                   for k, v in weights.items()}
         splits[tree.ROOT] = SplitSpec(1, (3.0, 3.0, 1.0))
         model = TreePolyaModel(tree, splits, NegativeBinomial(3.0, 0.8))
-        counts = model.sample_many(800, np.random.default_rng(114))
+        counts = model._sample_conditional(800, np.random.default_rng(114))
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         assert trace == [

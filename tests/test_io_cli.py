@@ -93,6 +93,27 @@ class TestCsv:
         path.write_text(f"a,b\n1,{INT64_MAX}\n")
         assert load_counts_csv(str(path)).rows.tolist() == [[1, INT64_MAX]]
 
+    @pytest.mark.parametrize("cell", ["1" * 200_000,
+                                      '"' + "1" * 200_000 + '"'],
+                             ids=["bare", "quoted"])
+    def test_a_cell_past_the_csv_field_limit_is_a_parse_error(
+            self, tmp_path, capsys, cell):
+        """The csv module reads at most 131 072 characters a field; its
+        bare _csv.Error escaped before."""
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n\n3,{cell}\n")
+        with pytest.raises(ParseError, match="row 3: field larger than "
+                                             "field limit"):
+            load_counts_csv(str(path))
+        for verb in ("fit", "search"):
+            assert main([verb, "--data", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[parse]: ") and "row 3" in err
+            assert "Traceback" not in err
+        path.write_text(f"a,{cell}\n1,2\n")
+        with pytest.raises(ParseError, match="header: field larger"):
+            load_counts_csv(str(path))
+
     @pytest.mark.parametrize("data", [b"a,b\n1,\xe9", b"a,b\n1,2\n3,\xe9\n",
                                       b"\xe9,b\n1,2\n"])
     def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path,
@@ -560,7 +581,8 @@ def model_file(tmp_path):
 @pytest.fixture
 def data_file(tmp_path):
     model = ten_leaf_example()
-    counts = model.sample_many(400, np.random.default_rng(2))
+    # the conditional route's rows, which the pmf digest was pinned on
+    counts = model._sample_conditional(400, np.random.default_rng(2))
     path = tmp_path / "data.csv"
     header = ",".join(f"s{j}" for j in range(1, 11))
     body = "\n".join(",".join(map(str, row)) for row in counts)
@@ -591,7 +613,7 @@ class TestCli:
 
     @pytest.mark.parametrize("which, digest", [
         ("ten-leaf",
-         "5d743f7f3d048fa74b55db2f4e273ed55a90416e7da573c021e4ea6b3c8dcd75"),
+         "84aa1d5e004d1f342fc6ed095dfaa1822f2e393f42efb0087c93ec5f8b453e34"),
         ("mixed",
          "1a2bd79cbadeff9a73c53efdc33a100968bf959771d7ada94438376d90744f98")])
     def test_sample_stream_is_pinned(self, model_file, tmp_path, which,
@@ -755,6 +777,23 @@ class TestCli:
         assert rc == 1
         assert "error[usage]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("law", [NegativeBinomial(1e4, 1 - 2.3e-16),
+                                     Poisson(1e19)], ids=["nb", "poisson"])
+    def test_a_law_past_numpys_samplers_is_a_domain_error(
+            self, tmp_path, capsys, law):
+        """Before, numpy's bare ValueError was a traceback."""
+        tree = PartitionTree.flat(2)
+        path, out = tmp_path / "m.json", tmp_path / "s.csv"
+        path.write_text(serialize_model(TreePolyaModel(
+            tree, {tree.ROOT: SplitSpec(0, (1.0, 1.0))}, law), ["a", "b"]))
+        assert main(["sample", "--model", str(path), "--n", "10",
+                     "--seed", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error[domain]: {law} cannot be sampled: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestBlockedSample:
     """``sample`` draws SAMPLE_BLOCK_ROWS-row blocks (64 here, so 1 000
@@ -783,8 +822,8 @@ class TestBlockedSample:
         write_counts_csv(str(ref), rows, [f"s{j}" for j in range(1, 11)])
         assert out.read_bytes() == ref.read_bytes()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            ("71b77a884be7a8e4582c2b8a446772b9"
-             "b4d10137acd0556acf2b9fcb0c996b9b")
+            ("a0425a9000171f794fccf0a4f7ce650d"
+             "a4785497ec07fbb944d88d501a7c62a8")
 
     def test_bytes_do_not_depend_on_the_worker_count(
             self, model_file, tmp_path, monkeypatch):

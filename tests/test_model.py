@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -665,6 +666,119 @@ class TestSampling:
         a = model.sample_many(100, np.random.default_rng(11))
         b = model.sample_many(100, np.random.default_rng(11))
         assert np.array_equal(a, b)
+
+
+def _empirical_tv(model, draws):
+    """Total variation between the draws' empirical law and the model,
+    over the whole support (a cell never drawn counts its mass), and the
+    expected total variation of exact draws, 0.5 sum sqrt(2 p (1-p) /
+    (pi n)) over the drawn cells."""
+    rows, counts = np.unique(draws, axis=0, return_counts=True)
+    p = np.exp(model.joint_log_pmf_many(rows))
+    n = draws.shape[0]
+    tv = 0.5 * (np.abs(counts / n - p).sum() + 1.0 - p.sum())
+    return tv, 0.5 * np.sqrt(2 * p * (1 - p) / (math.pi * n)).sum()
+
+
+def _leaf_moments(draws):
+    """Each leaf mean and each leaf covariance (pairs i <= j), with their
+    standard errors."""
+    n, leaves = draws.shape
+    centred = draws - draws.mean(axis=0)
+    products = np.stack([centred[:, i] * centred[:, j]
+                         for i in range(leaves) for j in range(i, leaves)])
+    return (draws.mean(axis=0), draws.std(axis=0) / math.sqrt(n),
+            products.mean(axis=1), products.std(axis=1) / math.sqrt(n))
+
+
+class TestRateRoute:
+    """NB and Poisson totals are drawn as one Poisson count per leaf,
+    their rate split down the tree; Dirac and binomial totals split the
+    count itself."""
+
+    @pytest.mark.parametrize("law", [NegativeBinomial(2.0, 0.5),
+                                     Poisson(2.0)], ids=["nb", "poisson"])
+    def test_sample_pmf_total_variation(self, law):
+        """The five-leaf model nests a multinomial split under a DM root
+        beside a DM split.  The bound is 1.3 times the total variation
+        that exact draws expect: the conditional route's draws read
+        0.97-1.15 times it here, and DM splits drawn as multinomial ones
+        13-20 times it."""
+        model = five_leaf(law)
+        tv, floor = _empirical_tv(
+            model, model.sample_many(1_000_000, np.random.default_rng(5)))
+        assert tv < 1.3 * floor
+
+    @pytest.mark.parametrize("law", [NegativeBinomial(10.0, 0.95),
+                                     Poisson(20.0)], ids=["nb", "poisson"])
+    def test_moments_match_the_model_and_the_conditional_route(self, law):
+        base = ten_leaf_example()
+        model = TreePolyaModel(base.tree, base.splits, law)
+        rate = model.sample_many(400_000, np.random.default_rng(12))
+        conditional = model._sample_conditional(
+            400_000, np.random.default_rng(13))
+        leaves = range(1, model.tree.leaf_count + 1)
+        exact_mean = [model.node_mean(model.tree.leaf_node(j))
+                      for j in leaves]
+        exact_cov = [model.covariance(i, j) for i in leaves
+                     for j in leaves if i <= j]
+        mean, mean_se, cov, cov_se = _leaf_moments(rate)
+        assert np.all(np.abs(mean - exact_mean) < 5 * mean_se)
+        assert np.all(np.abs(cov - exact_cov) < 5 * cov_se)
+        other = _leaf_moments(conditional)
+        assert np.all(np.abs(mean - other[0])
+                      < 5 * np.hypot(mean_se, other[1]))
+        assert np.all(np.abs(cov - other[2]) < 5 * np.hypot(cov_se, other[3]))
+
+    def test_tiny_dm_weights_give_finite_counts(self):
+        """All-1e-10 weights, as a fit leaves on empty children: every
+        gamma draw of such weights underflows to 0, and their normalised
+        ratio would be 0/0.  The Dirichlet draw sends each row's rate to
+        one child, as the DM's limit does."""
+        tree = PartitionTree.from_nested([[1, 2], 3])
+        splits = {tree.ROOT: SplitSpec(1, (3.0, 1e-10)),
+                  tree.node_by_subset((1, 2)): SplitSpec(1, (1e-10, 1e-10))}
+        law = NegativeBinomial(2.0, 0.8)
+        draws = TreePolyaModel(tree, splits, law).sample_many(
+            20_000, np.random.default_rng(14))
+        assert draws.min() >= 0
+        # a row's {1,2} rate goes whole to leaf 1 or whole to leaf 2
+        assert not np.any((draws[:, 0] > 0) & (draws[:, 1] > 0))
+        assert np.count_nonzero(draws[:, 0]) and np.count_nonzero(
+            draws[:, 1])
+        totals = draws.sum(axis=1)
+        mean = law.alpha * law.p / (1 - law.p)
+        assert abs(totals.mean() - mean) < 5 * totals.std() / math.sqrt(
+            totals.size)
+
+    @pytest.mark.parametrize("law", [NegativeBinomial(3.0, 0.7),
+                                     Poisson(4.0)], ids=["nb", "poisson"])
+    def test_rows_are_deterministic_for_a_seed(self, law):
+        model = five_leaf(law)
+        a, b, c = (model.sample_many(500, np.random.default_rng(seed))
+                   for seed in (21, 21, 22))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("law, conditional", [
+        (NegativeBinomial(1e4, 1 - 2.3e-16), "n too large or p too small"),
+        (Poisson(1e19), "lam value too large")], ids=["nb", "poisson"])
+    def test_a_law_past_numpys_samplers_is_a_domain_error(self, law,
+                                                          conditional):
+        """Before, numpy's bare ValueError escaped.  The rate route checks
+        each row's rate before it draws (two leaves at 5e18 each would
+        draw, and their total would pass int64); the conditional route
+        passes on what numpy said."""
+        tree = PartitionTree.flat(2)
+        model = TreePolyaModel(tree, {tree.ROOT: SplitSpec(0, (1.0, 1.0))},
+                               law)
+        rng = np.random.default_rng(15)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{law} cannot be sampled: a row's total has Poisson rate")):
+            model.sample_many(3, rng)
+        with pytest.raises(DomainError, match=re.escape(
+                f"{law} cannot be sampled") + ".*" + conditional):
+            model._sample_conditional(3, rng)
 
 
 class TestParameterCount:
