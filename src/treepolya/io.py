@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import json
@@ -10,6 +9,7 @@ import os
 import re
 import stat
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from io import TextIOWrapper
 from itertools import accumulate
@@ -68,19 +68,47 @@ def load_counts_csv(path: str) -> CountMatrix:
     Malformed cells raise a parse error naming the offending row and
     column (1-based, header excluded from the row count).
 
-    A regular file whose rows are only digits, commas and line ends is
-    decoded in blocks of whole lines with numpy; any other file, and any
-    file with a block outside that form, is read cell by cell, which
-    gives the same matrix and is where every parse error comes from.
+    A regular file is read by numpy's C reader, ``np.loadtxt``, after
+    the ``csv`` module has read its header.  If that reader fails or
+    warns, or gives no rows, a row of another width or a negative count,
+    the file is read again from its start cell by cell, which gives the
+    same matrix and is where every parse error comes from.  Other files,
+    such as pipes, which cannot be read twice, go straight to the
+    per-cell reader.
     """
     with open(path, "rb") as fh:
-        # the block decoder reads the file twice, which a pipe cannot be
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            counts = _read_plain_counts(fh)
+            counts = _read_array(fh)
             if counts is not None:
                 return counts
             fh.seek(0)
         return _read_counts(path, fh)
+
+
+def _read_array(fh) -> Optional[CountMatrix]:
+    """The count matrix of the binary file ``fh``, read from its start
+    as UTF-8: the ``csv`` module reads the header, then ``np.loadtxt``
+    the rows from the same text handle.  None if the header is no
+    header, if numpy warns, or if either reader or ``CountMatrix``
+    raises: a ``UnicodeDecodeError`` is a ``ValueError``, and so is the
+    ``ValidationError`` of rows that are no count matrix under the
+    header (none, another width, a negative count).  No quote character
+    is set and ``#`` starts no comment, so a quoted or ``#`` cell gives
+    None too."""
+    text = TextIOWrapper(fh, encoding="utf-8-sig", newline="")
+    try:
+        names = tuple(next(csv.reader(text), ()))
+        if _header_problem(names):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(text, dtype=np.int64, delimiter=",",
+                              comments=None, ndmin=2)
+        return CountMatrix(names, rows)
+    except (ValueError, OverflowError, csv.Error, Warning):
+        return None
+    finally:
+        text.detach()
 
 
 # the largest count a cell may hold, int64's maximum
@@ -166,133 +194,32 @@ def _csv_records(path: str, reader) -> Iterator[List[str]]:
 def _parse_cells(path: str, r: int, names: Tuple[str, ...],
                  record: List[str]) -> List[int]:
     """The counts of data row ``r``, checked cell by cell; the first bad
-    cell raises ``ParseError`` naming its row and column."""
+    cell raises ``ParseError`` naming its row and column, and quoting at
+    most the start of the cell."""
     parsed = []
     for name, cell in zip(names, record):
         text = cell.strip()
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        # int() also reads "1_0" and digits outside ASCII
-        if value is None or "_" in text or not text.isascii():
-            problem = f"{cell!r} is not an integer"
-        elif value < 0:
-            problem = f"negative count {value}"
-        elif value > _INT64_MAX:
-            problem = f"count {value} does not fit in int64"
+        digits = text[1:] if text.startswith(("+", "-")) else text
+        # int() also reads "1_0" and digits outside ASCII, and refuses
+        # more than a few thousand digits, so the digits are checked
+        # here and only a number of at most 19 is converted
+        magnitude = digits.lstrip("0") or "0"
+        if not (digits.isascii() and digits.isdigit()):
+            problem = f"{_excerpt(repr(cell))} is not an integer"
+        elif text.startswith("-") and magnitude != "0":
+            problem = f"negative count -{_excerpt(magnitude)}"
+        elif len(magnitude) > 19 or int(magnitude) > _INT64_MAX:
+            problem = f"count {_excerpt(magnitude)} does not fit in int64"
         else:
-            parsed.append(value)
+            parsed.append(int(magnitude))
             continue
         raise ParseError(f"{path}: row {r}, column {name!r}: {problem}")
     return parsed
 
 
-# bytes of whole lines that the block decoder takes at once; its
-# temporaries are a few times this, however long the file is
-_READ_BLOCK_BYTES = 1 << 20
-
-# the longest cell the block decoder takes: 18 digits stay below 10**18,
-# inside int64, so the place-value sum cannot overflow
-_PLAIN_DIGITS = 18
-
-
-def _read_plain_counts(fh) -> Optional[CountMatrix]:
-    """The count matrix of the regular binary file ``fh`` if its rows are
-    plain, else None.
-
-    The header is read by the ``csv`` module; it must end at the first
-    line end outside quotes, and be a valid header.  The rows are
-    counted, then decoded in blocks of whole lines into the matrix by
-    :func:`_decode_plain_rows`.  None if any of that fails: the per-cell
-    reader then reads the file and names what is wrong with it.
-    """
-    lines = [fh.readline()]
-    quotes = lines[0].count(b'"')
-    while quotes % 2 and lines[-1].endswith(b"\n"):  # a quoted line end
-        lines.append(fh.readline())
-        quotes += lines[-1].count(b'"')
-    head = b"".join(lines)
-    try:
-        records = list(csv.reader(
-            [head.removeprefix(codecs.BOM_UTF8).decode("utf-8")]))
-    except (UnicodeDecodeError, csv.Error):
-        return None
-    if len(records) != 1 or not head.endswith(b"\n"):
-        return None
-    names = tuple(records[0])
-    if not names or _header_problem(names):
-        return None
-    body = fh.tell()
-    n_rows, last = 0, b"\n"
-    for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
-        n_rows += chunk.count(b"\n")
-        last = chunk[-1:]
-    n_rows += last != b"\n"
-    fh.seek(body)
-    rows = np.empty((n_rows, len(names)), dtype=np.int64)
-    done = 0
-    for block in _line_blocks(fh):
-        decoded = _decode_plain_rows(block, rows[done:])
-        if not decoded:
-            return None
-        done += decoded
-    if done == 0 or done != n_rows:
-        return None
-    return CountMatrix(names, rows)
-
-
-def _line_blocks(fh) -> Iterator[bytes]:
-    """The rest of ``fh`` in blocks of about ``_READ_BLOCK_BYTES``, each
-    cut after a LF; a last line without one gets one."""
-    pieces = []  # of the line that the last block cut
-    for chunk in iter(lambda: fh.read(_READ_BLOCK_BYTES), b""):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            yield b"".join(pieces + [chunk[:cut]])
-            pieces = []
-        pieces.append(chunk[cut:])
-    rest = b"".join(pieces)
-    if rest:
-        yield rest + b"\n"
-
-
-def _decode_plain_rows(block: bytes, out: np.ndarray) -> int:
-    """Decode ``block``, whole lines each ending in LF or CRLF, into the
-    first rows of the int64 matrix ``out``, and return how many rows it
-    held.  0, with ``out`` partly written, if the block is not plain: a
-    line of exactly ``out.shape[1]`` cells, each of 1 to
-    ``_PLAIN_DIGITS`` ASCII digits, separated by commas.
-
-    Every byte below ``'0'`` ends a cell, and each line's terminators
-    must be commas then a LF.  A cell's value is built from its last
-    digit backwards, over as many rounds as the block's widest cell has
-    digits: round k takes the k-th digit from each cell's end (0 in
-    cells shorter than k), so the temporaries are a few per cell."""
-    if b"\r" in block:
-        block = block.replace(b"\r\n", b"\n")  # a lone CR fails below
-    codes = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(codes < ord("0"))
-    n_rows, extra = divmod(ends.size, out.shape[1])
-    if extra or n_rows > out.shape[0] or codes.max() > ord("9"):
-        return 0
-    marks = codes[ends].reshape(n_rows, -1)
-    if not (np.all(marks[:, :-1] == ord(",")) and
-            np.all(marks[:, -1] == ord("\n"))):
-        return 0
-    lengths = np.diff(ends, prepend=-1) - 1
-    shortest, widest = int(lengths.min()), int(lengths.max())
-    if shortest < 1 or widest > _PLAIN_DIGITS:
-        return 0
-    cells = out[:n_rows].reshape(-1)
-    cells[:] = 0
-    for k in range(widest, 0, -1):
-        digit = codes[ends - k] - ord("0")
-        if k > shortest:
-            digit[lengths < k] = 0
-        cells *= 10
-        cells += digit
-    return n_rows
+def _excerpt(text: str) -> str:
+    """``text``, cut to its first 40 characters and "..." if longer."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -524,10 +451,11 @@ def _nesting_depth(text: str) -> int:
 
 def _json_loads(text: str) -> object:
     """``json.loads`` with invalid or too deeply nested text raising
-    ``ParseError``."""
+    ``ParseError``, as does an integer of more digits than ``int()``
+    reads (a ``ValueError`` that is no ``JSONDecodeError``)."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError(f"the document nests {_nesting_depth(text)} levels "

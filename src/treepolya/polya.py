@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import betainc, gammainc, gammaln
 
 from .exceptions import DomainError, UsageError
-from .special import LogValue, ln_gen_factorial_many
+from .special import _INT_TOL, LogValue, ln_gen_factorial_many
 
 __all__ = [
     "SplitSpec",
@@ -26,8 +26,6 @@ __all__ = [
     "sumlaw_factorial_moment", "sumlaw_sample_many", "sumlaw_support_max",
     "sumlaw_truncation_point", "sumlaw_truncated_log_pmf",
 ]
-
-_INT_TOL = 1e-9
 
 # most entries a truncated sum-law grid may hold, 512 MB as floats; the
 # marginal built on it keeps a few arrays of that size, so a law that
@@ -49,10 +47,13 @@ def _finite(value, what: str) -> float:
 
 
 def _integral(value, what: str) -> int:
-    """``value`` as an int; a non-integer (a bool too) is a DomainError."""
+    """``value`` as an int; a non-integer (a bool too) is a DomainError,
+    as is one of 2**63 or more in magnitude, past int64's range."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
                                        or _finite(value, what).is_integer()):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+    if abs(value) >= 2 ** 63:
+        raise DomainError(f"{what} must be below 2**63, the int64 range")
     return int(value)
 
 

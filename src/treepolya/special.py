@@ -85,7 +85,8 @@ def ln_gen_factorial_many(theta, n, c: int) -> np.ndarray:
         return n * np.log(theta)
     if c == 1:
         return gammaln(theta + n) - gammaln(theta)
-    t = np.round(theta)
+    # a float, so that t + 1 cannot wrap for an int64 base
+    t = np.round(np.asarray(theta, dtype=float))
     return np.where(n <= t, gammaln(t + 1) - gammaln(np.maximum(t - n, 0) + 1),
                     -np.inf)
 

@@ -93,6 +93,25 @@ class TestCsv:
         path.write_text(f"a,b\n1,{INT64_MAX}\n")
         assert load_counts_csv(str(path)).rows.tolist() == [[1, INT64_MAX]]
 
+    @pytest.mark.parametrize("cell, problem", [
+        ("1" * 5000, "count " + "1" * 40 + "... does not fit in int64"),
+        (" -00" + "7" * 5000, "negative count -" + "7" * 40 + "..."),
+        ("x" * 5000, "'" + "x" * 39 + "... is not an integer")],
+        ids=["digits", "negative", "letters"])
+    def test_a_long_cell_is_quoted_briefly(self, tmp_path, capsys, cell,
+                                           problem):
+        # int() refuses more than 4300 digits, so a long count read "is
+        # not an integer", and every message quoted all of the cell
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n3,{cell}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"row 2, column 'b': {problem}")):
+            load_counts_csv(str(path))
+        assert main(["fit", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[parse]: ") and "row 2" in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("cell", ["1" * 200_000,
                                       '"' + "1" * 200_000 + '"'],
                              ids=["bare", "quoted"])
@@ -274,8 +293,8 @@ def _outcome(read, path):
 
 
 # cells that a drawn file may hold in place of a count: errors of each
-# kind, and a quoted count and a cell with a comma, which the block
-# decoder leaves to the per-cell reader
+# kind, and a quoted count and a cell with a comma, which numpy's reader
+# leaves to the per-cell reader
 BAD_CELLS = ["x", "-3", "1_0", "\u0661", "1.5", "", str(2 ** 63),
              "99999999999999999999", '"7"', "1,2"]
 
@@ -309,85 +328,101 @@ def _irregular_files(draw):
 
 
 class TestPlainReader:
-    """``load_counts_csv`` decodes plain files in blocks of whole lines
-    and leaves every other file to the per-cell reader: both give the
-    same names, matrix and errors."""
+    """``load_counts_csv`` reads regular files with numpy's reader and
+    leaves every file that reader cannot read to the per-cell reader:
+    both give the same names, matrix and errors."""
 
     @staticmethod
-    def _load(path, block_bytes):
-        with mock.patch.object(io, "_READ_BLOCK_BYTES", block_bytes):
-            with open(path, "rb") as fh:
-                plain = io._read_plain_counts(fh)
-            return plain, _outcome(load_counts_csv, path)
+    def _load(path):
+        """What ``load_counts_csv`` makes of ``path``, and whether it
+        called the per-cell reader."""
+        with mock.patch.object(io, "_read_counts",
+                               wraps=io._read_counts) as exact:
+            return _outcome(load_counts_csv, path), exact.called
 
     @given(rows=hnp.arrays(
                np.int64, hnp.array_shapes(min_dims=2, max_dims=2,
                                           max_side=30),
                elements=st.integers(1, 19).flatmap(
                    lambda w: st.integers(10 ** (w - 1) - (w == 1),
-                                         min(10 ** w - 1, INT64_MAX)))),
-           block_bytes=st.integers(1, 200))
-    @example(rows=np.array([[10 ** 18 - 1, 0], [10 ** 18, 5]]),
-             block_bytes=40)
+                                         min(10 ** w - 1, INT64_MAX)))))
+    @example(rows=np.array([[10 ** 18 - 1, 0], [10 ** 18, 5]]))
     @settings(max_examples=80, deadline=None)
-    def test_round_trip_through_the_writer(self, tmp_path_factory, rows,
-                                           block_bytes):
+    def test_round_trip_through_the_writer(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "x.csv"
         names = [f"c{j}" for j in range(rows.shape[1])]
         write_counts_csv(str(path), rows, names)
-        plain, got = self._load(path, block_bytes)
+        got, cell_by_cell = self._load(path)
         assert got == (tuple(names), rows.tolist())
         assert got == _outcome(_exact_read, path)
-        # only a cell of 19 digits sends the file to the per-cell reader
-        assert (plain is None) == bool(np.any(rows >= 10 ** 18))
+        assert not cell_by_cell
 
-    @given(data=_irregular_files(), block_bytes=st.integers(1, 64))
-    @example(data=b"a,b\r\n1,2\r\n\r\n3,4", block_bytes=4)
-    @example(data=b"a,b\n1,2,3\n4\n", block_bytes=64)  # 4 cells, 2 rows
-    @example(data=b"a,b\n" + b"1,2\n" * 40 + b"3,x\n", block_bytes=16)
-    @example(data=b'"x,y",b\n1,2\n' + b"1,2\n" * 40 + b"3\n", block_bytes=8)
+    @given(data=_irregular_files())
+    @example(data=b"a,b\r\n1,2\r\n\r\n3,4")
+    @example(data=b"a,b\n1,2,3\n4\n")  # 4 cells, 2 rows
+    @example(data=b"a,b\n" + b"1,2\n" * 40 + b"3,x\n")
+    @example(data=b'"x,y",b\n1,2\n' + b"1,2\n" * 40 + b"3\n")
+    @example(data=b"a,b\n1,2\n \n3,4\n")
+    @example(data=b"\n1,2\n")  # a blank header
     @settings(max_examples=150, deadline=None)
     def test_irregular_files_read_as_the_per_cell_reader_reads_them(
-            self, tmp_path_factory, data, block_bytes):
+            self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("csv") / "x.csv"
         path.write_bytes(data)
-        plain, got = self._load(path, block_bytes)
-        assert got == _outcome(_exact_read, path)
-        if plain is not None:
-            assert got == (plain.column_names, plain.rows.tolist())
+        assert self._load(path)[0] == _outcome(_exact_read, path)
 
-    def test_a_bad_cell_in_a_later_block_names_its_row(self, tmp_path):
+    def test_a_bad_cell_late_in_the_file_names_its_row(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("a,b\n" + "12,3\n" * 500 + "4,x\n" + "5,6\n" * 10)
-        plain, got = self._load(path, 64)
-        assert plain is None
+        got, cell_by_cell = self._load(path)
+        assert cell_by_cell
         assert got == (ParseError, f"{path}: row 501, column 'b': 'x' is "
                                    "not an integer")
 
-    @pytest.mark.parametrize("data", [
-        b"a,b\n1,2\n3,4\n", b"a,b\r\n1,2\r\n3,4", b"\xef\xbb\xbfa,b\n1,2\n",
-        (io._csv_line(ODD_NAMES) + "\n" + ",".join("7" * 10) + "\n").encode()])
-    def test_plain_files_take_the_block_decoder(self, tmp_path, data):
+    @pytest.mark.parametrize("data, cell_by_cell", [
+        (b"a,b\n1,2\n3,4\n", False),
+        (b"a,b\n 1 ,2\t\n3,  4 \n", False),  # padded
+        (b"a,b\r\n+1,-0\r\n3,+4", False),  # signed, CRLF, no last LF
+        (b"\xef\xbb\xbfa,b\n1,2\n", False),
+        (f"a,b\n{INT64_MAX},{10 ** 18}\n".encode(), False),
+        ((io._csv_line(ODD_NAMES) + "\n" + ",".join("7" * 10)
+          + "\n").encode(), False),
+        (b"a,b\n1,2\n3,x\n", True),
+        (b"a,b\n1,2\n#3,4\n", True),  # no comments
+        (b'a,b\n1,2\n"3",4\n', True)])  # no quoted cells
+    def test_only_what_numpy_cannot_read_goes_cell_by_cell(
+            self, tmp_path, data, cell_by_cell):
         path = tmp_path / "x.csv"
         path.write_bytes(data)
-        plain, got = self._load(path, 5)
-        assert plain is not None
-        assert got == (plain.column_names, plain.rows.tolist())
+        got, called = self._load(path)
+        assert called == cell_by_cell
         assert got == _outcome(_exact_read, path)
 
-    def test_memory_is_the_matrix_and_a_block(self, tmp_path):
-        """Rows are counted first and decoded into the one matrix: the
-        traced peak is that matrix and a block's temporaries."""
+    def test_a_pipe_is_read_cell_by_cell(self, tmp_path):
+        """A pipe cannot be read twice, so it skips numpy's reader."""
+        path = tmp_path / "x.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, daemon=True,
+                                  args=(b"a,b\n1,2\n 3 ,4\n",))
+        writer.start()
+        got, cell_by_cell = self._load(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert cell_by_cell
+        assert got == (("a", "b"), [[1, 2], [3, 4]])
+
+    def test_memory_is_about_the_matrix(self, tmp_path):
+        """numpy's reader fills one growing matrix: the traced peak stays
+        below one and a half matrices."""
         rows = np.random.default_rng(3).poisson(30, size=(20_000, 10))
         path = tmp_path / "x.csv"
         write_counts_csv(str(path), rows, [f"c{j}" for j in range(10)])
-        with mock.patch.object(io, "_READ_BLOCK_BYTES", 1 << 14):
-            tracemalloc.start()
-            try:
-                counts = load_counts_csv(str(path))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            counts = load_counts_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert np.array_equal(counts.rows, rows)
         assert peak < 1.5 * rows.nbytes
 
@@ -456,7 +491,7 @@ BROKEN_DOCUMENTS = [
     ("split theta", math.nan), ("split theta", -math.inf),
     ("family", ["nb"]), ("split c", "1"), ("binomial prob", None),
     ("split c", True), ("dirac m", True), ("split theta", True),
-    ("nb alpha", True),
+    ("nb alpha", True), ("dirac m", 1e20), ("binomial size", 10 ** 20),
 ]
 
 
@@ -557,6 +592,12 @@ class TestModelDocument:
         where, text = _broken_document(case)
         with pytest.raises(ParseError, match=where):
             parse_model(text)
+
+    def test_an_integer_of_5000_digits_is_a_parse_error(self):
+        # json.loads raised a bare ValueError past int()'s digit limit
+        _, text = _broken_document(("dirac m", 7))
+        with pytest.raises(ParseError, match="invalid JSON: Exceeds"):
+            parse_model(text.replace('"m": 7', '"m": 1' + "0" * 4999))
 
 
 def _mixed_model():

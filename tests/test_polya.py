@@ -10,7 +10,8 @@ from scipy import stats
 
 from treepolya import polya
 from treepolya.exceptions import DomainError, UsageError
-from treepolya.model import MarginalChain, marginal_pmf
+from treepolya.examples import ten_leaf_example
+from treepolya.model import MarginalChain, TreePolyaModel, marginal_pmf
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, polya_sample_many,
                              polya_uni_pmf, sumlaw_factorial_moment,
@@ -45,10 +46,22 @@ class TestParameterChecks:
         lambda: SplitSpec(0, (math.inf, 1.0)),
         lambda: SplitSpec(None, (1, 2)), lambda: SplitSpec(True, (1, 2)),
         lambda: SplitSpec(1, (True, 2.0)), lambda: Dirac(True),
-        lambda: NegativeBinomial(True, 0.5), lambda: Poisson(True)])
+        lambda: NegativeBinomial(True, 0.5), lambda: Poisson(True),
+        lambda: Dirac(2 ** 63), lambda: Dirac(1e20),
+        lambda: Binomial(10 ** 20, 0.5), lambda: Binomial(2 ** 63, 0.5)])
     def test_rejected_as_domain_errors(self, make):
         with pytest.raises(DomainError):
             make()
+
+    @pytest.mark.parametrize("law", [Dirac(2 ** 63 - 1),
+                                     Binomial(2 ** 63 - 1, 0.5)])
+    def test_a_count_parameter_may_reach_int64_max(self, law):
+        # Dirac(10**20) was built, then the model raised a bare TypeError,
+        # and at 2**63 - 1 the falling factorial's t + 1 wrapped in int64
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits, law)
+        assert np.isfinite(model._mu).all()
+        assert np.isfinite(sumlaw_factorial_moment(2, law))
 
     def test_stored_as_the_annotated_type(self):
         assert type(Dirac(3.0).m) is int
