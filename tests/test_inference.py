@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import gammaln
 
 import treepolya.fit as fit_module
 from treepolya.examples import ten_leaf_example
@@ -311,6 +312,33 @@ def node_counts(draw):
     return data, theta
 
 
+def _dense_survival(values):
+    """Row j holds S_j(u) = #{i : values_ij > u} for u = 0..max-1, over
+    the columns of a count matrix, from one histogram: the dense survival
+    rows that count profiles replace, as the reference."""
+    rows, cols = values.shape
+    width = int(values.max(initial=0)) + 1
+    hist = np.bincount((values + np.arange(cols) * width).ravel(),
+                       minlength=cols * width).reshape(cols, width)
+    return (rows - np.cumsum(hist, axis=1))[:, :-1].astype(float)
+
+
+def _profile_rows(profiles):
+    """Each row of a packed set of count profiles as its dense survival
+    row, up to its largest value."""
+    heads = np.split(profiles.head, np.cumsum(profiles.h)[:-1])
+    ds = np.split(profiles.d, np.cumsum(profiles.tails)[:-1])
+    ms = np.split(profiles.m, np.cumsum(profiles.tails)[:-1])
+    rows = []
+    for h, head, d, m in zip(profiles.h, heads, ds, ms):
+        d = d.astype(np.int64)
+        tail = np.zeros(int(d.max(initial=0)))
+        for dv, mv in zip(d, m):
+            tail[:dv] += mv
+        rows.append(np.concatenate([head.astype(float), tail]))
+    return rows
+
+
 class TestDmAggregates:
     @settings(max_examples=80, deadline=None)
     @given(case=node_counts())
@@ -327,27 +355,37 @@ class TestDmAggregates:
         """:func:`fit._evaluate` gives :func:`fit._lockstep_max`'s
         objective, and its sums the gradient b1 - a1 and the Hessian
         a2 * ones - diag(b2) of it, for three problems at once that share
-        one row of totals and hold positive fixed weights."""
+        one node's profiles and hold positive fixed weights; the
+        objective against the dense survival rows of the node matrix."""
         data, theta = case
         agg = fit_module._DmAggregates.from_matrix(data)
         k = theta.size
         x = theta * np.array([[1.0], [0.3], [4.0]])
         fixed = fixed * np.array([1.0, 0.1, 20.0])
-        cols = np.broadcast_to(agg.surv, (3, *agg.surv.shape))
+        cols = fit_module._Profiles.concat(agg.entries * 3)
+        rows = fit_module._Profiles.concat([*agg.entries, agg.total] * 3)
+        surv = _dense_survival(data)
+        tot_surv = _dense_survival(data.sum(axis=1)[:, None])[0]
 
         def objective(x):
             return np.array([
-                (agg.surv * np.log(xi[:, None] + agg.u)).sum()
-                - agg.tot_surv @ np.log(fi + xi.sum() + agg.tot_u)
+                sum(s @ np.log(xj + np.arange(s.size))
+                    for s, xj in zip(surv, xi))
+                - tot_surv @ np.log(fi + xi.sum() + np.arange(tot_surv.size))
                 for xi, fi in zip(x, fixed)])
 
         def gradient(x):
-            _, a1, _, b1, _ = fit_module._evaluate(
-                agg.tot_surv[None], fixed, cols, x)
+            _, a1, _, b1, _ = fit_module._evaluate(rows, fixed, x)
             return b1 - a1[:, None]
 
-        value, _, a2, _, b2 = fit_module._evaluate(agg.tot_surv[None], fixed,
-                                                   cols, x)
+        value, _, a2, _, b2 = fit_module._evaluate(rows, fixed, x)
+        # one totals profile that every problem shares gives the same
+        # derivative sums, to the bit, and the same f to rounding
+        shared = fit_module._evaluate(cols, fixed, x, agg.total)
+        for one, each in zip(shared[1:], fit_module._evaluate(rows, fixed,
+                                                              x)[1:]):
+            assert one.tobytes() == each.tobytes()
+        assert shared[0] == pytest.approx(value, rel=1e-15, abs=1e-12)
         assert value == pytest.approx(objective(x), rel=1e-12, abs=1e-9)
         hessian = a2[:, None, None] - b2[:, :, None] * np.eye(k)
         for j in range(k):
@@ -361,6 +399,110 @@ class TestDmAggregates:
                 / width[:, None]
             assert num_col == pytest.approx(hessian[:, :, j], rel=1e-5,
                                             abs=1e-4)
+
+
+@st.composite
+def deep_columns(draw):
+    """Count matrices whose columns reach ~1e4, with sparse large values
+    (so that their profiles have tails) among dense small ones."""
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([3.0, 60.0, 800.0, 5_000.0]))
+    values = rng.negative_binomial(draw(st.sampled_from([0.3, 1.0, 5.0])),
+                                   1.0 / (1.0 + scale / 2.0),
+                                   size=(rows, cols))
+    return np.minimum(values, 12_000)
+
+
+class TestProfiles:
+    """Count profiles against the dense survival rows they replace, and
+    the lockstep kernel's independence of what a problem is stacked
+    with."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=deep_columns(), x=st.floats(1e-6, 1e6))
+    def test_kernel_sums_are_the_dense_sums(self, values, x):
+        profiles = fit_module._Profiles.of_columns(values)
+        got = profiles.kernel_sums(np.full(values.shape[1], x))
+        for j, surv in enumerate(_dense_survival(values)):
+            shift = x + np.arange(surv.size)
+            dense = (surv @ np.log(shift), surv @ (1.0 / shift),
+                     surv @ (1.0 / shift ** 2))
+            for total, want in zip(got, dense):
+                assert total[j] == pytest.approx(want, rel=1e-13, abs=1e-300)
+        assert profiles.sums.tolist() == values.sum(axis=0).tolist()
+        assert profiles.squares.tolist() == (values ** 2).sum(axis=0).tolist()
+        # a profile is O(H_MIN + distinct values), never as long as the
+        # largest count when that is far past them
+        distinct = [np.unique(c[c > 0]).size for c in values.T]
+        assert np.all(profiles.h + profiles.tails
+                      <= fit_module.H_MIN + fit_module.TAIL_FIXED
+                      + (fit_module.TAIL_COST + 1) * np.array(distinct))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=deep_columns())
+    def test_a_columns_profile_is_its_own(self, values):
+        """A column's profile is the one it has alone, beside other
+        columns and beside a column of 2**40 (which takes a tail)."""
+        wide = np.column_stack([values, np.full(values.shape[0], 2 ** 40)])
+        together = [fit_module._Profiles.of_columns(m) for m in (values, wide)]
+        for j in range(values.shape[1]):
+            alone = fit_module._Profiles.of_columns(values[:, [j]])
+            for both in together:
+                assert _same_profiles(alone, both.take(np.array([j])))
+
+    def test_a_count_of_2_62_is_one_tail_pair(self):
+        values = np.array([[0], [3], [2 ** 62]])
+        profile = fit_module._Profiles.of_columns(values)
+        assert profile.h.tolist() == [fit_module.H_MIN]
+        assert profile.d.tolist() == [2.0 ** 62 - fit_module.H_MIN]
+        assert profile.head.tolist() == [2.0] * 3 + [1.0] * 61
+
+    @staticmethod
+    def _problems(count):
+        """``count`` two-child nodes from different data, as lockstep
+        problems: their totals' and children's profiles, fixed weights and
+        starts."""
+        rng = np.random.default_rng(122)
+        aggs = []
+        for i in range(count):
+            scale = [2.0, 30.0, 400.0, 3_000.0][i % 4]
+            data = rng.negative_binomial(1.0 + i % 3, 1.0 / (1.0 + scale),
+                                         size=(60 + 7 * i, 2))
+            aggs.append(fit_module._DmAggregates.from_matrix(data))
+        rows = fit_module._Profiles.concat(
+            [row for agg in aggs for row in (*agg.entries, agg.total)])
+        return rows, np.linspace(0.0, 2.0, count), \
+            np.array([agg.start for agg in aggs])
+
+    def test_a_problem_is_the_same_alone_and_stacked(self):
+        """Problem 7's (f, a1, a2, b1, b2) are the same to the bit alone,
+        stacked with 50 others, and in the set left once others retire;
+        and so is its lockstep maximum, whatever stops the others."""
+        rows, fixed, x0 = self._problems(51)
+        assert rows.tails.any() and not rows.tails.all()
+
+        def some(picked):
+            picked = np.array(picked)
+            return rows.take((3 * picked[:, None] + np.arange(3)).ravel()), \
+                fixed[picked], x0[picked]
+
+        alone = fit_module._evaluate(*some([7]))
+        stacked = fit_module._evaluate(rows, fixed, x0)
+        kept = fit_module._evaluate(*some([3, 7, 40]))
+        for one, many, few in zip(alone, stacked, kept):
+            assert one[0].tobytes() == many[7].tobytes() == few[1].tobytes()
+        best, x, steps, done, sums = fit_module._lockstep_max(
+            rows, fixed, x0)
+        assert len(set(steps.tolist())) > 1  # problems retire apart
+        one = fit_module._lockstep_max(*some([7]))
+        assert done[7] and one[3][0]
+        assert best[7].hex() == one[0][0].hex()
+        assert x[7].tobytes() == one[1][0].tobytes()
+        assert steps[7] == one[2][0]
+        for many, single in zip(sums, one[4]):
+            assert many[7].tobytes() == single[0].tobytes()
 
 
 class TestNewtonSolve:
@@ -478,18 +620,13 @@ def search_nodes(draw):
 
 
 def _stacked_aggregates(data):
-    """surv, log_coef and moment start of a node matrix as whole-matrix
-    expressions over its rows with positive totals: the reference for
-    the assembly from survival rows."""
+    """Dense survival rows, log_coef and moment start of a node matrix as
+    whole-matrix expressions over its rows with positive totals: the
+    reference for the assembly from count profiles."""
     totals = data.sum(axis=1)
     data, totals = data[totals > 0], totals[totals > 0]
-    width = int(data.max(initial=0)) + 1
-    hist = np.bincount((data + width * np.arange(data.shape[1])).ravel(),
-                       minlength=data.shape[1] * width
-                       ).reshape(data.shape[1], width)
-    surv = (data.shape[0] - np.cumsum(hist, axis=1))[:, :-1].astype(float)
-    log_coef = fit_module._log_factorial_sum(np.bincount(totals)) \
-        - fit_module._log_factorial_sum(np.bincount(data.ravel()))
+    surv = _dense_survival(data)
+    log_coef = gammaln(totals + 1.0).sum() - gammaln(data + 1.0).sum()
     # pooled proportions, and the precision whose DM expects the cells'
     # summed squares given the totals
     n1, n2, squares = totals.sum(), (totals ** 2).sum(), (data ** 2).sum()
@@ -501,6 +638,17 @@ def _stacked_aggregates(data):
     start = np.maximum(pi, 1e-3) * precision
     start[data.sum(axis=0) == 0] = fit_module.THETA_FLOOR
     return surv, log_coef, start
+
+
+_PROFILE_FIELDS = ("h", "head", "tails", "d", "m", "log_fact", "sums",
+                   "squares")
+
+
+def _same_profiles(one, other):
+    """Two packed sets of count profiles, equal to the bit."""
+    return all(np.array_equal(getattr(one, f), getattr(other, f))
+               and getattr(one, f).dtype == getattr(other, f).dtype
+               for f in _PROFILE_FIELDS)
 
 
 class TestAggregateConstructors:
@@ -516,8 +664,8 @@ class TestAggregateConstructors:
         cache._aggregates([(j,) for j in range(1, counts.shape[1] + 1)])
         from_cache = cache._aggregates(order)
         for agg in (from_matrix, from_cache):
-            assert np.array_equal(agg.surv, from_matrix.surv)
-            assert np.array_equal(agg.tot_surv, from_matrix.tot_surv)
+            assert _same_profiles(agg.cols, from_matrix.cols)
+            assert _same_profiles(agg.total, from_matrix.total)
             assert agg.log_coef.hex() == from_matrix.log_coef.hex()
             assert np.array_equal(agg.free, data.sum(axis=0) > 0)
             assert agg.shape == data.shape
@@ -526,8 +674,17 @@ class TestAggregateConstructors:
             return
         assert np.array_equal(from_cache.start, from_matrix.start)
         surv, log_coef, start = _stacked_aggregates(data)
-        assert np.array_equal(from_matrix.surv, surv)
-        assert from_matrix.log_coef.hex() == log_coef.hex()
+        for dense, row in zip(surv, _profile_rows(from_matrix.cols)):
+            assert np.array_equal(np.trim_zeros(dense, "b"), row)
+        assert np.array_equal(
+            _profile_rows(from_matrix.total)[0],
+            _dense_survival(data.sum(axis=1)[:, None])[0])
+        # the log-factorial sums are summed per distinct value, not per
+        # cell: equal to 1e-13 of the totals' log-factorial sum, of which
+        # log_coef is a difference
+        scale = gammaln(data.sum(axis=1) + 1.0).sum()
+        assert from_matrix.log_coef == pytest.approx(
+            log_coef, rel=1e-13, abs=1e-13 * max(scale, 1.0))
         assert np.array_equal(from_matrix.start, start)
 
     def test_one_pass_over_the_rows_per_leaf_subset(self, monkeypatch):
@@ -692,6 +849,29 @@ class TestFitTreeNodes:
                     "divergence": fit.divergence_flag,
                     "converged": fit.converged,
                     "iterations": fit.iterations, "empty": fit.empty})
+
+
+class TestRowSumsPastInt64:
+    """Row sums that pass int64 wrapped to negative totals, which the
+    count gate then rejected as "counts must be nonnegative"."""
+
+    ROWS = np.array([[1, 2, 3], [2 ** 62, 2 ** 62, 1]])
+
+    @pytest.mark.parametrize("entry", [
+        lambda c: fit_tree(PartitionTree.flat(3), c),
+        lambda c: fit_tree(PartitionTree.from_nested([[1, 2], 3]), c),
+        search_tree, fit_node_dm, fit_node_multinomial, select_node_split],
+        ids=["fit_tree", "fit_tree_nested", "search_tree", "fit_node_dm",
+             "fit_node_multinomial", "select_node_split"])
+    def test_are_a_domain_error_naming_the_row(self, entry):
+        with pytest.raises(DomainError, match="row 2 sum to "
+                           f"{2 ** 63 + 1}, past the int64 range"):
+            entry(self.ROWS)
+
+    def test_sums_up_to_int64_max_are_fitted(self):
+        rows = np.array([[1, 2, 3], [2 ** 62, 2 ** 62 - 2, 1]])
+        _, report = fit_tree(PartitionTree.flat(3), rows, family="poisson")
+        assert report["rows"][0]["kind"] == "poisson"
 
 
 # each entry point of the fit layer, called on a count matrix (an array or
@@ -1127,28 +1307,23 @@ class TestScreen:
 
     def test_lockstep_maxima_are_the_dm_fits(self):
         """The lockstep maxima with every weight free, for several nodes
-        at once, are each node's independent maximum and its DM fit."""
+        at once, are each node's independent maximum and, to the bit, its
+        DM fit."""
         rng = np.random.default_rng(117)
         nodes = [rng.negative_binomial(2.0, 0.3, size=(400, 3)),
                  rng.negative_binomial(5.0, 0.5, size=(400, 3))]
         aggs = [fit_module._DmAggregates.from_matrix(d) for d in nodes]
-        width = max(a.surv.shape[1] for a in aggs)
-        tot_width = max(a.tot_surv.size for a in aggs)
-        tot = np.zeros((2, tot_width))
-        cols = np.zeros((2, 3, width))
-        for i, agg in enumerate(aggs):
-            tot[i, :agg.tot_surv.size] = agg.tot_surv
-            cols[i, :, :agg.surv.shape[1]] = agg.surv
+        rows = fit_module._Profiles.concat(
+            [row for agg in aggs for row in (*agg.entries, agg.total)])
         best, x, steps, done, _ = fit_module._lockstep_max(
-            tot, 0.0, cols, [agg.start for agg in aggs])
+            rows, 0.0, np.array([agg.start for agg in aggs]))
         assert done.all() and np.all(steps > 1)
         for i, (data, agg) in enumerate(zip(nodes, aggs)):
             assert best[i] + agg.log_coef == pytest.approx(
                 _tight_dm_max(agg), abs=1e-6)
             fit = fit_node_dm(data)
-            assert best[i] + agg.log_coef == pytest.approx(fit.log_lik,
-                                                           abs=1e-6)
-            assert x[i] == pytest.approx(fit.params["theta"], rel=1e-3)
+            assert (best[i] + agg.log_coef).hex() == fit.log_lik.hex()
+            assert np.array_equal(x[i], fit.params["theta"])
 
     def test_every_cached_fit_is_its_node_alone(self):
         """Three planted groups of five leaves.  The screened search
@@ -1270,9 +1445,9 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.fcd4388c65800p+3"),
-            ("create", root, [5, 6], "-0x1.0f9bc40619000p+1"),
-            ("transfer", root, [4, 5, 6], "-0x1.177e60c365000p+1")]
+            ("create", root, [1, 2], "-0x1.fcd4388c67800p+3"),
+            ("create", root, [5, 6], "-0x1.0f9bc4061b000p+1"),
+            ("transfer", root, [4, 5, 6], "-0x1.177e60c35e000p+1")]
         assert trace == exhaustive_search(counts)[0]
 
     def test_candidates_of_a_multinomial_base_start_cold(self, monkeypatch):
@@ -1298,9 +1473,9 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5}"
         assert trace == [
-            ("create", root, [4, 5], "-0x1.cba4bb8e9a400p+4"),
-            ("create", root, [1, 3], "-0x1.744e95f980000p+1"),
-            ("transfer", root, [1, 2, 3], "-0x1.860866d678000p+0")]
+            ("create", root, [4, 5], "-0x1.cba4bb8e9d400p+4"),
+            ("create", root, [1, 3], "-0x1.744e95f966000p+1"),
+            ("transfer", root, [1, 2, 3], "-0x1.860866d6a0000p+0")]
         assert [sorted(key) for key, (_, weights) in cache.cache.items()
                 if weights is None] == [[(1,), (2,), (3,), (4,), (5,)],
                                         [(4,), (5,)]]
@@ -1319,10 +1494,10 @@ class TestSearchIsPinned:
         trace, cache = _search_trace(counts)
         root = "{1,2,3,4,5,6,7}"
         assert trace == [
-            ("create", root, [1, 2], "-0x1.7c9029ab08c00p+4"),
-            ("create", root, [6, 7], "-0x1.389860325a000p+1"),
-            ("transfer", root, [5, 6, 7], "-0x1.86b1437988000p-2"),
-            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f09c14000p-1")]
+            ("create", root, [1, 2], "-0x1.7c9029ab09c00p+4"),
+            ("create", root, [6, 7], "-0x1.3898603258000p+1"),
+            ("transfer", root, [5, 6, 7], "-0x1.86b14379c0000p-2"),
+            ("create", "{5,6,7}", [5, 6], "-0x1.23f7f09c06000p-1")]
         assert all(weights is not None
                    for _, weights in cache.cache.values())
         assert trace == exhaustive_search(counts)[0]
@@ -1357,11 +1532,11 @@ class TestSearchIsPinned:
         trace, _ = _search_trace(counts)
         root = "{1,2,3,4,5,6,7,8,9}"
         assert trace == [
-            ("create", root, [7, 8], "-0x1.7420e97948c00p+4"),
-            ("transfer", root, [6, 7, 8], "-0x1.50e32d8b02800p+3"),
-            ("create", root, [2, 4], "-0x1.0863402a23d00p+5"),
-            ("transfer", root, [2, 3, 4], "-0x1.3cf119d72d600p+5"),
-            ("create", root, [1, 5], "-0x1.569489fb34000p+1"),
-            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bdd79000p-1"),
-            ("create", "{2,3,4}", [2, 3], "-0x1.b68b52e348000p-2")]
+            ("create", root, [7, 8], "-0x1.7420e97947800p+4"),
+            ("transfer", root, [6, 7, 8], "-0x1.50e32d8b05800p+3"),
+            ("create", root, [2, 4], "-0x1.0863402a23200p+5"),
+            ("transfer", root, [2, 3, 4], "-0x1.3cf119d72db00p+5"),
+            ("create", root, [1, 5], "-0x1.569489fb28000p+1"),
+            ("create", "{6,7,8}", [6, 7], "-0x1.a4986bdd84000p-1"),
+            ("create", "{2,3,4}", [2, 3], "-0x1.b68b52e31e000p-2")]
         assert trace == exhaustive_search(counts)[0]

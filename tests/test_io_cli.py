@@ -836,6 +836,16 @@ class TestCli:
         assert not out.exists()
 
 
+def test_fit_of_rows_past_int64_is_a_domain_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(f"a,b,c\n1,2,3\n{2 ** 62},{2 ** 62},1\n")
+    for verb in ("fit", "search"):
+        assert main([verb, "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error[domain]: the counts of row 2 sum to "
+                       f"{2 ** 63 + 1}, past the int64 range\n"), verb
+
+
 class TestBlockedSample:
     """``sample`` draws SAMPLE_BLOCK_ROWS-row blocks (64 here, so 1 000
     rows are 16 blocks): block 0 from the seed's generator, block b from

@@ -63,6 +63,26 @@ class TestParameterChecks:
         assert np.isfinite(model._mu).all()
         assert np.isfinite(sumlaw_factorial_moment(2, law))
 
+    def test_factorial_moments_past_2_53(self):
+        """m + 1 rounds to m past 2**53, so the falling factorial's
+        gammaln(m + 1) - gammaln(m) was 0 and the first moment of
+        Dirac(2**62) read 1.0.  The moments are exp of their logs, and
+        half an ulp of a log near 43 is 3.6e-15 relative in the moment,
+        hence the tolerance."""
+        m = 2 ** 62
+        assert sumlaw_factorial_moment(1, Dirac(m)) == pytest.approx(
+            m, rel=1e-14)
+        assert sumlaw_factorial_moment(2, Dirac(m)) == pytest.approx(
+            m * (m - 1), rel=1e-14)
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits,
+                               Dirac(2 ** 63 - 1))
+        root = model.tree.ROOT
+        mean = model.node_mean(root)
+        assert mean == pytest.approx(2 ** 63 - 1, rel=1e-14)
+        # Var = mu2 - mu1^2 + mu1 cancels: zero to the rounding of mu1^2
+        assert abs(model.node_variance(root)) <= 1e-14 * mean ** 2
+
     def test_stored_as_the_annotated_type(self):
         assert type(Dirac(3.0).m) is int
         law = Binomial(np.int64(10), np.float64(0.5))

@@ -1,13 +1,15 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treepolya.exceptions import DomainError, UsageError
-from treepolya.special import (LogValue, ln_gen_factorial, pfq_convergent,
-                               pfq_terminating)
+from treepolya.special import (H_MIN, LogValue, ln_gen_factorial,
+                               ln_gen_factorial_many, pfq_convergent,
+                               pfq_terminating, shifted_sums)
 
 
 class TestLogValue:
@@ -110,3 +112,53 @@ class TestConvergentSeries:
     def test_rejects_divergent_argument(self):
         with pytest.raises(DomainError):
             pfq_convergent([1.0, 2.0], [3.0], 1.5)
+
+
+class TestShiftedSums:
+    """The closed forms of sum_{u<d} log(z+u), 1/(z+u) and 1/(z+u)^2 at
+    z = H_MIN + x, against mpmath's log-gamma, digamma and trigamma at
+    50 digits."""
+
+    D = [0, 1, 2, 3, 10, 63, 64, 1_000, 123_457, 10 ** 6, 10 ** 9, 2 ** 40,
+         2 ** 53, 10 ** 17, 2 ** 62]
+
+    @pytest.mark.parametrize("x", [1e-10, 1e-3, 1.0, 1e3, 1e8])
+    def test_against_mpmath(self, x):
+        with mpmath.workdps(50):
+            z = H_MIN + x
+            got = shifted_sums(np.full(len(self.D), z),
+                               np.array(self.D, dtype=float))
+            big_z = mpmath.mpf(z)
+            for i, d in enumerate(self.D):
+                end = big_z + mpmath.mpf(float(d))
+                want = (mpmath.loggamma(end) - mpmath.loggamma(big_z),
+                        mpmath.digamma(end) - mpmath.digamma(big_z),
+                        mpmath.polygamma(1, big_z) - mpmath.polygamma(1, end))
+                for value, exact in zip(got, want):
+                    err = abs(mpmath.mpf(float(value[i])) - exact)
+                    assert err <= 1e-13 * max(abs(exact), 1), (x, d)
+
+    def test_an_empty_sum_is_zero(self):
+        assert [float(s[0]) for s in shifted_sums(np.array([64.5]),
+                                                  np.array([0.0]))] \
+            == [0.0, 0.0, 0.0]
+
+
+class TestFactorialsAtLargeBases:
+    """Past 2**53 a base plus one rounds to the base, so a log-gamma
+    difference of the two is 0; the products come from shifted_sums."""
+
+    def test_falling_and_rising_factorials_past_2_53(self):
+        t = 2 ** 62
+        for n, c, want in [(1, -1, t), (2, -1, t * (t - 1)),
+                           (1, 1, t), (2, 1, t * (t + 1))]:
+            got = float(ln_gen_factorial_many(float(t), n, c))
+            assert got == pytest.approx(math.log(want), rel=1e-15)
+
+    def test_small_bases_keep_the_gammaln_form(self):
+        # below H_MIN the values are the log-gamma differences, unchanged
+        from scipy.special import gammaln
+        theta = np.array([0.5, 3.0, 63.0])
+        n = np.array([4, 7, 2])
+        assert ln_gen_factorial_many(theta, n, 1).tolist() == (
+            gammaln(theta + n) - gammaln(theta)).tolist()
