@@ -428,13 +428,16 @@ def _collect_splits(tree_doc: dict, tree: PartitionTree) -> dict:
             continue
         split_doc = node_doc["split"]
         _require_keys(split_doc, {"c", "theta"}, "split")
-        label = _subset_label(tree.subset(node))
+        # the node's label is formatted only for an error: it is as long
+        # as the node's subset, which would make reading a model O(J^2)
         try:
             spec = SplitSpec(split_doc["c"], split_doc["theta"])
         except (TypeError, ValueError) as exc:
-            raise ParseError(f"node {label}: bad split: {exc}") from exc
+            raise ParseError(f"node {_subset_label(tree.subset(node))}: "
+                             f"bad split: {exc}") from exc
         if spec.arity != len(tree.children(node)):
-            raise ParseError(f"node {label}: {spec.arity} weights for "
+            raise ParseError(f"node {_subset_label(tree.subset(node))}: "
+                             f"{spec.arity} weights for "
                              f"{len(tree.children(node))} children")
         splits[node] = spec
         stack.extend(reversed(list(zip(tree.children(node),

@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (NegativeBinomial, Poisson, SplitSpec, SumLaw,
-                    count_array, count_int64, count_scalar,
+from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
+                    SumLaw, count_array, count_int64, count_scalar,
                     polya_log_pmf_many, polya_sample_many,
                     sumlaw_factorial_moment, sumlaw_log_pmf_many,
                     sumlaw_sample_many, sumlaw_support_max,
@@ -86,11 +86,27 @@ class MarginalChain:
         return hash((self.stages, self.terminal))
 
 
+def _law_excess(law: SumLaw, mean: float) -> float:
+    """Var - E of a sum law in closed form, from its ``mean``: -m for
+    Dirac(m), -n p**2 for a binomial, 0 for a Poisson and alpha p**2 /
+    (1 - p)**2 for a negative binomial law.  Taking it as mu2 - mu1**2
+    cancels: both round to 2**126 for Dirac(2**63 - 1)."""
+    if isinstance(law, Dirac):
+        return -mean
+    if isinstance(law, Binomial):
+        return -mean * law.prob
+    if isinstance(law, NegativeBinomial):
+        return mean * (law.p / (1.0 - law.p))
+    return 0.0
+
+
 def _child_bounds(c: int, theta, bound, where: str) -> list:
     """Largest total each child of a split can receive, when the split's
     own totals are at most ``bound`` (None: unbounded).  A hypergeometric
     split (c = -1) needs a bound no larger than its |theta|; this is
-    conservative, as ``bound`` is the largest possible total."""
+    conservative, as ``bound`` is the largest possible total.  ``where``
+    names the split in an error, so only a hypergeometric split needs
+    it."""
     if c != -1:
         return [bound] * len(theta)
     if bound is None:
@@ -118,14 +134,17 @@ class TreePolyaModel:
 
     def _top_down(self):
         """One pass from the root: checks each split's arity and support,
-        and stores the sum-law moments and, per node, the path constants
-        gamma, delta and the dispersion sign its path's splits force.
-        Marginal chains are built on first use (:meth:`marginal_chain`)."""
+        and stores the sum law's mean and Var - E and, per node, the path
+        constants gamma, delta and the dispersion sign its path's splits
+        force.  Marginal chains are built on first use
+        (:meth:`marginal_chain`).  A node's subset is formatted only for
+        an error, so the pass is linear in the nodes."""
         tree = self.tree
-        mu1, mu2 = (sumlaw_factorial_moment(r, self.sum_law) for r in (1, 2))
+        mu1 = sumlaw_factorial_moment(1, self.sum_law)
+        law_excess = _law_excess(self.sum_law, mu1)
         gamma, delta = np.ones(len(tree)), np.ones(len(tree))
         implied = [None] * len(tree)
-        implied[tree.ROOT] = _classify(mu2 - mu1 ** 2)
+        implied[tree.ROOT] = _classify(law_excess)
         # conservative bound: every node inherits the sum law's maximum,
         # tightened to theta_C below a hypergeometric split
         bounds = {tree.ROOT: sumlaw_support_max(self.sum_law)}
@@ -138,21 +157,23 @@ class TreePolyaModel:
                 raise ValidationError(
                     f"node {nid} {tree.subset(nid)} has {arity} "
                     f"children but a {spec.arity}-component split")
-            child_bounds = _child_bounds(spec.c, spec.theta, bounds[nid],
-                                         f"node {nid} {tree.subset(nid)}")
+            child_bounds = _child_bounds(
+                spec.c, spec.theta, bounds[nid],
+                f"node {nid} {tree.subset(nid)}" if spec.c == -1 else "")
             sign = implied[nid]
             if spec.c != 0:
                 forced = "over" if spec.c == 1 else "under"
                 sign = forced if sign in ("null", forced) else None
+            total = spec.total
             for cid, theta_c, child_bound in zip(tree.children(nid),
                                                  spec.theta, child_bounds):
-                gamma[cid] = gamma[nid] * theta_c / spec.total
+                gamma[cid] = gamma[nid] * theta_c / total
                 delta[cid] = delta[nid] * (theta_c + spec.c) \
-                    / (spec.total + spec.c)
+                    / (total + spec.c)
                 implied[cid] = sign
                 bounds[cid] = child_bound
         chains = {tree.ROOT: MarginalChain((), self.sum_law)}
-        for name, value in (("_mu", (mu1, mu2)), ("_gamma", gamma),
+        for name, value in (("_mu", (mu1, law_excess)), ("_gamma", gamma),
                             ("_delta", delta), ("_implied", implied),
                             ("_chains", chains)):
             object.__setattr__(self, name, value)
@@ -321,27 +342,40 @@ class TreePolyaModel:
         sums[0, self.tree.root_path(node)] = r
         return total * math.exp(self._splits_log_pmf(sums)[0])
 
+    @cached_property
     def _moments(self) -> tuple:
-        """Mean, variance and Var - E of every node subsum, by node id."""
-        mu1, mu2 = self._mu
+        """Read-only mean, variance and Var - E of every node subsum, by
+        node id, computed once.  With the law's mean mu1 and Var - E e,
+        a node's second factorial moment is gamma delta (e + mu1**2), so
+        its Var - E is gamma ((delta - gamma) mu1**2 + delta e): along
+        multinomial splits delta is gamma, and nothing cancels."""
+        mu1, law_excess = self._mu
         gamma, delta = self._gamma, self._delta
-        excess = gamma * (delta * mu2 - gamma * mu1 ** 2)
-        return gamma * mu1, excess + gamma * mu1, excess
+        excess = gamma * ((delta - gamma) * mu1 ** 2 + delta * law_excess)
+        mean = gamma * mu1
+        out = mean, excess + mean, excess
+        for array in out:
+            array.setflags(write=False)
+        return out
 
     def node_mean(self, node: int) -> float:
-        return float(self._moments()[0][node])
+        return float(self._moments[0][node])
 
     def node_variance(self, node: int) -> float:
-        return float(self._moments()[1][node])
+        return float(self._moments[1][node])
 
     # -- covariance / correlation -------------------------------------
 
     def _pair_bracket(self, s: int) -> float:
-        """Common factor of covariances separated at ancestor node s."""
-        mu1, mu2 = self._mu
+        """Common factor of covariances separated at ancestor node s:
+        r mu2 - mu1**2 for the ratio r below, written as
+        (r - 1) mu1**2 + r e with the law's Var - E e, as r is exactly 1
+        when s and its path split multinomially."""
+        mu1, law_excess = self._mu
         spec = self.splits[s]
-        return (spec.total / (spec.total + spec.c)) \
-            * (self._delta[s] / self._gamma[s]) * mu2 - mu1 ** 2
+        r = (spec.total / (spec.total + spec.c)) \
+            * (self._delta[s] / self._gamma[s])
+        return (r - 1.0) * mu1 ** 2 + r * law_excess
 
     def covariance(self, i: int, j: int) -> float:
         """Covariance of the leaf counts for 1-based labels i and j."""
@@ -382,7 +416,7 @@ class TreePolyaModel:
 
     def correlation_matrix(self) -> np.ndarray:
         tree = self.tree
-        _, var, _ = self._moments()
+        _, var, _ = self._moments
         leaves = sorted(tree.leaf_ids, key=lambda nid: tree.subset(nid)[0])
         bad = np.flatnonzero(var[leaves] <= 0)
         if bad.size:
@@ -398,8 +432,8 @@ class TreePolyaModel:
             for k, left in enumerate(cols):
                 for right in cols[k + 1:]:
                     block = bracket * np.outer(lam[left], lam[right])
-                    out[np.ix_(left, right)] = block
-                    out[np.ix_(right, left)] = block.T
+                    out[left[:, None], right] = block
+                    out[right[:, None], left] = block.T
         return out
 
     def dispersion_report(self) -> dict:
@@ -408,7 +442,7 @@ class TreePolyaModel:
         Each entry is 'under', 'null', or 'over'; ``implied`` carries the
         sign forced by the split kinds along the path when one is forced.
         """
-        _, _, excess = self._moments()
+        _, _, excess = self._moments
         return {"sum_law": self._implied[self.tree.ROOT],
                 "nodes": {nid: {"subset": self.tree.subset(nid),
                                 "dispersion": _classify(excess[nid]),

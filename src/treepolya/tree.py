@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -23,9 +24,12 @@ def incidence_matrix(subsets: Sequence[Iterable[int]],
                      leaf_count: int) -> np.ndarray:
     """0/1 matrix with one row per subset of 1-based leaf labels, so that
     ``counts @ incidence_matrix(subsets, J).T`` holds the subset sums."""
+    subsets = [tuple(subset) for subset in subsets]
+    sizes = [len(subset) for subset in subsets]
+    labels = np.fromiter(chain.from_iterable(subsets), dtype=np.intp,
+                         count=sum(sizes))
     out = np.zeros((len(subsets), leaf_count))
-    for k, subset in enumerate(subsets):
-        out[k, [j - 1 for j in subset]] = 1.0
+    out[np.repeat(np.arange(len(subsets)), sizes), labels - 1] = 1.0
     return out
 
 
@@ -78,8 +82,8 @@ class PartitionTree:
                 stack.extend((child, nid) for child in reversed(spec))
         for node in reversed(nodes):
             if node[0] is None:
-                node[0] = tuple(sorted(j for c in node[2]
-                                       for j in nodes[c][0]))
+                node[0] = tuple(sorted(chain.from_iterable(
+                    nodes[c][0] for c in node[2])))
         nodes = tuple(_Node(sub, par, tuple(ch)) for sub, par, ch in nodes)
         tree = PartitionTree(len(nodes[0].subset), nodes)
         tree._check()
@@ -193,12 +197,18 @@ class PartitionTree:
     def leaf_ids(self) -> list:
         return [i for i, n in enumerate(self.nodes) if not n.children]
 
+    @cached_property
+    def _leaf_index(self) -> dict:
+        """Node id of each leaf, by its 1-based label."""
+        return {n.subset[0]: i for i, n in enumerate(self.nodes)
+                if not n.children}
+
     def leaf_node(self, label: int) -> int:
         """Node id of the leaf {label} (1-based label)."""
-        for i, n in enumerate(self.nodes):
-            if not n.children and n.subset == (label,):
-                return i
-        raise UsageError(f"no leaf labelled {label}")
+        try:
+            return self._leaf_index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise UsageError(f"no leaf labelled {label}") from None
 
     def root_path(self, node: int) -> list:
         """Ordered node ids from ``node`` up to the root inclusive."""

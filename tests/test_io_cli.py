@@ -21,7 +21,7 @@ from treepolya import cli, io
 from treepolya.cli import main
 from treepolya.examples import TEN_LEAF_NESTED, ten_leaf_example
 from treepolya.exceptions import (DomainError, ParseError, TreePolyaError,
-                                  UsageError)
+                                  UsageError, ValidationError)
 from treepolya.io import (load_counts_csv, parse_model, serialize_model,
                           write_counts_csv)
 from treepolya.model import TreePolyaModel
@@ -847,15 +847,16 @@ def test_fit_of_rows_past_int64_is_a_domain_error(tmp_path, capsys):
 
 
 class TestBlockedSample:
-    """``sample`` draws SAMPLE_BLOCK_ROWS-row blocks (64 here, so 1 000
-    rows are 16 blocks): block 0 from the seed's generator, block b from
-    its b-th spawned child, written in block order."""
+    """``sample`` draws blocks of SAMPLE_BLOCK_CELLS // J rows (640 cells
+    here, 64 rows of the ten-leaf example, so 1 000 rows are 16 blocks):
+    block 0 from the seed's generator, block b from its b-th spawned
+    child, written in block order."""
 
     N = 1_000
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(cli, "SAMPLE_BLOCK_ROWS", 64)
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_CELLS", 640)
 
     def _sample(self, model_file, out, n=N, seed=7):
         return main(["sample", "--model", model_file, "--n", str(n),
@@ -888,6 +889,33 @@ class TestBlockedSample:
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1
 
+    def test_a_wide_model_does_not_depend_on_the_worker_count(
+            self, tmp_path, monkeypatch):
+        """A 200-leaf cascade, alternately DM and multinomial, in blocks
+        of 50 rows: 6 blocks, the last one short."""
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_CELLS", 200 * 50)
+        tree = PartitionTree.cascade(list(range(1, 201)))
+        model = TreePolyaModel(
+            tree, {nid: SplitSpec(k % 2, (1.0, 2.0))
+                   for k, nid in enumerate(tree.internal_ids)},
+            NegativeBinomial(3.0, 0.99))
+        model_file = tmp_path / "cascade.json"
+        model_file.write_text(serialize_model(model))
+        digests = set()
+        for workers in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, k=workers: set(range(k)),
+                                raising=False)
+            out = tmp_path / f"w{workers}.csv"
+            assert self._sample(str(model_file), out, n=260) == 0
+            digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(digests) == 1
+        rng = np.random.default_rng(7)
+        rows = np.concatenate([
+            model.sample_many(size, stream) for size, stream
+            in zip([50] * 5 + [10], [rng, *rng.spawn(5)])])
+        assert np.array_equal(load_counts_csv(str(out)).rows, rows)
+
     def test_a_failing_block_leaves_no_file_and_no_thread(
             self, model_file, tmp_path, monkeypatch, capsys):
         original = TreePolyaModel.sample_many
@@ -912,7 +940,7 @@ class TestBlockedSample:
         """Fifty blocks on two workers: the peak is the blocks in flight,
         the two running draws and the encoder's buffers, about 12 blocks'
         bytes, well below the 50-block n x J matrix."""
-        monkeypatch.setattr(cli, "SAMPLE_BLOCK_ROWS", 1024)
+        monkeypatch.setattr(cli, "SAMPLE_BLOCK_CELLS", 10_240)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         block_bytes = 1024 * 10 * 8
@@ -924,6 +952,30 @@ class TestBlockedSample:
         finally:
             tracemalloc.stop()
         assert peak < 20 * block_bytes
+
+    def test_a_wide_model_samples_in_blocks_of_cells(self, tmp_path,
+                                                      monkeypatch):
+        """A flat 500-leaf DM model at the default block size, 1 048
+        rows a block: 12 blocks on two workers peak at a few blocks'
+        4 MB.  Blocks of a fixed 32 768 rows made this one 50 MB block,
+        with its shares and rates, past 150 MB."""
+        monkeypatch.undo()  # the default block size, not the class's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        tree = PartitionTree.flat(500)
+        model = TreePolyaModel(tree, {tree.ROOT: SplitSpec(1, (0.5,) * 500)},
+                               NegativeBinomial(2.0, 0.5))
+        model_file = tmp_path / "flat.json"
+        model_file.write_text(serialize_model(model))
+        rows = cli.SAMPLE_BLOCK_CELLS // 500
+        tracemalloc.start()
+        try:
+            assert self._sample(str(model_file), tmp_path / "s.csv",
+                                n=12 * rows) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * cli.SAMPLE_BLOCK_CELLS * 8
 
 
 class TestQuotedNames:
@@ -1056,6 +1108,44 @@ def test_what_serializes_parses_back_at_the_nesting_limit():
         written.append(depth)
     assert written == list(range(440, written[-1] + 1))
     assert written[-1] < 510
+
+
+class TestLabelsOnlyForErrors:
+    """A node's label is as long as its subset, so formatting one per
+    node made reading a cascade's model quadratic in its leaves."""
+
+    def test_a_valid_model_formats_no_node_label(self, monkeypatch):
+        text = serialize_model(_cascade_model(320))
+
+        def refuse(subset):
+            raise AssertionError("a node label was formatted")
+
+        monkeypatch.setattr(io, "_subset_label", refuse)
+        model, _ = parse_model(text)
+        assert model.tree.leaf_count == 321
+
+    @pytest.mark.parametrize("theta, message", [
+        ([1.0, -2.0], "bad split: all split weights"),
+        ([1.0, 2.0, 3.0], "3 weights for 2 children")])
+    def test_a_bad_split_deep_down_names_its_node(self, theta, message):
+        doc = json.loads(serialize_model(_cascade_model(320)))
+        node = doc["tree"]
+        for _ in range(300):
+            node = node["children"][1]
+        node["split"]["theta"] = theta
+        label = "{" + ",".join(map(str, range(301, 322))) + "}"
+        with pytest.raises(ParseError,
+                           match=re.escape(f"node {label}: {message}")):
+            parse_model(json.dumps(doc))
+
+    def test_a_hypergeometric_split_still_names_its_node(self):
+        tree = PartitionTree.cascade([1, 2, 3])
+        inner = tree.node_by_subset((2, 3))
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"node {inner} (2, 3): "
+                                           "|theta|=3.0 is below")):
+            TreePolyaModel(tree, {tree.ROOT: SplitSpec(0, (1.0, 1.0)),
+                                  inner: SplitSpec(-1, (1, 2))}, Dirac(5))
 
 
 @pytest.mark.parametrize("depth", [600, 1200])

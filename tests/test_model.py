@@ -531,6 +531,28 @@ class TestMoments:
             assert model.node_mean(node) == pytest.approx(mean, rel=1e-10)
             assert model.node_variance(node) == pytest.approx(var, rel=1e-9)
 
+    @pytest.mark.parametrize("m", [10, 2 ** 40, 2 ** 63 - 1])
+    def test_root_variance_of_a_dirac_total_is_zero(self, m):
+        # mu2 - mu1**2 cancelled: -2.0e-13, -1.34e8 and 9.22e18
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits, Dirac(m))
+        assert model.node_variance(model.tree.ROOT) == 0.0
+
+    @pytest.mark.parametrize("m", [10, 2 ** 40, 2 ** 62])
+    def test_multinomial_leaves_under_a_dirac_total(self, m):
+        """Leaf 1 takes p = 0.4 x 0.3 and leaf 3 takes 0.6 of m: variance
+        m p (1 - p) and covariance -m p q, as for a multinomial draw."""
+        tree = PartitionTree.from_nested([[1, 2], 3])
+        model = TreePolyaModel(
+            tree, {tree.ROOT: SplitSpec(0, (0.4, 0.6)),
+                   tree.node_by_subset((1, 2)): SplitSpec(0, (0.3, 0.7))},
+            Dirac(m))
+        p = 0.4 * 0.3
+        assert model.node_variance(tree.leaf_node(1)) == pytest.approx(
+            m * p * (1 - p), rel=1e-12)
+        assert model.covariance(1, 3) == pytest.approx(-m * p * 0.6,
+                                                       rel=1e-12)
+
 
 class TestCovariance:
     def test_matches_enumeration(self):

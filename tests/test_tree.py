@@ -64,6 +64,9 @@ class TestQueries:
     def test_leaf_node_lookup(self, ten):
         for label in range(1, 11):
             assert ten.subset(ten.leaf_node(label)) == (label,)
+        for label in (0, 11, (3,), [3]):
+            with pytest.raises(UsageError, match="no leaf labelled"):
+                ten.leaf_node(label)
 
     def test_root_path(self, ten):
         leaf = ten.leaf_node(9)
