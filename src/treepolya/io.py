@@ -390,10 +390,12 @@ def serialize_model(model: TreePolyaModel,
     return text
 
 
-def _collect_leaves(tree_doc: dict) -> Tuple[object, List[str]]:
-    """Leaf names in document order, and the nested label structure for
-    the tree constructor that numbers the leaves in that order."""
+def _collect_leaves(tree_doc: dict) -> Tuple[object, List[str], list]:
+    """Leaf names in document order, the nested label structure for the
+    tree constructor that numbers the leaves in that order, and the
+    split documents in preorder, the order it numbers internal nodes."""
     names: List[str] = []
+    split_docs: list = []
     top: list = []
     stack = [(tree_doc, "tree", top)]
     while stack:
@@ -411,22 +413,18 @@ def _collect_leaves(tree_doc: dict) -> Tuple[object, List[str]]:
         _require_keys(node_doc, {"children", "split"}, where)
         if not isinstance(node_doc["children"], list):
             raise ParseError(f"{where}: children must be a list")
+        split_docs.append(node_doc["split"])
         nested: list = []
         siblings.append(nested)
         stack.extend((child, f"{where}.children[{i}]", nested) for i, child
                      in reversed(list(enumerate(node_doc["children"]))))
-    return top[0], names
+    return top[0], names, split_docs
 
 
-def _collect_splits(tree_doc: dict, tree: PartitionTree) -> dict:
-    """Split of every internal node, read in document order."""
+def _collect_splits(split_docs: list, tree: PartitionTree) -> dict:
+    """Split of every internal node, from :func:`_collect_leaves`."""
     splits = {}
-    stack = [(tree.ROOT, tree_doc)]
-    while stack:
-        node, node_doc = stack.pop()
-        if "leaf" in node_doc:
-            continue
-        split_doc = node_doc["split"]
+    for node, split_doc in zip(tree.internal_ids, split_docs):
         _require_keys(split_doc, {"c", "theta"}, "split")
         # the node's label is formatted only for an error: it is as long
         # as the node's subset, which would make reading a model O(J^2)
@@ -440,8 +438,6 @@ def _collect_splits(tree_doc: dict, tree: PartitionTree) -> dict:
                              f"{spec.arity} weights for "
                              f"{len(tree.children(node))} children")
         splits[node] = spec
-        stack.extend(reversed(list(zip(tree.children(node),
-                                       node_doc["children"]))))
     return splits
 
 
@@ -476,12 +472,12 @@ def parse_model(text: str) -> Tuple[TreePolyaModel, Tuple[str, ...]]:
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ParseError(
             f"unsupported schema_version {doc['schema_version']!r}")
-    nested, names = _collect_leaves(doc["tree"])
+    nested, names, split_docs = _collect_leaves(doc["tree"])
     if not isinstance(nested, list):
         raise ParseError("tree root cannot be a single leaf")
     if len(set(names)) != len(names):
         raise ParseError("duplicate leaf names")
     tree = PartitionTree.from_nested(nested)
-    splits = _collect_splits(doc["tree"], tree)
+    splits = _collect_splits(split_docs, tree)
     law = _law_from_doc(doc["sum_law"])
     return TreePolyaModel(tree, splits, law), tuple(names)

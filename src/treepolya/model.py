@@ -18,10 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
-                    SumLaw, count_array, count_int64, count_scalar,
-                    polya_log_pmf_many, polya_sample_many,
-                    sumlaw_factorial_moment, sumlaw_log_pmf_many,
+from .polya import (NegativeBinomial, SplitSpec, SumLaw, _exp_moment,
+                    _in_range, _sumlaw_log_moment, _sumlaw_series,
+                    count_array, count_int64, count_scalar,
+                    polya_log_pmf_many, polya_sample_many, sumlaw_log_pmf_many,
                     sumlaw_sample_many, sumlaw_support_max,
                     sumlaw_truncated_log_pmf)
 from .special import LogValue, ln_gen_factorial_many
@@ -86,20 +86,6 @@ class MarginalChain:
         return hash((self.stages, self.terminal))
 
 
-def _law_excess(law: SumLaw, mean: float) -> float:
-    """Var - E of a sum law in closed form, from its ``mean``: -m for
-    Dirac(m), -n p**2 for a binomial, 0 for a Poisson and alpha p**2 /
-    (1 - p)**2 for a negative binomial law.  Taking it as mu2 - mu1**2
-    cancels: both round to 2**126 for Dirac(2**63 - 1)."""
-    if isinstance(law, Dirac):
-        return -mean
-    if isinstance(law, Binomial):
-        return -mean * law.prob
-    if isinstance(law, NegativeBinomial):
-        return mean * (law.p / (1.0 - law.p))
-    return 0.0
-
-
 def _child_bounds(c: int, theta, bound, where: str) -> list:
     """Largest total each child of a split can receive, when the split's
     own totals are at most ``bound`` (None: unbounded).  A hypergeometric
@@ -140,8 +126,8 @@ class TreePolyaModel:
         (:meth:`marginal_chain`).  A node's subset is formatted only for
         an error, so the pass is linear in the nodes."""
         tree = self.tree
-        mu1 = sumlaw_factorial_moment(1, self.sum_law)
-        law_excess = _law_excess(self.sum_law, mu1)
+        c, base, scale = _sumlaw_series(self.sum_law)
+        mu1, law_excess = base * scale, c * base * scale ** 2
         gamma, delta = np.ones(len(tree)), np.ones(len(tree))
         implied = [None] * len(tree)
         implied[tree.ROOT] = _classify(law_excess)
@@ -212,20 +198,16 @@ class TreePolyaModel:
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact draws; returns shape (size, J) in leaf order.
 
-        A negative binomial or Poisson total takes the rate route
-        (:meth:`_sample_rates`): one Poisson draw per leaf.  A Dirac or
-        binomial total takes the conditional route
-        (:meth:`_sample_conditional`): one draw per split component.  The
-        two routes draw the same law from different streams.  A law past
-        numpy's samplers raises ``DomainError`` naming it."""
+        A Poisson or NB total (c = 0 or 1) takes the rate route
+        (:meth:`_sample_rates`), a bounded one (c = -1) the conditional
+        route (:meth:`_sample_conditional`): the same law from different
+        streams.  A law past numpy's samplers raises ``DomainError``."""
         law = self.sum_law
-        if isinstance(law, NegativeBinomial):
-            rate = rng.standard_gamma(law.alpha, size) \
-                * (law.p / (1.0 - law.p))
-        elif isinstance(law, Poisson):
-            rate = np.full(size, law.rate)
-        else:
+        c, base, scale = _sumlaw_series(law)
+        if c == -1:
             return self._sample_conditional(size, rng)
+        rate = (rng.standard_gamma(base, size) if c == 1
+                else np.full(size, base)) * scale
         # a leaf's rate is at most its row's, so this bounds every draw
         if not rate.max(initial=0.0) <= _POISSON_RATE_MAX:  # NaN too
             raise DomainError(
@@ -324,58 +306,61 @@ class TreePolyaModel:
         if np.any(r < 0):
             raise DomainError("moment orders must be nonnegative")
         r = count_int64(r)
-        total = sumlaw_factorial_moment(int(r.sum()), self.sum_law)
         # the product over splits of (theta_C)_(r_C) / (|theta|)_(r_A) is
         # their p.m.f. at the subsums of r times prod_j r_j! / |r|!
-        log = (self._splits_log_pmf((self.tree.incidence @ r)[None, :])[0]
+        log = (_sumlaw_log_moment(int(r.sum()), self.sum_law)
+               + self._splits_log_pmf((self.tree.incidence @ r)[None, :])[0]
                + gammaln(r + 1).sum() - gammaln(r.sum() + 1))
-        return total * math.exp(log)
+        return _exp_moment(log, f"the factorial moment {r.tolist()}")
 
     def node_factorial_moment(self, node: int, r: int) -> float:
-        """r-th factorial moment of the subsum at a node (root path
-        product)."""
-        total = sumlaw_factorial_moment(r, self.sum_law)
+        """r-th factorial moment of a node subsum, a root path product."""
+        log = _sumlaw_log_moment(r, self.sum_law)
         # (theta_C)_r / (|theta|)_r is the split's probability of giving
         # all of r to the child C: the splits' p.m.f. at subsums that are
         # r along the root path and 0 elsewhere
         sums = np.zeros((1, len(self.tree)))
         sums[0, self.tree.root_path(node)] = r
-        return total * math.exp(self._splits_log_pmf(sums)[0])
+        return _exp_moment(log + self._splits_log_pmf(sums)[0],
+                           f"node {node}'s order-{r} factorial moment")
 
     @cached_property
     def _moments(self) -> tuple:
         """Read-only mean, variance and Var - E of every node subsum, by
         node id, computed once.  With the law's mean mu1 and Var - E e,
         a node's second factorial moment is gamma delta (e + mu1**2), so
-        its Var - E is gamma ((delta - gamma) mu1**2 + delta e): along
+        its Var - E is gamma ((delta - gamma) mu1 mu1 + delta e): along
         multinomial splits delta is gamma, and nothing cancels."""
         mu1, law_excess = self._mu
+        _in_range(mu1, f"the mean of {self.sum_law}")
         gamma, delta = self._gamma, self._delta
-        excess = gamma * ((delta - gamma) * mu1 ** 2 + delta * law_excess)
-        mean = gamma * mu1
-        out = mean, excess + mean, excess
+        with np.errstate(over="ignore"):
+            excess = gamma * ((delta - gamma) * mu1 * mu1 + delta * law_excess)
+            mean = gamma * mu1
+            out = mean, excess + mean, excess
         for array in out:
             array.setflags(write=False)
         return out
 
     def node_mean(self, node: int) -> float:
-        return float(self._moments[0][node])
+        return _in_range(self._moments[0][node], f"node {node}'s mean")
 
     def node_variance(self, node: int) -> float:
-        return float(self._moments[1][node])
+        return _in_range(self._moments[1][node], f"node {node}'s variance")
 
     # -- covariance / correlation -------------------------------------
 
     def _pair_bracket(self, s: int) -> float:
         """Common factor of covariances separated at ancestor node s:
         r mu2 - mu1**2 for the ratio r below, written as
-        (r - 1) mu1**2 + r e with the law's Var - E e, as r is exactly 1
-        when s and its path split multinomially."""
+        (r - 1) mu1 mu1 + r e with the law's Var - E e, as r is exactly 1
+        when s and its path split multinomially; a float overflows to inf."""
         mu1, law_excess = self._mu
         spec = self.splits[s]
         r = (spec.total / (spec.total + spec.c)) \
-            * (self._delta[s] / self._gamma[s])
-        return (r - 1.0) * mu1 ** 2 + r * law_excess
+            * float(self._delta[s] / self._gamma[s])
+        return _in_range((r - 1.0) * mu1 * mu1 + r * law_excess,
+                         f"the covariance factor of node {s}")
 
     def covariance(self, i: int, j: int) -> float:
         """Covariance of the leaf counts for 1-based labels i and j."""
@@ -416,13 +401,13 @@ class TreePolyaModel:
 
     def correlation_matrix(self) -> np.ndarray:
         tree = self.tree
-        _, var, _ = self._moments
         leaves = sorted(tree.leaf_ids, key=lambda nid: tree.subset(nid)[0])
-        bad = np.flatnonzero(var[leaves] <= 0)
+        var = np.array([self.node_variance(nid) for nid in leaves])
+        bad = np.flatnonzero(var <= 0)
         if bad.size:
             raise DomainError(f"leaf {bad[0] + 1} has non-positive variance; "
                               "correlation undefined")
-        lam = self._gamma[leaves] / np.sqrt(var[leaves])  # in label order
+        lam = self._gamma[leaves] / np.sqrt(var)  # in label order
         out = np.eye(tree.leaf_count)
         # a leaf pair is separated at exactly one node: the blocks of
         # leaves under two distinct children of it
@@ -541,8 +526,7 @@ def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
     for depth, st in enumerate(reversed(chain.stages)):
         bound = _child_bounds(st.c, (st.theta_num, st.theta_rest), bound,
                               f"chain stage {depth} from the root")[0]
-    if isinstance(chain.terminal, NegativeBinomial) \
-            and all(st.c != -1 for st in chain.stages):
+    if isinstance(chain.terminal, NegativeBinomial):
         chain = absorb_binomials(chain)
     dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, MARGINAL_TAIL))
     for st in reversed(chain.stages):  # root side first

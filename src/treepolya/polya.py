@@ -159,15 +159,25 @@ SUM_LAWS = {law.family: law
             for law in (NegativeBinomial, Poisson, Dirac, Binomial)}
 
 
+def _sumlaw_series(law: SumLaw) -> tuple:
+    """(c, base, scale) with E[(N)_r] = (base)_r^(c) scale**r, a split's
+    generalized factorial (Peyhardi, Fernique & Durand 2021): the mean is
+    base scale and Var - E is c base scale**2."""
+    if isinstance(law, Dirac):
+        return -1, law.m, 1.0
+    if isinstance(law, Binomial):
+        return -1, law.size, law.prob
+    if isinstance(law, Poisson):
+        return 0, law.rate, 1.0
+    if isinstance(law, NegativeBinomial):
+        return 1, law.alpha, law.p / (1.0 - law.p)
+    raise UsageError(f"unknown sum law {law!r}")
+
+
 def sumlaw_support_max(law: SumLaw) -> Optional[int]:
     """Upper support bound, or None when unbounded."""
-    if isinstance(law, Dirac):
-        return law.m
-    if isinstance(law, Binomial):
-        return law.size
-    if isinstance(law, (Poisson, NegativeBinomial)):
-        return None
-    raise UsageError(f"unknown sum law {law!r}")
+    c, base, _ = _sumlaw_series(law)
+    return base if c == -1 else None
 
 
 def count_numbers(y) -> np.ndarray:
@@ -284,24 +294,33 @@ def sumlaw_log_pmf(n: int, law: SumLaw) -> LogValue:
     return LogValue.from_log(sumlaw_log_pmf_many(count_scalar(n), law))
 
 
-def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
-    """r-th factorial moment E[(N)(N-1)...(N-r+1)]."""
+def _sumlaw_log_moment(r, law: SumLaw) -> float:
+    """log (base)_r^(c) + r log scale: the log r-th factorial moment."""
     r = count_scalar(r)
     if r < 0:
         raise DomainError("moment order must be nonnegative")
     r = int(count_int64(r))
-    if isinstance(law, Poisson):
-        return law.rate ** r
-    if isinstance(law, Dirac):
-        log = ln_gen_factorial_many(law.m, r, -1)
-    elif isinstance(law, Binomial):
-        log = ln_gen_factorial_many(law.size, r, -1) + r * math.log(law.prob)
-    elif isinstance(law, NegativeBinomial):
-        log = ln_gen_factorial_many(law.alpha, r, 1) \
-            + r * (math.log(law.p) - math.log1p(-law.p))
-    else:
-        raise UsageError(f"unknown sum law {law!r}")
-    return math.exp(log)
+    c, base, scale = _sumlaw_series(law)
+    return float(ln_gen_factorial_many(base, r, c)) + r * math.log(scale)
+
+
+def _in_range(value, what: str) -> float:
+    """``value`` as a float; NaN or inf is a DomainError naming ``what``."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is past the float range")
+    return float(value)
+
+
+def _exp_moment(log: float, what: str) -> float:
+    """``exp(log)`` for a moment taken in logs, through :func:`_in_range`."""
+    with np.errstate(over="ignore"):
+        return _in_range(np.exp(log), f"{what}, e**{log:.6g},")
+
+
+def sumlaw_factorial_moment(r: int, law: SumLaw) -> float:
+    """r-th factorial moment E[(N)(N-1)...(N-r+1)], taken in logs."""
+    return _exp_moment(_sumlaw_log_moment(r, law),
+                       f"the order-{r} factorial moment of {law}")
 
 
 def sumlaw_sample_many(law: SumLaw, size: int,

@@ -7,15 +7,22 @@ benchmark run.  The README's CLI synopsis is checked against the parser
 here too, and so is the reach of the count checks: every public entry
 point that takes counts is in ``test_inference``'s table of non-number
 inputs, and every line of the package's source fits in 79 columns.
+Every public moment method, and the verbs that print moments, is in the
+overflow table, whose laws' moments pass the float range: each returns
+a value or raises ``DomainError``, never a bare ``OverflowError``.
 """
 
 import ast
+import contextlib
+import functools
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
 import re
 import typing
+from io import StringIO
 from pathlib import Path
 
 import mpmath  # noqa: F401  (a traced target lives in it)
@@ -24,7 +31,7 @@ import pytest
 import treepolya
 import treepolya.cli  # noqa: F401  (loads every module the CLI uses)
 from treepolya import polya
-from treepolya.exceptions import UsageError
+from treepolya.exceptions import DomainError, UsageError
 from treepolya.examples import ten_leaf_example
 from treepolya.model import marginal_pmf
 from treepolya.special import ln_gen_factorial
@@ -127,26 +134,30 @@ def test_readme_synopsis_lists_every_option_of_every_verb():
 COUNT_PARAMETERS = {"counts", "data", "rows", "y", "n", "totals", "r"}
 
 
-def _count_parameters():
-    """(callable name, parameter) for every count parameter of the public
-    callables: what each module's ``__all__`` lists, and the public
-    methods of its classes."""
+def _public_members():
+    """(name, object) for what each module's ``__all__`` lists, and the
+    public members of its classes."""
     for info in pkgutil.iter_modules(treepolya.__path__):
         module = importlib.import_module(f"treepolya.{info.name}")
         for name in getattr(module, "__all__", []):
             obj = getattr(module, name)
-            members = [(name, obj)]
+            yield name, obj
             if inspect.isclass(obj):
-                members += [(attr, getattr(obj, attr)) for attr in vars(obj)
-                            if not attr.startswith("_")]
-            for label, member in members:
-                try:
-                    params = inspect.signature(member).parameters
-                except (TypeError, ValueError):  # not a callable
-                    continue
-                for param in params.values():
-                    if param.name in COUNT_PARAMETERS:
-                        yield label, param
+                yield from ((attr, getattr(obj, attr)) for attr in vars(obj)
+                            if not attr.startswith("_"))
+
+
+def _count_parameters():
+    """(callable name, parameter) for every count parameter of the public
+    callables."""
+    for label, member in _public_members():
+        try:
+            params = inspect.signature(member).parameters
+        except (TypeError, ValueError):  # not a callable
+            continue
+        for param in params.values():
+            if param.name in COUNT_PARAMETERS:
+                yield label, param
 
 
 def test_every_count_entry_point_meets_the_non_number_table():
@@ -194,3 +205,94 @@ def test_source_lines_fit_in_79_columns(path):
     long = [number for number, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 79]
     assert not long, f"{path.name}: lines {long} pass 79 columns"
+
+
+# sum laws whose moments pass the float range: the Poisson's and the
+# Dirac's high factorial moments, the square of the first negative
+# binomial's mean, the second one's Var - E, and the third one's mean
+OVERFLOW_LAWS = [polya.Poisson(1e10), polya.Dirac(10 ** 15),
+                 polya.NegativeBinomial(1e200, 0.5),
+                 polya.NegativeBinomial(1e305, 0.99),
+                 polya.NegativeBinomial(1e300, 1 - 1e-12)]
+
+
+def _verb(*argv):
+    """A CLI verb on the model file: it must exit 0, or 1 with a domain
+    error, never with a traceback."""
+    def call(model, path):
+        err = StringIO()
+        with contextlib.redirect_stderr(err):
+            code = treepolya.cli.main([argv[0], "--model", path, "--out",
+                                       os.devnull, *argv[1:]])
+        assert code == 0 or (code == 1 and err.getvalue().startswith(
+            "error[domain]: ")), err.getvalue()
+        return code
+    return lambda model, path: [lambda: call(model, path)]
+
+
+def _each(method, args):
+    """One call of a model method per argument tuple."""
+    return lambda model, path: [
+        functools.partial(getattr(model, method), *a) for a in args(model)]
+
+
+def _nodes(model):
+    return [(n,) for n in range(len(model.tree))]
+
+
+def _leaf_pairs(model):
+    leaves = range(1, model.tree.leaf_count + 1)
+    return [(i, j) for i in leaves for j in leaves if i <= j]
+
+
+# every public moment entry point, as the calls that drive it over the
+# ten-leaf tree: each returns a value or raises DomainError
+MOMENT_ENTRY_POINTS = {
+    "sumlaw_factorial_moment": lambda model, path: [
+        functools.partial(polya.sumlaw_factorial_moment, r, model.sum_law)
+        for r in (1, 2, 21, 40)],
+    "factorial_moment": _each("factorial_moment", lambda model: [
+        ([4] * 10,), ([0, 0, 21] + [0] * 7,), ([1] + [0] * 9,)]),
+    "node_factorial_moment": _each("node_factorial_moment", lambda model: [
+        (n, r) for n, in _nodes(model) for r in (1, 2, 21, 40)]),
+    "node_mean": _each("node_mean", _nodes),
+    "node_variance": _each("node_variance", _nodes),
+    "covariance": _each("covariance", _leaf_pairs),
+    "node_covariance": _each("node_covariance", lambda model: [
+        (model.tree.leaf_node(i), model.tree.leaf_node(j))
+        for i, j in _leaf_pairs(model) if i < j]),
+    "covariance_ratio": _each("covariance_ratio", lambda model: [
+        tuple(model.tree.leaf_node(j) for j in (4, 5, 1)),
+        tuple(model.tree.leaf_node(j) for j in (1, 2, 9))]),
+    "correlation_matrix": _each("correlation_matrix", lambda model: [()]),
+    "dispersion_report": _each("dispersion_report", lambda model: [()]),
+    "moments": _verb("moments", "--order", "40"),
+    "corr": _verb("corr"),
+}
+
+MOMENT_NAME = re.compile(r"moment|mean|variance|covariance|correlation|"
+                         r"dispersion")
+
+
+def test_every_public_moment_method_is_in_the_overflow_table():
+    names = {label for label, member in _public_members()
+             if callable(member) and MOMENT_NAME.search(label)}
+    assert {"node_mean", "sumlaw_factorial_moment"} <= names
+    assert names == set(MOMENT_ENTRY_POINTS) - {"moments", "corr"}
+
+
+@pytest.mark.parametrize("law", OVERFLOW_LAWS, ids=repr)
+@pytest.mark.parametrize("entry", MOMENT_ENTRY_POINTS)
+def test_a_moment_past_the_float_range_is_a_domain_error(entry, law,
+                                                         tmp_path):
+    # mu1 ** 2, rate ** r and the exp of a moment's log were bare
+    # OverflowErrors, and the moments and corr verbs printed them
+    example = ten_leaf_example()
+    model = treepolya.TreePolyaModel(example.tree, example.splits, law)
+    path = tmp_path / "model.json"
+    path.write_text(treepolya.io.serialize_model(model))
+    for call in MOMENT_ENTRY_POINTS[entry](model, str(path)):
+        try:
+            call()
+        except DomainError:
+            pass

@@ -656,15 +656,31 @@ class TestCli:
         ("ten-leaf",
          "84aa1d5e004d1f342fc6ed095dfaa1822f2e393f42efb0087c93ec5f8b453e34"),
         ("mixed",
-         "1a2bd79cbadeff9a73c53efdc33a100968bf959771d7ada94438376d90744f98")])
+         "1a2bd79cbadeff9a73c53efdc33a100968bf959771d7ada94438376d90744f98"),
+        ("poisson",
+         "a6c3407820222ec4bbce393d8e4dd369915cd5fd35d2e17f6c267877d699ecfb"),
+        ("dirac",
+         "cd401e8a665b88debd7325ab5035ba635de7c90eed123bd4283359782b1c153b")])
     def test_sample_stream_is_pinned(self, model_file, tmp_path, which,
                                      digest):
         """sha256 of the sample file as the per-cell ``str()`` writer
-        made it: a change to the RNG calls or to the CSV bytes moves it."""
-        if which == "mixed":
-            model_file = tmp_path / "mixed.json"
-            model_file.write_text(serialize_model(_mixed_model(),
-                                                  list("abcde")))
+        made it: a change to the RNG calls or to the CSV bytes moves it.
+        One case per sum-law family: the ten-leaf model's negative
+        binomial total and a Poisson one of its mean (the rate route),
+        and the mixed model's binomial total and a Dirac one (the
+        conditional route)."""
+        if which != "ten-leaf":
+            example = ten_leaf_example()
+            model, names = {
+                "mixed": lambda: (_mixed_model(), list("abcde")),
+                "poisson": lambda: (TreePolyaModel(
+                    example.tree, example.splits, Poisson(190.0)),
+                    [f"s{j}" for j in range(1, 11)]),
+                "dirac": lambda: (TreePolyaModel(
+                    _mixed_model().tree, _mixed_model().splits, Dirac(15)),
+                    list("abcde"))}[which]()
+            model_file = tmp_path / f"{which}.json"
+            model_file.write_text(serialize_model(model, names))
         out = tmp_path / "s.csv"
         assert main(["sample", "--model", str(model_file), "--n", "1000",
                      "--seed", "7", "--out", str(out)]) == 0
@@ -834,6 +850,18 @@ class TestCli:
             f"error[domain]: {law} cannot be sampled: ")
         assert "Traceback" not in captured.err
         assert not out.exists()
+
+    def test_a_moment_past_the_float_range_is_a_domain_error(
+            self, tmp_path, capsys):
+        """``moments --order 40`` under a Poisson(1e10) total printed the
+        OverflowError of rate ** 40 as a traceback."""
+        example = ten_leaf_example()
+        path = tmp_path / "m.json"
+        path.write_text(serialize_model(TreePolyaModel(
+            example.tree, example.splits, Poisson(1e10))))
+        assert main(["moments", "--model", str(path), "--order", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[domain]: ") and "float range" in err
 
 
 def test_fit_of_rows_past_int64_is_a_domain_error(tmp_path, capsys):
@@ -1153,11 +1181,11 @@ class TestDeepTrees:
     def test_tree_documents_without_recursion(self, depth):
         model = _cascade_model(depth)
         names = [f"y{j}" for j in range(1, depth + 2)]
-        nested, read = io._collect_leaves(io._tree_doc(model, names))
+        nested, read, split_docs = io._collect_leaves(
+            io._tree_doc(model, names))
         tree = PartitionTree.from_nested(nested)
         assert tree.nodes == model.tree.nodes and read == names
-        assert io._collect_splits(io._tree_doc(model, names), tree) \
-            == model.splits
+        assert io._collect_splits(split_docs, tree) == model.splits
 
     def test_json_nesting_limit_is_a_parse_error(self, depth):
         with pytest.raises(ParseError, match=f"depth {depth} "):

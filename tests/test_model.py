@@ -553,6 +553,53 @@ class TestMoments:
         assert model.covariance(1, 3) == pytest.approx(-m * p * 0.6,
                                                        rel=1e-12)
 
+    @pytest.mark.parametrize("law, mean", [
+        (Dirac(10), 10.0), (Dirac(2 ** 63 - 1), float(2 ** 63 - 1)),
+        (Binomial(10, 0.3), 10 * 0.3)])
+    def test_root_mean_is_exact(self, law, mean):
+        # the mean was the exp of a log: Dirac(10) read 10.00000000000001
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits, law)
+        assert model.node_mean(model.tree.ROOT) == mean
+
+    def test_moments_are_summed_in_logs(self):
+        """The sum law's order-21 moment, ~1e315, is past the float range,
+        but leaf 3 takes a tenth of the total at a multinomial root, so
+        its moment is ~1e294: both were the product of the two factors,
+        which overflowed."""
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits, Dirac(10 ** 15))
+        leaf = model.tree.leaf_node(3)
+        want = math.exp(sum(math.log((10 ** 15 - k) * 0.1)
+                            for k in range(21)))
+        assert model.node_factorial_moment(leaf, 21) == pytest.approx(
+            want, rel=1e-11)
+        assert model.factorial_moment([0, 0, 21] + [0] * 7) \
+            == pytest.approx(want, rel=1e-11)
+        with pytest.raises(DomainError, match="past the float range"):
+            model.node_factorial_moment(model.tree.ROOT, 21)
+        with pytest.raises(DomainError, match="past the float range"):
+            model.factorial_moment([30] * 10)
+
+    def test_a_mean_past_1e154_squares_only_where_it_must(self):
+        """mu1**2 was a bare OverflowError from every moment call once the
+        mean passed ~1.3e154; the root has delta - gamma = 0, so its
+        variance is the mean plus the law's Var - E."""
+        example = ten_leaf_example()
+        model = TreePolyaModel(example.tree, example.splits,
+                               NegativeBinomial(1e200, 0.5))
+        root, leaf = model.tree.ROOT, model.tree.leaf_node(3)
+        assert model.node_mean(root) == 1e200
+        assert model.node_variance(root) == pytest.approx(2e200, rel=1e-14)
+        # leaf 3 hangs from the multinomial root alone
+        assert model.node_variance(leaf) == pytest.approx(
+            0.1 * 1e200 + 0.01 * 1e200, rel=1e-14)
+        assert model.covariance(1, 3) == pytest.approx(
+            0.3 * 0.5 * 0.1 * 1e200, rel=1e-14)
+        with pytest.raises(DomainError, match="variance is past the float"):
+            model.node_variance(model.tree.leaf_node(1))
+        assert model.dispersion_report()["nodes"][root]["dispersion"] == "over"
+
 
 class TestCovariance:
     def test_matches_enumeration(self):

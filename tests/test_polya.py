@@ -207,7 +207,48 @@ class TestSumLaws:
             assert sumlaw_factorial_moment(r, law) == pytest.approx(
                 direct, rel=1e-8)
 
-    @pytest.mark.parametrize("rate", [5e-324, 0.5, 30.0, 1e6, 1e15, 1e16,
+    # one law per registered family, for its power-series form
+    SERIES_CASES = {"dirac": Dirac(7), "binomial": Binomial(12, 0.3),
+                    "poisson": Poisson(4.5), "nb": NegativeBinomial(2.0, 0.6)}
+
+    def test_every_family_has_a_series_case(self):
+        assert set(self.SERIES_CASES) == set(polya.SUM_LAWS)
+
+    @pytest.mark.parametrize("family", sorted(SERIES_CASES))
+    def test_series_form_gives_mean_excess_and_support(self, family):
+        """(c, base, scale): the mean base scale, Var - E c base scale**2,
+        the third factorial moment and the support bound (base where
+        c = -1) against the factorial moments and a sum over the
+        p.m.f."""
+        law = self.SERIES_CASES[family]
+        c, base, scale = polya._sumlaw_series(law)
+        m1, m2, m3 = (sumlaw_factorial_moment(r, law) for r in (1, 2, 3))
+        n = np.arange(sumlaw_truncation_point(law, tail=1e-14) + 1.0)
+        p = np.exp(sumlaw_log_pmf_many(n, law))
+        mean, second = p @ n, p @ (n * (n - 1))
+        assert base * scale == pytest.approx(m1, rel=1e-12)
+        assert base * scale == pytest.approx(mean, rel=1e-10)
+        excess = c * base * scale ** 2
+        assert excess == pytest.approx(m2 - m1 ** 2, rel=1e-10, abs=1e-10)
+        assert excess == pytest.approx(second - mean ** 2, rel=1e-8,
+                                       abs=1e-9)
+        assert m3 == pytest.approx(
+            base * (base + c) * (base + 2 * c) * scale ** 3, rel=1e-12)
+        assert polya.sumlaw_support_max(law) == (base if c == -1 else None)
+        past = sumlaw_log_pmf_many([base + 1 if c == -1 else 1000], law)[0]
+        assert (past == -np.inf) == (c == -1)
+
+    @pytest.mark.parametrize("law", [Poisson(1e10), Dirac(10 ** 15)])
+    def test_a_moment_past_the_float_range_is_a_domain_error(self, law):
+        # rate ** 40 was an OverflowError (34) and the Dirac's exp a bare
+        # "math range error"; the Poisson's order 30, 1e300, is in range
+        with pytest.raises(DomainError, match="order-40 .* past the float"):
+            sumlaw_factorial_moment(40, law)
+        if isinstance(law, Poisson):
+            assert sumlaw_factorial_moment(30, law) == pytest.approx(
+                1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("rate",[5e-324, 0.5, 30.0, 1e6, 1e15, 1e16,
                                       2.0 ** 62])
     def test_poisson_log_pmf_matches_mpmath(self, rate):
         """k log(rate) - rate - log k! at 50 digits, from k = 0 to far
