@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .exceptions import DomainError, UsageError, ValidationError
-from .polya import (NegativeBinomial, SplitSpec, SumLaw, _exp_moment,
-                    _in_range, _sumlaw_log_moment, _sumlaw_series,
+from .polya import (SplitSpec, SumLaw, _exp_moment, _in_range,
+                    _law_from_series, _sumlaw_log_moment, _sumlaw_series,
                     count_array, count_int64, count_scalar,
                     polya_log_pmf_many, polya_sample_many, sumlaw_log_pmf_many,
                     sumlaw_sample_many, sumlaw_support_max,
@@ -40,7 +40,7 @@ _POISSON_RATE_MAX = float(np.iinfo(np.int64).max) \
 
 
 def _classify(excess: float) -> str:
-    if abs(excess) < 1e-12:
+    if excess == 0:
         return "null"
     return "over" if excess > 0 else "under"
 
@@ -447,23 +447,26 @@ class TreePolyaModel:
 
 
 def absorb_binomials(chain: MarginalChain) -> MarginalChain:
-    """Collapse the multinomial stages of a chain into its negative
-    binomial terminal, leaving only beta-binomial stages."""
-    if not isinstance(chain.terminal, NegativeBinomial):
-        raise UsageError("absorption needs a negative binomial terminal")
-    if any(st.c == -1 for st in chain.stages):
-        raise UsageError("absorption does not cover hypergeometric stages")
-    gamma = 1.0
+    """Fold every stage with a closed form into the terminal law on its
+    series form (c, base, scale), from the root side: a multinomial
+    stage multiplies scale by its share, as binomial thinning commutes
+    with every Pólya split, and a stage of kind c whose |theta| is base,
+    with no stage kept above it, sets base to its theta_num (NB/DM and
+    binomial/hypergeometric closure; Peyhardi, Fernique & Durand 2021).
+    Other stages are kept; a chain with nothing to fold is returned."""
+    c, base, scale = _sumlaw_series(chain.terminal)
     kept = []
-    for st in chain.stages:
+    for st in reversed(chain.stages):  # root side first
         if st.c == 0:
-            gamma *= st.theta_num / (st.theta_num + st.theta_rest)
+            scale *= st.theta_num / (st.theta_num + st.theta_rest)
+        elif st.c == c and not kept and st.theta_num + st.theta_rest == base:
+            base = st.theta_num
         else:
             kept.append(st)
-    p = chain.terminal.p
-    new_p = p * gamma / (1.0 - p * (1.0 - gamma))
-    return MarginalChain(tuple(kept),
-                         NegativeBinomial(chain.terminal.alpha, new_p))
+    if len(kept) == len(chain.stages):
+        return chain
+    return MarginalChain(tuple(reversed(kept)),
+                         _law_from_series(c, base, scale))
 
 
 # entries in one row block of a stage kernel: 512 KB per float array
@@ -516,18 +519,17 @@ def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
     falls below ``MARGINAL_TAIL`` (N is exact for bounded laws), its
     log-p.m.f. evaluated once over 0..N (:func:`sumlaw_truncated_log_pmf`),
     and the stages are applied from the root side.  Each value is within
-    that tail of the exact one, and so is the mass past N.  Multinomial
-    stages over a negative binomial terminal are absorbed into it first,
-    which shortens N.  A hypergeometric stage whose |theta| is below a
-    total that can reach it, or that sits under an unbounded terminal,
-    raises ``ValidationError``, by the rule models are checked with.
+    that tail of the exact one, and so is the mass past N.  Stages with
+    a closed form are absorbed into the terminal first
+    (:func:`absorb_binomials`).  A hypergeometric stage whose |theta| is
+    below a total that can reach it, or that sits under an unbounded
+    terminal, raises ``ValidationError``, as models are checked.
     """
     bound = sumlaw_support_max(chain.terminal)
     for depth, st in enumerate(reversed(chain.stages)):
         bound = _child_bounds(st.c, (st.theta_num, st.theta_rest), bound,
                               f"chain stage {depth} from the root")[0]
-    if isinstance(chain.terminal, NegativeBinomial):
-        chain = absorb_binomials(chain)
+    chain = absorb_binomials(chain)
     dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, MARGINAL_TAIL))
     for st in reversed(chain.stages):  # root side first
         dist = _thin(st, dist)

@@ -174,6 +174,19 @@ def _sumlaw_series(law: SumLaw) -> tuple:
     raise UsageError(f"unknown sum law {law!r}")
 
 
+def _law_from_series(c: int, base, scale: float) -> SumLaw:
+    """The sum law of series form (c, base, scale), the inverse of
+    :func:`_sumlaw_series`; a zero mean base scale is Dirac(0)."""
+    if base * scale == 0:
+        return Dirac(0)
+    if c == -1:
+        return Dirac(round(base)) if scale == 1 \
+            else Binomial(round(base), scale)
+    if c == 0:
+        return Poisson(base * scale)
+    return NegativeBinomial(base, scale / (1.0 + scale))
+
+
 def sumlaw_support_max(law: SumLaw) -> Optional[int]:
     """Upper support bound, or None when unbounded."""
     c, base, _ = _sumlaw_series(law)

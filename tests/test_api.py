@@ -87,6 +87,22 @@ def test_every_sum_law_is_registered_once():
     assert all(polya.SUM_LAWS[law.family] is law for law in laws)
 
 
+# one law per registered family, to rebuild from its series form
+SERIES_LAWS = [polya.NegativeBinomial(2.0, 0.6), polya.Poisson(4.5),
+               polya.Dirac(7), polya.Binomial(12, 0.3)]
+
+
+def test_every_family_is_rebuilt_from_its_series_form():
+    """The series table (law -> (c, base, scale)) and its inverse, which
+    marginal absorption rebuilds a terminal law with, cover the same
+    families."""
+    assert [law.family for law in SERIES_LAWS] == list(polya.SUM_LAWS)
+    for law in SERIES_LAWS:
+        back = polya._law_from_series(*polya._sumlaw_series(law))
+        assert type(back) is type(law)
+        assert vars(back) == pytest.approx(vars(law), rel=1e-15)
+
+
 @pytest.mark.parametrize("verb", ["fit", "search"])
 def test_sum_law_choices_are_the_registered_families(verb):
     parser = treepolya.cli.build_parser()

@@ -10,12 +10,13 @@ from scipy.special import gammaln
 
 from treepolya.examples import ten_leaf_example
 from treepolya.exceptions import DomainError, UsageError, ValidationError
-from treepolya.model import (ChainStage, MarginalChain, TreePolyaModel,
-                             absorb_binomials, marginal_pmf,
-                             marginal_pmf_vector)
+from treepolya.model import (MARGINAL_TAIL, ChainStage, MarginalChain,
+                             TreePolyaModel, _thin, absorb_binomials,
+                             marginal_pmf, marginal_pmf_vector)
 from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, sumlaw_factorial_moment,
-                             sumlaw_log_pmf, sumlaw_support_max)
+                             sumlaw_log_pmf, sumlaw_support_max,
+                             sumlaw_truncated_log_pmf)
 from treepolya.special import ln_gen_factorial, pfq_convergent
 from treepolya.tree import PartitionTree
 
@@ -429,21 +430,50 @@ class TestMarginals:
             model.node_factorial_moment(node, 2), rel=1e-8, abs=1e-12)
 
 
+def _unabsorbed(chain):
+    """A chain's p.m.f. with every stage applied by ``_thin`` to the
+    terminal's grid, none absorbed."""
+    dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, MARGINAL_TAIL))
+    for stage in reversed(chain.stages):
+        dist = _thin(stage, dist)
+    return dist
+
+
+def _assert_close_to_unabsorbed(chain, vec):
+    """Each side is within MARGINAL_TAIL of the exact p.m.f., and a
+    shorter vector's missing entries are zeros."""
+    ref = _unabsorbed(chain)
+    size = max(ref.size, vec.size)
+    ref, vec = (np.pad(v, (0, size - v.size)) for v in (ref, vec))
+    assert np.abs(vec - ref).max() <= 2 * MARGINAL_TAIL
+
+
+def _two_level(root, inner, law):
+    """[[1, 2], 3] with the given root and {1, 2} splits."""
+    tree = PartitionTree.from_nested([[1, 2], 3])
+    return TreePolyaModel(tree, {tree.ROOT: root,
+                                 tree.node_by_subset((1, 2)): inner}, law)
+
+
+def _assert_law(got, expect):
+    """Same family, and each parameter equal up to rounding."""
+    assert type(got) is type(expect)
+    for name, value in vars(expect).items():
+        assert getattr(got, name) == pytest.approx(value, rel=1e-14)
+
+
 class TestAbsorption:
     def test_collapses_multinomial_stages(self):
         model = ten_leaf_example()
         chain = model.leaf_marginal_chain(9)
         collapsed = absorb_binomials(chain)
         assert all(stage.c != 0 for stage in collapsed.stages)
-        for n in range(51):
-            assert marginal_pmf(collapsed, n) == pytest.approx(
-                marginal_pmf(chain, n), rel=1e-8, abs=1e-13)
+        _assert_close_to_unabsorbed(chain, marginal_pmf_vector(collapsed))
 
     def test_pure_binomial_chain_collapses_to_terminal(self):
-        tree = PartitionTree.from_nested([[1, 2], 3])
-        splits = {tree.ROOT: SplitSpec(0, (0.6, 0.4)),
-                  tree.node_by_subset((1, 2)): SplitSpec(0, (0.25, 0.75))}
-        model = TreePolyaModel(tree, splits, NegativeBinomial(2.0, 0.5))
+        model = _two_level(SplitSpec(0, (0.6, 0.4)),
+                           SplitSpec(0, (0.25, 0.75)),
+                           NegativeBinomial(2.0, 0.5))
         collapsed = absorb_binomials(model.leaf_marginal_chain(1))
         assert not collapsed.stages
         law = collapsed.terminal
@@ -453,10 +483,78 @@ class TestAbsorption:
         assert law.alpha == pytest.approx(2.0)
         assert law.p == pytest.approx(expect_p, rel=1e-12)
 
-    def test_rejects_non_nb_terminal(self):
-        model = five_leaf(Dirac(8))
-        with pytest.raises(UsageError):
-            absorb_binomials(model.leaf_marginal_chain(3))
+    @pytest.mark.parametrize("law, expect", [
+        (Dirac(40), Binomial(40, 0.15)),
+        (Binomial(60, 0.5), Binomial(60, 0.075)),
+        (Poisson(30.0), Poisson(4.5))])
+    def test_every_terminal_absorbs_multinomial_stages(self, law, expect):
+        model = _two_level(SplitSpec(0, (0.6, 0.4)),
+                           SplitSpec(0, (0.25, 0.75)), law)
+        collapsed = absorb_binomials(model.leaf_marginal_chain(1))
+        assert not collapsed.stages
+        _assert_law(collapsed.terminal, expect)
+        # below a DM split the multinomial stage still folds
+        model = _two_level(SplitSpec(1, (0.6, 0.4)),
+                           SplitSpec(0, (0.25, 0.75)), law)
+        chain = model.leaf_marginal_chain(1)
+        collapsed = absorb_binomials(chain)
+        assert [stage.c for stage in collapsed.stages] == [1]
+        assert type(collapsed.terminal) is type(expect)
+        _assert_close_to_unabsorbed(chain, marginal_pmf_vector(chain))
+
+    @pytest.mark.parametrize("law, root, leaf3, leaf1", [
+        (NegativeBinomial(4.0, 0.6), SplitSpec(1, (1.5, 2.5)),
+         NegativeBinomial(2.5, 0.6), NegativeBinomial(1.5, 0.375 / 1.375)),
+        (Binomial(10, 0.4), SplitSpec(-1, (4, 6)), Binomial(6, 0.4),
+         Binomial(4, 0.1)),
+        (Dirac(10), SplitSpec(-1, (4, 6)), Dirac(6), Binomial(4, 0.25)),
+        # integral to within the split's tolerance, and |theta| is 10
+        (Dirac(10), SplitSpec(-1, (4.0000000001, 5.9999999999)), Dirac(6),
+         Binomial(4, 0.25))])
+    def test_closing_root_stage_collapses_the_chain(self, law, root, leaf3,
+                                                    leaf1):
+        model = _two_level(root, SplitSpec(0, (0.25, 0.75)), law)
+        for leaf, expect in ((3, leaf3), (1, leaf1)):
+            chain = model.leaf_marginal_chain(leaf)
+            collapsed = absorb_binomials(chain)
+            assert not collapsed.stages
+            _assert_law(collapsed.terminal, expect)
+            _assert_close_to_unabsorbed(chain, marginal_pmf_vector(chain))
+
+    def test_closing_stage_below_a_kept_stage_is_kept(self):
+        # {1, 2}'s DM split has |theta| = alpha but sits below a DM root
+        # that does not close, so leaf 1's chain has nothing to fold
+        law = NegativeBinomial(4.0, 0.6)
+        model = _two_level(SplitSpec(1, (1.0, 2.0)),
+                           SplitSpec(1, (1.5, 2.5)), law)
+        chain = model.leaf_marginal_chain(1)
+        assert absorb_binomials(chain) is chain
+        # a root that closes makes theta_num the base the next one meets
+        model = _two_level(SplitSpec(1, (2.0, 2.0)),
+                           SplitSpec(1, (0.5, 1.5)), law)
+        chain = model.leaf_marginal_chain(1)
+        collapsed = absorb_binomials(chain)
+        assert not collapsed.stages
+        _assert_law(collapsed.terminal, NegativeBinomial(0.5, 0.6))
+        _assert_close_to_unabsorbed(chain, marginal_pmf_vector(chain))
+
+    def test_chain_with_nothing_to_fold_is_returned_as_it_is(self):
+        chain = ten_leaf_example().leaf_marginal_chain(1)
+        collapsed = absorb_binomials(chain)
+        assert absorb_binomials(collapsed) is collapsed
+
+    def test_shares_past_the_float_range_give_a_point_mass_at_zero(self):
+        # forty multinomial (1e-10, 1) splits: leaf 1's share, 1e-400,
+        # underflows to 0, and an NB of p = 0 is no law
+        nested = 1
+        for label in range(2, 42):
+            nested = [nested, label]
+        tree = PartitionTree.from_nested(nested)
+        splits = {nid: SplitSpec(0, (1e-10, 1.0))
+                  for nid in tree.internal_ids}
+        model = TreePolyaModel(tree, splits, NegativeBinomial(2.0, 0.5))
+        vec = marginal_pmf_vector(model.leaf_marginal_chain(1))
+        assert vec.tolist() == [1.0]
 
 
 class TestMoments:
@@ -715,6 +813,26 @@ class TestDispersion:
         report = five_leaf(Dirac(8)).dispersion_report()
         assert report["sum_law"] == "under"
         assert report["nodes"][0]["dispersion"] == "under"
+
+    @pytest.mark.parametrize("law, sign", [
+        (Binomial(10, 1e-7), "under"),
+        (NegativeBinomial(1e-3, 1e-6), "over")])
+    def test_a_tiny_excess_keeps_its_sign(self, law, sign):
+        # Var - E is -1e-13 and +1e-15: small, but not zero
+        base = ten_leaf_example()
+        report = TreePolyaModel(base.tree, base.splits,
+                                law).dispersion_report()
+        assert report["sum_law"] == sign
+        assert report["nodes"][base.tree.ROOT]["dispersion"] == sign
+
+    @pytest.mark.parametrize("law", [Poisson(3.0), Dirac(0)])
+    def test_multinomial_paths_keep_a_null_total_null(self, law):
+        model = _two_level(SplitSpec(0, (0.6, 0.4)),
+                           SplitSpec(0, (0.25, 0.75)), law)
+        report = model.dispersion_report()
+        assert report["sum_law"] == "null"
+        assert all(entry["dispersion"] == "null"
+                   for entry in report["nodes"].values())
 
 
 class TestSampling:
