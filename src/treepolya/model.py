@@ -8,6 +8,7 @@ covariance / correlation structure.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -469,20 +470,23 @@ def absorb_binomials(chain: MarginalChain) -> MarginalChain:
                          _law_from_series(c, base, scale))
 
 
-# entries in one row block of a stage kernel: 512 KB per float array
-# bounds the memory, and ran faster than 2 MB blocks
+# entries in one row block of the entry-by-entry kernel (flagged rows):
+# 512 KB per float array bounds the memory, and beat 2 MB blocks
 _BLOCK_ENTRIES = 1 << 16
 # the terminal law's mass that a marginal leaves past its grid, and so
 # the absolute error of each marginal value
 MARGINAL_TAIL = 1e-14
 
 
-def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
+def _thin(stage: ChainStage, dist: np.ndarray, direct=False) -> np.ndarray:
     """child[y] = sum_{t >= y} K[y, t] dist[t] for one thinning stage,
-    K[y, t] = C(t, y) (a)_y (b)_{t-y} / (a + b)_t in the split's
-    generalized factorials, evaluated in row blocks of at most
-    ``_BLOCK_ENTRIES`` entries; every entry is a probability, so the
-    composition is cancellation-free."""
+    K[y, t] = C(t, y) (a)_y (b)_{t-y} / (a + b)_t = e^(by_y[y] +
+    by_rest[t - y] + by_t[t]) in the split's generalized factorials, as
+    one correlation of G = e^(by_rest - g0) and W = e^(by_t + log dist -
+    w0), g0 and w0 their exponents' maxima rounded up (README).  The run
+    of rows where underflow could lose MARGINAL_TAIL / N (by_y is concave
+    or decreasing) is recomputed entry by entry in row blocks of
+    ``_BLOCK_ENTRIES`` entries, as is every row where ``direct``."""
     size = dist.size
     n = np.arange(size, dtype=float)
     lf = gammaln(n + 1)
@@ -492,17 +496,31 @@ def _thin(stage: ChainStage, dist: np.ndarray) -> np.ndarray:
                                       n, stage.c)
     # a hypergeometric total above |theta| cannot be split: no mass
     by_t[np.isposinf(by_t)] = -np.inf
+    child, lo, hi = np.empty(size), 0, size
+    if not direct:
+        # log 0 is -inf, and a row whose factor overflows is recomputed
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            weight = by_t + np.log(dist)
+            g0, w0 = math.ceil(by_rest.max()), math.ceil(weight.max())
+            sums = np.correlate(np.pad(np.exp(weight - w0), (0, size - 1)),
+                                np.exp(by_rest - g0), "valid")
+            scale = by_y + (g0 + w0)
+            child = np.exp(scale) * sums
+        flagged = np.flatnonzero(scale > math.log(
+            MARGINAL_TAIL / np.finfo(float).tiny) - 2 * math.log(size))
+        lo, hi = (flagged[0], flagged[-1] + 1) if flagged.size else (0, 0)
+        logging.getLogger(__name__).debug(
+            "%s: %d of %d rows entry by entry", stage, hi - lo, size)
     rows = max(1, _BLOCK_ENTRIES // size)
     # block row i, column j (y = y0 + i, t = y0 + j) reads by_rest[j - i]
     # from window rows - 1 - i, whose leading -inf make K zero for t < y
     windows = sliding_window_view(
         np.concatenate([np.full(rows - 1, -np.inf), by_rest]), size)
-    child = np.empty(size)
     # one buffer for every block: a fresh one per block costs page faults
     # whenever the allocator hands large blocks back to the system
-    buffer = np.empty(rows * size)
-    for y0 in range(0, size, rows):
-        y1 = min(y0 + rows, size)
+    buffer = np.empty(min(rows, hi - lo) * size)
+    for y0 in range(lo, hi, rows):
+        y1 = min(y0 + rows, hi)
         logk = buffer[:(y1 - y0) * (size - y0)].reshape(y1 - y0, size - y0)
         np.add(windows[rows - (y1 - y0):rows][::-1, :size - y0],
                by_y[y0:y1, None], out=logk)

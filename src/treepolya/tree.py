@@ -86,7 +86,11 @@ class PartitionTree:
                     nodes[c][0] for c in node[2])))
         nodes = tuple(_Node(sub, par, tuple(ch)) for sub, par, ch in nodes)
         tree = PartitionTree(len(nodes[0].subset), nodes)
-        tree._check()
+        # linked and merged as built: a root of exactly 1..J has no label
+        # repeated or missing, else the full check names the fault
+        if nodes[0].subset != tuple(range(1, tree.leaf_count + 1)) or any(
+                len(n.children) == 1 or not n.subset for n in nodes):
+            tree._check()
         return tree
 
     @staticmethod

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import tracemalloc
@@ -17,7 +18,8 @@ from treepolya.polya import (Binomial, Dirac, NegativeBinomial, Poisson,
                              SplitSpec, polya_pmf, sumlaw_factorial_moment,
                              sumlaw_log_pmf, sumlaw_support_max,
                              sumlaw_truncated_log_pmf)
-from treepolya.special import ln_gen_factorial, pfq_convergent
+from treepolya.special import (ln_gen_factorial, ln_gen_factorial_many,
+                               pfq_convergent)
 from treepolya.tree import PartitionTree
 
 from conftest import enumerate_joint, simplex
@@ -431,11 +433,12 @@ class TestMarginals:
 
 
 def _unabsorbed(chain):
-    """A chain's p.m.f. with every stage applied by ``_thin`` to the
-    terminal's grid, none absorbed."""
+    """A chain's p.m.f. with every stage applied entry by entry (``_thin``'s
+    ``direct`` kernel, the oracle of its correlation) to the terminal's
+    grid, none absorbed."""
     dist = np.exp(sumlaw_truncated_log_pmf(chain.terminal, MARGINAL_TAIL))
     for stage in reversed(chain.stages):
-        dist = _thin(stage, dist)
+        dist = _thin(stage, dist, direct=True)
     return dist
 
 
@@ -555,6 +558,90 @@ class TestAbsorption:
         model = TreePolyaModel(tree, splits, NegativeBinomial(2.0, 0.5))
         vec = marginal_pmf_vector(model.leaf_marginal_chain(1))
         assert vec.tolist() == [1.0]
+
+
+@st.composite
+def stage_grids(draw):
+    """A terminal grid of one of the four families with N <= ~3 000, and
+    a DM or hypergeometric stage, theta log-uniform in [1e-3, 1e6]
+    (integral, and at least the grid's end, where hypergeometric)."""
+    law = draw(st.one_of(
+        st.builds(NegativeBinomial, st.floats(0.1, 10.0),
+                  st.floats(0.01, 0.95)),
+        st.builds(Poisson, st.floats(1e-3, 2000.0)),
+        st.builds(Binomial, st.integers(1, 3000), st.floats(0.001, 0.999)),
+        st.builds(Dirac, st.integers(0, 3000))))
+    dist = np.exp(sumlaw_truncated_log_pmf(law, MARGINAL_TAIL))
+    c = draw(st.sampled_from((-1, 1)))
+    num, rest = (math.exp(draw(st.floats(math.log(1e-3), math.log(1e6))))
+                 for _ in range(2))
+    if c == -1:
+        num = max(1, round(num))
+        rest = max(round(rest), dist.size - 1 - num)
+    return ChainStage(c, float(num), float(rest)), dist
+
+
+def _fallback_rows(caplog, call):
+    """``call()``, and the rows that each of its ``_thin`` calls computed
+    entry by entry, read from the model logger's debug lines."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="treepolya.model"):
+        out = call()
+    return out, [int(re.search(r"(\d+) of \d+ rows", rec.getMessage())[1])
+                 for rec in caplog.records if rec.name == "treepolya.model"]
+
+
+class TestStageKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(case=stage_grids())
+    def test_factored_stage_matches_the_per_entry_kernel(self, case):
+        stage, dist = case
+        got, want = _thin(stage, dist), _thin(stage, dist, direct=True)
+        assert np.all((got >= 0) & (got <= 1))
+        # both sum logs as large as the stage's largest factor, and round
+        # in proportion to it: at theta ~ 1e6 either is off the exact
+        # value by ~1e-12 (against mpmath), past MARGINAL_TAIL
+        n = np.arange(dist.size, dtype=float)
+        logs = np.concatenate([gammaln(n + 1)] + [
+            ln_gen_factorial_many(theta, n, stage.c) for theta in
+            (stage.theta_num, stage.theta_rest,
+             stage.theta_num + stage.theta_rest)])
+        largest = np.abs(logs[np.isfinite(logs)]).max()
+        assert np.all(np.abs(got - want) <= MARGINAL_TAIL
+                      + 4 * np.finfo(float).eps * largest * want)
+
+    @pytest.mark.parametrize("stage, law, flagged", [
+        (ChainStage(1, 1e3, 2e3), NegativeBinomial(2.0, 0.99), True),
+        (ChainStage(1, 1e6, 2e6), NegativeBinomial(2.0, 0.99), True),
+        (ChainStage(-1, 2500, 3500), Binomial(5000, 0.3), True),
+        (ChainStage(-1, 2000, 4000), Dirac(300), True),
+        (ChainStage(1, 1e6, 2e6), Dirac(0), False),
+        (ChainStage(-1, 2, 3), Dirac(0), False)])
+    def test_rows_past_the_underflow_bound_are_recomputed(
+            self, caplog, stage, law, flagged):
+        # the bound, e^(by_y + g0 + w0) N^2 tiny > MARGINAL_TAIL, flags
+        # rows of near-multinomial DM and wide hypergeometric stages, and
+        # never the one row of Dirac(0)'s grid
+        chain = MarginalChain((stage,), law)
+        marginal_pmf_vector.cache_clear()
+        vec, rows = _fallback_rows(caplog, lambda: marginal_pmf_vector(chain))
+        assert (sum(rows) > 0) is flagged
+        assert np.abs(vec - _unabsorbed(chain)).max() <= MARGINAL_TAIL
+        assert abs(vec.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p, leaves", [(0.45, range(1, 11)),
+                                           (0.99, range(1, 11)),
+                                           (0.999, (9,))])
+    def test_worked_example_takes_no_fallback(self, caplog, p, leaves):
+        model = ten_leaf_example(alpha=2.0, p=p)
+        for leaf in leaves:
+            chain = absorb_binomials(model.leaf_marginal_chain(leaf))
+            marginal_pmf_vector.cache_clear()
+            vec, rows = _fallback_rows(caplog,
+                                       lambda: marginal_pmf_vector(chain))
+            assert np.all((vec >= 0) & (vec <= 1))
+            assert np.abs(vec - _unabsorbed(chain)).max() <= MARGINAL_TAIL
+            assert len(rows) == len(chain.stages) and not any(rows)
 
 
 class TestMoments:

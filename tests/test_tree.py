@@ -48,6 +48,21 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             PartitionTree.from_nested([1, 3])
 
+    @pytest.mark.parametrize("nested, named", [
+        # overlaps: the messages name the nodes whose children overlap
+        ([[1, 2], [3, [4, 4]], 5], "node 6 (4, 4): overlapping children"),
+        ([[2, 3], [1, [3, 4]]], "node 0 (1, 2, 3, 3, 4): overlapping"),
+        # missing leaves, deep in the tree
+        ([[1, 2], [[4, 5], 6]], "missing leaves: [3]"),
+        ([1, [2, [3, [5, 6]]]], "missing leaves: [4]"),
+        # an empty node and a one-child node below valid siblings
+        ([[1, 2], [3, []]], "leaf node 6 has subset ()"),
+        ([1, [2, [3]]], "node 4 (3,): trivial partition")])
+    def test_invalid_nested_trees_name_the_fault(self, nested, named):
+        with pytest.raises(ValidationError) as err:
+            PartitionTree.from_nested(nested)
+        assert named in str(err.value)
+
 
 class TestQueries:
     def test_parent_child_consistency(self, ten):
