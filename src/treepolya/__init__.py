@@ -18,7 +18,7 @@ from .polya import (Binomial, Dirac, NegativeBinomial, Poisson, SplitSpec,
                     sumlaw_factorial_moment, sumlaw_log_pmf)
 from .special import LogValue, ln_gen_factorial, pfq_convergent, \
     pfq_terminating
-from .tree import PartitionTree, validate_partition_tree
+from .tree import PartitionTree
 
 __version__ = "0.1.0"
 

@@ -135,12 +135,14 @@ def _row_totals(counts: np.ndarray, checked: bool = False) -> np.ndarray:
 
 def node_data(tree: PartitionTree, counts: np.ndarray,
               node: int) -> np.ndarray:
-    """Child-subsum matrix (n_sites x J_A) for one internal node."""
+    """Child-subsum matrix (n_sites x J_A) for one internal node, in
+    int64; a row whose subsum is past int64 is a DomainError naming it."""
     if tree.is_leaf(node):
         raise UsageError("node data is defined for internal nodes only")
     counts = _count_table(counts, tree)
-    children = tree.incidence[list(tree.children(node))]
-    return (counts @ children.T).astype(counts.dtype)
+    return np.column_stack([
+        _row_totals(counts[:, np.subtract(tree.subset(c), 1)])
+        for c in tree.children(node)])
 
 
 # ---------------------------------------------------------------------
@@ -723,13 +725,8 @@ def _fit_nodes(tree: PartitionTree, cache: "_FitCache", law_fit: FitResult):
     """:func:`fit_tree`'s model and report, given its sum-law fit, with
     every node built from the leaf-subset store ``cache`` and every DM
     node fitted in one batch (:func:`_fit_dm_nodes`)."""
-    nodes = []
-    for nid in tree.internal_ids:
-        nodes.append(cache._aggregates(
-            [tree.subset(c) for c in tree.children(nid)]))
-        # in preorder, no node ahead reads this one's leaf set or leaves
-        for done in (nid, *filter(tree.is_leaf, tree.children(nid))):
-            cache.subsets.pop(tree.subset(done), None)
+    nodes = [cache._aggregates([tree.subset(c) for c in tree.children(nid)])
+             for nid in tree.internal_ids]
     fits = [fit_node_multinomial(agg) for agg in nodes]
     counted = [i for i, fit in enumerate(fits) if not fit.empty]
     for i, dm in zip(counted, _fit_dm_nodes([nodes[i] for i in counted])):

@@ -526,7 +526,8 @@ def _thin(stage: ChainStage, dist: np.ndarray, direct=False) -> np.ndarray:
                by_y[y0:y1, None], out=logk)
         logk += by_t[y0:]
         child[y0:y1] = np.exp(logk, out=logk) @ dist[y0:]
-    return child
+    # a value can round past 1 (1 + 2**-52 on a Dirac grid)
+    return np.minimum(child, 1.0, out=child)
 
 
 @lru_cache(maxsize=32)
@@ -537,7 +538,8 @@ def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
     falls below ``MARGINAL_TAIL`` (N is exact for bounded laws), its
     log-p.m.f. evaluated once over 0..N (:func:`sumlaw_truncated_log_pmf`),
     and the stages are applied from the root side.  Each value is within
-    that tail of the exact one, and so is the mass past N.  Stages with
+    that tail of the exact one, up to the rounding of the stages' logs
+    (~1e-12 at weights ~1e6), and so is the mass past N.  Stages with
     a closed form are absorbed into the terminal first
     (:func:`absorb_binomials`).  A hypergeometric stage whose |theta| is
     below a total that can reach it, or that sits under an unbounded
@@ -557,8 +559,7 @@ def marginal_pmf_vector(chain: MarginalChain) -> np.ndarray:
 
 def marginal_pmf(chain: MarginalChain, n: int) -> float:
     """P.m.f. of a marginal chain at n: a lookup in
-    :func:`marginal_pmf_vector`, so within ``MARGINAL_TAIL`` of the exact
-    value.
+    :func:`marginal_pmf_vector`, and as close to the exact value.
 
     Negative or non-integer n has zero mass, as does n past the vector's
     end; NaN or infinite n raises ``UsageError``.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import UsageError, ValidationError
 
-__all__ = ["PartitionTree", "incidence_matrix", "validate_partition_tree"]
+__all__ = ["PartitionTree", "incidence_matrix"]
 
 
 def incidence_matrix(subsets: Sequence[Iterable[int]],
@@ -62,7 +62,9 @@ class PartitionTree:
         """Build from nested lists of 1-based leaf labels.
 
         ``[[1, 2], 3]`` is the tree whose root has the internal node
-        {1,2} and the leaf {3} as children.
+        {1,2} and the leaf {3} as children.  Raises ``ValidationError``
+        naming every fault: a list of fewer than two entries, or leaf
+        labels other than 1, ..., J once each.
         """
         if isinstance(nested, int):
             raise ValidationError("root must be an internal node")
@@ -71,7 +73,8 @@ class PartitionTree:
         nodes, stack = [], [(nested, None)]
         while stack:
             spec, parent = stack.pop()
-            if not isinstance(spec, (int, list, tuple)):
+            if isinstance(spec, bool) or not isinstance(
+                    spec, (int, list, tuple)):
                 raise ValidationError(f"bad tree entry {spec!r}")
             nid = len(nodes)
             if parent is not None:
@@ -80,18 +83,38 @@ class PartitionTree:
             nodes.append([(spec,) if leaf else None, parent, []])
             if not leaf:
                 stack.extend((child, nid) for child in reversed(spec))
-        for node in reversed(nodes):
+        faults = []  # (node id, text), -1 for the root's subset
+        for nid in range(len(nodes) - 1, -1, -1):
+            node = nodes[nid]
             if node[0] is None:
                 node[0] = tuple(sorted(chain.from_iterable(
                     nodes[c][0] for c in node[2])))
-        nodes = tuple(_Node(sub, par, tuple(ch)) for sub, par, ch in nodes)
-        tree = PartitionTree(len(nodes[0].subset), nodes)
-        # linked and merged as built: a root of exactly 1..J has no label
-        # repeated or missing, else the full check names the fault
-        if nodes[0].subset != tuple(range(1, tree.leaf_count + 1)) or any(
-                len(n.children) == 1 or not n.subset for n in nodes):
-            tree._check()
-        return tree
+                if len(node[2]) == 1:
+                    faults.append((nid, f"node {nid} {node[0]}: trivial "
+                                        "partition (1 child)"))
+                elif not node[2]:
+                    faults.append((nid, f"leaf node {nid} has subset (), "
+                                        "expected a singleton"))
+        root = nodes[0][0]
+        labels = range(1, len(root) + 1)
+        if root != tuple(labels):
+            # a label repeated anywhere is repeated at the root, so only
+            # then can children overlap
+            faults += [(nid, f"node {nid} {sub}: overlapping children")
+                       for nid, (sub, _, _) in enumerate(nodes)
+                       if len(set(sub)) < len(sub)]
+            faults.append((-1, f"root subset {root} is not "
+                               f"{{1,...,{len(root)}}}"))
+            missing = sorted(set(labels).difference(root))
+            if missing:
+                faults.append((len(nodes), f"missing leaves: {missing}"))
+        if faults:
+            faults.sort(key=lambda fault: fault[0])
+            violations = [text for _, text in faults]
+            raise ValidationError(
+                "invalid partition tree: " + "; ".join(violations), violations)
+        return PartitionTree(len(root), tuple(
+            _Node(sub, par, tuple(ch)) for sub, par, ch in nodes))
 
     @staticmethod
     def flat(leaf_count: int) -> "PartitionTree":
@@ -108,59 +131,6 @@ class PartitionTree:
         for label in reversed(order[:-2]):
             nested = [label, nested]
         return PartitionTree.from_nested(nested)
-
-    # -- validation ---------------------------------------------------
-
-    def _check(self) -> None:
-        violations = []
-        root = self.nodes[self.ROOT]
-        expected_root = tuple(range(1, self.leaf_count + 1))
-        if root.subset != expected_root:
-            violations.append(
-                f"root subset {root.subset} is not "
-                f"{{1,...,{self.leaf_count}}}")
-        seen_leaves = set()
-        for nid, node in enumerate(self.nodes):
-            if node.children:
-                if len(node.children) < 2:
-                    violations.append(
-                        f"node {nid} {node.subset}: trivial partition "
-                        f"({len(node.children)} child)")
-                merged = []
-                for cid in node.children:
-                    merged.extend(self.nodes[cid].subset)
-                    if self.nodes[cid].parent != nid:
-                        violations.append(f"node {cid}: bad parent link")
-                if len(merged) != len(set(merged)):
-                    violations.append(
-                        f"node {nid} {node.subset}: overlapping children")
-                if tuple(sorted(merged)) != node.subset:
-                    violations.append(
-                        f"node {nid} {node.subset}: children do not "
-                        "partition the subset")
-            else:
-                if len(node.subset) != 1:
-                    violations.append(
-                        f"leaf node {nid} has subset {node.subset}, "
-                        "expected a singleton")
-                else:
-                    seen_leaves.add(node.subset[0])
-        missing = set(expected_root) - seen_leaves
-        if missing:
-            violations.append(f"missing leaves: {sorted(missing)}")
-        reached, stack = set(), [self.ROOT]
-        while stack:
-            nid = stack.pop()
-            if nid in reached:
-                violations.append(f"node {nid}: reached twice (cycle)")
-                break
-            reached.add(nid)
-            stack.extend(self.nodes[nid].children)
-        if len(reached) != len(self.nodes) and not violations:
-            violations.append("node table is not connected")
-        if violations:
-            raise ValidationError(
-                "invalid partition tree: " + "; ".join(violations), violations)
 
     # -- queries ------------------------------------------------------
 
@@ -274,24 +244,3 @@ class PartitionTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-
-def validate_partition_tree(raw) -> PartitionTree:
-    """Validate a raw node table into a PartitionTree.
-
-    ``raw`` is a sequence of ``{"subset": [...], "parent": id or None,
-    "children": [...]}`` records indexed by node id, with node 0 the root.
-    Raises ValidationError carrying the full list of violations.
-    """
-    try:
-        nodes = tuple(
-            _Node(tuple(sorted(rec["subset"])),
-                  rec.get("parent"),
-                  tuple(rec.get("children", ())))
-            for rec in raw)
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed node table: {exc}") from exc
-    if not nodes:
-        raise ValidationError("empty node table")
-    tree = PartitionTree(len(nodes[0].subset), nodes)
-    tree._check()
-    return tree

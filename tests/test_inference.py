@@ -731,6 +731,18 @@ class TestNodeData:
         with pytest.raises(UsageError, match=message):
             node_data(tree, counts, tree.ROOT)
 
+    def test_subsums_are_exact_past_float_precision(self):
+        # a float matmul read 2**61 for the subsum {1,2}
+        tree = PartitionTree.from_nested([[1, 2], 3])
+        got = node_data(tree, [[2 ** 60 + 1, 2 ** 60 + 1, 3]], tree.ROOT)
+        assert got.tolist() == [[2 ** 61 + 2, 3]]
+
+    def test_a_subsum_past_int64_names_its_row(self):
+        # the float matmul wrapped to -2**63 with a RuntimeWarning
+        tree = PartitionTree.from_nested([[1, 2], 3])
+        with pytest.raises(DomainError, match=f"row 2 sum to {2 ** 63}"):
+            node_data(tree, [[1, 2, 3], [2 ** 62, 2 ** 62, 1]], tree.ROOT)
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -815,21 +827,6 @@ class TestFitTreeNodes:
             fit_tree(tree, counts)
             per_tree.append(len(calls))
         assert per_tree == [2, 2]
-
-    def test_the_store_keeps_only_what_nodes_ahead_read(self, monkeypatch):
-        """A cascade node reads one leaf and the rest, and the store drops
-        each entry that no later node reads: it never holds more than the
-        three entries of the node being fitted, not one per node."""
-        held = []
-        build = fit_module._FitCache._aggregates
-        monkeypatch.setattr(
-            fit_module._FitCache, "_aggregates",
-            lambda cache, order: (build(cache, order),
-                                  held.append(len(cache.subsets)))[0])
-        tree, counts = _ten_leaf_and_cascade()[1]
-        fit_tree(tree, counts)
-        assert len(held) == len(tree.internal_ids)
-        assert max(held) == 3
 
     def test_node_rows_are_the_node_matrix_fits(self):
         """fit_tree builds its nodes from the leaf-subset store; each row

@@ -610,6 +610,14 @@ class TestStageKernel:
         assert np.all(np.abs(got - want) <= MARGINAL_TAIL
                       + 4 * np.finfo(float).eps * largest * want)
 
+    def test_a_certain_value_is_not_rounded_past_one(self):
+        # under a one-weight hypergeometric stage, Dirac(237) puts all its
+        # mass on 1; the correlation read 1.0000000000000002 there
+        dist = np.exp(sumlaw_truncated_log_pmf(Dirac(237), MARGINAL_TAIL))
+        stage = ChainStage(-1, 1.0, 236.0)
+        got, want = _thin(stage, dist), _thin(stage, dist, direct=True)
+        assert got[1] == want[1] == 1.0 and got.max() == 1.0
+
     @pytest.mark.parametrize("stage, law, flagged", [
         (ChainStage(1, 1e3, 2e3), NegativeBinomial(2.0, 0.99), True),
         (ChainStage(1, 1e6, 2e6), NegativeBinomial(2.0, 0.99), True),

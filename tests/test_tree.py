@@ -1,7 +1,7 @@
 import pytest
 
 from treepolya.exceptions import UsageError, ValidationError
-from treepolya.tree import PartitionTree, validate_partition_tree
+from treepolya.tree import PartitionTree
 
 TEN_LEAF = [[1, 2], 3, [[4, 5], [6, 7], [8, [9, 10]]]]
 
@@ -57,11 +57,26 @@ class TestConstruction:
         ([1, [2, [3, [5, 6]]]], "missing leaves: [4]"),
         # an empty node and a one-child node below valid siblings
         ([[1, 2], [3, []]], "leaf node 6 has subset ()"),
-        ([1, [2, [3]]], "node 4 (3,): trivial partition")])
+        ([1, [2, [3]]], "node 4 (3,): trivial partition"),
+        # entries other than ints and lists; True built a leaf labelled
+        # True ({True,2} in reports)
+        ([True, 2], "bad tree entry True"),
+        ([1, [2.0, 3]], "bad tree entry 2.0")])
     def test_invalid_nested_trees_name_the_fault(self, nested, named):
         with pytest.raises(ValidationError) as err:
             PartitionTree.from_nested(nested)
         assert named in str(err.value)
+
+    def test_every_fault_is_listed_in_node_order(self):
+        with pytest.raises(ValidationError) as err:
+            PartitionTree.from_nested([[1, 1], [2], []])
+        assert err.value.violations == [
+            "root subset (1, 1, 2) is not {1,...,3}",
+            "node 0 (1, 1, 2): overlapping children",
+            "node 1 (1, 1): overlapping children",
+            "node 4 (2,): trivial partition (1 child)",
+            "leaf node 6 has subset (), expected a singleton",
+            "missing leaves: [3]"]
 
 
 class TestQueries:
@@ -116,33 +131,3 @@ class TestPrune:
         sub, _ = ten.prune_at(ten.node_by_subset((4, 5, 6, 7, 8, 9, 10)))
         assert sorted(len(sub.subset(n)) for n in sub.internal_ids) \
             == [2, 2, 2, 3, 7]
-
-
-class TestRawValidation:
-    def test_valid_records(self):
-        raw = [
-            {"subset": [1, 2, 3], "parent": None, "children": [1, 2]},
-            {"subset": [1], "parent": 0, "children": []},
-            {"subset": [2, 3], "parent": 0, "children": [3, 4]},
-            {"subset": [2], "parent": 2, "children": []},
-            {"subset": [3], "parent": 2, "children": []},
-        ]
-        tree = validate_partition_tree(raw)
-        assert tree.leaf_count == 3
-
-    def test_overlap_detected(self):
-        raw = [
-            {"subset": [1, 2], "parent": None, "children": [1, 2]},
-            {"subset": [1, 2], "parent": 0, "children": []},
-            {"subset": [2], "parent": 0, "children": []},
-        ]
-        with pytest.raises(ValidationError):
-            validate_partition_tree(raw)
-
-    def test_cycle_detected(self):
-        raw = [
-            {"subset": [1, 2], "parent": 1, "children": [1]},
-            {"subset": [1, 2], "parent": 0, "children": [0]},
-        ]
-        with pytest.raises(ValidationError):
-            validate_partition_tree(raw)
