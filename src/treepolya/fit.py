@@ -61,9 +61,10 @@ NEWTON_TOL = 1e-7
 NEWTON_MAX_ITER = 50
 AIC_EPSILON = 1e-6  # the least AIC drop that a search move must make
 MAX_MOVES = 10_000  # the search's move budget
-# the search's move screen: the entries of one stacked array, and the
-# stop rule's margin in AIC units, max(SCREEN_MARGIN, SCREEN_SHARE *
-# |best ΔAIC|)
+# the search's move screen: the count-profile entries (head entries plus
+# tail pairs) that each lockstep call of one screen block holds at most,
+# and the stop rule's margin in AIC units, max(SCREEN_MARGIN,
+# SCREEN_SHARE * |best ΔAIC|)
 SCREEN_BLOCK = 1 << 16
 SCREEN_MARGIN = 2.0
 SCREEN_SHARE = 0.1
@@ -723,8 +724,10 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
 
 def _fit_nodes(tree: PartitionTree, cache: "_FitCache", law_fit: FitResult):
     """:func:`fit_tree`'s model and report, given its sum-law fit, with
-    every node built from the leaf-subset store ``cache`` and every DM
-    node fitted in one batch (:func:`_fit_dm_nodes`)."""
+    every node built from the leaf-subset store ``cache``, whose missing
+    subsets are profiled in one pass, and every DM node fitted in one
+    batch (:func:`_fit_dm_nodes`)."""
+    cache._store_tree(tree)
     nodes = [cache._aggregates([tree.subset(c) for c in tree.children(nid)])
              for nid in tree.internal_ids]
     fits = [fit_node_multinomial(agg) for agg in nodes]
@@ -788,6 +791,44 @@ class _FitCache:
         return _row_totals(self.counts[:, np.subtract(leaves, 1)],
                            self._checked)
 
+    def _store(self, new: Sequence[Tuple[int, ...]],
+               subsums: np.ndarray) -> None:
+        """Profile the subsets ``new``, whose subsums are the columns of
+        ``subsums``, in one pass, into the store."""
+        built = _Profiles.of_columns(subsums)
+        small = np.min_scalar_type(self.counts.shape[0])
+        for leaves, entry in zip(new, built.split()):
+            entry.head = entry.head.astype(small)
+            self.subsets[leaves] = entry
+
+    def _store_tree(self, tree: PartitionTree) -> None:
+        """Profile every node subset of ``tree`` not yet in the store in
+        one pass.  Where the counts cannot wrap, a node's subsums are its
+        children's, summed bottom-up; otherwise each subset's are gathered
+        from the counts and checked (:meth:`_subsums`)."""
+        new = [nid for nid in range(len(tree))
+               if tree.subset(nid) not in self.subsets]
+        if not new:
+            return
+        if not self._checked:
+            subsums = np.column_stack(
+                [self._subsums(tree.subset(nid)) for nid in new])
+        else:
+            at = {nid: i for i, nid in enumerate(new)}
+            subsums = np.empty((self.counts.shape[0], len(new)),
+                               dtype=np.int64)
+            # node ids are in preorder, so from the last one on, a node's
+            # children come before it; ``below`` holds the subsums of the
+            # nodes whose parent is not reached yet
+            below: Dict[int, np.ndarray] = {}
+            for nid in range(len(tree) - 1, -1, -1):
+                children = tree.children(nid)
+                below[nid] = np.add.reduce([below.pop(c) for c in children]) \
+                    if children else self.counts[:, tree.subset(nid)[0] - 1]
+                if nid in at:
+                    subsums[:, at[nid]] = below[nid]
+        self._store([tree.subset(nid) for nid in new], subsums)
+
     def _aggregates(self, order: Sequence[Tuple[int, ...]]) -> _DmAggregates:
         """The node over the child subsets ``order``; the subsets not yet
         in the store are profiled in one pass, on first use."""
@@ -795,12 +836,8 @@ class _FitCache:
         new = [s for s in dict.fromkeys([*order, total])
                if s not in self.subsets]
         if new:
-            built = _Profiles.of_columns(np.column_stack(
+            self._store(new, np.column_stack(
                 [self._subsums(leaves) for leaves in new]))
-            small = np.min_scalar_type(self.counts.shape[0])
-            for leaves, entry in zip(new, built.split()):
-                entry.head = entry.head.astype(small)
-                self.subsets[leaves] = entry
         return _DmAggregates([self.subsets[c] for c in order],
                              self.subsets[total], self.counts.shape[0])
 
@@ -1025,7 +1062,8 @@ def _refit_gain(sums: Tuple[np.ndarray, ...], x: np.ndarray,
 
 def _screen_scores(cache: "_FitCache", moves: list, outer: list,
                    outer_w: Optional[dict], grown: list,
-                   inner: list, inner_w: Optional[dict]) -> np.ndarray:
+                   inner: list, inner_w: Optional[dict], *,
+                   sizes: Optional[list] = None) -> np.ndarray:
     """Each move's screen score, NaN for a move that cannot be screened.
     A move is positions in ``outer``, the outer node's child subsets.
 
@@ -1052,6 +1090,15 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
     Moves whose base has no DM fit, or that move a leaf without counts,
     get no score, nor do those whose maxima do not converge or whose
     outer node is not concave at its maximum.
+
+    The screenable moves are solved in blocks, two :func:`_lockstep_max`
+    calls each.  A block takes moves while each call holds at most
+    ``SCREEN_BLOCK`` profile entries (head entries plus tail pairs): the
+    outer call a move's merged child and the outer total, the grown call
+    its moved leaves, G's free children and the merged child; it takes
+    one move at least.  Every problem is solved as if alone, so no score
+    depends on the cut.  ``sizes``, if given, gets each block's number
+    of moves appended.
     """
     scores = np.full(len(moves), np.nan)
     if not moves or outer_w is None or (grown and inner_w is None):
@@ -1084,24 +1131,45 @@ def _screen_scores(cache: "_FitCache", moves: list, outer: list,
     screenable = np.flatnonzero(node.free[moves].all(axis=1))
     column = np.array([c[0] for c in outer]) - 1  # a leaf child's column
     free = moves.shape[1] + inner_theta.size
-    # the longest profile of the node: with a tail, the totals' can be
-    # shorter than a child's dense one
-    width = max(node.total.h[0] + node.total.tails[0],
-                int((node.cols.h + node.cols.tails).max()))
-    block = max(1, SCREEN_BLOCK // (free * width))
-    # the merged subsums, a rows x moves matrix, are profiled a chunk of
-    # moves at a time (a column's profile is the same in any chunk)
-    chunk = max(1, SCREEN_BLOCK // (free * cache.counts.shape[0]))
     pooled = len(outer) + inner_theta.size
-    for first in range(0, screenable.size, block):
-        idx = screenable[first:first + block]
+    # the entries (head plus tail pairs) that a screenable move's two
+    # lockstep calls hold besides its merged child's: the outer total,
+    # evaluated once per move, and the grown node's free children
+    lengths = pool.h + pool.tails
+    outer_held = int(node.total.h[0] + node.total.tails[0])
+    grown_held = lengths[moves[screenable]].sum(axis=1) \
+        + lengths[len(outer):].sum()
+    # the merged subsums, a rows x moves matrix, are profiled a chunk of
+    # moves at a time (a column's profile is the same in any chunk), and
+    # a block takes moves, across chunks, while each call holds at most
+    # SCREEN_BLOCK entries
+    chunk = max(1, SCREEN_BLOCK // (free * cache.counts.shape[0]))
+    held: List[_Profiles] = []  # the merged of screenable[first:profiled]
+    first = profiled = 0
+    while first < screenable.size:
+        size = np.concatenate([p.h + p.tails for p in held]) if held \
+            else np.empty(0, dtype=np.int64)
+        count = int(np.searchsorted(np.maximum(
+            np.cumsum(size + outer_held),
+            np.cumsum(size + grown_held[first:profiled])), SCREEN_BLOCK,
+            "right"))
+        if count == size.size and profiled < screenable.size:
+            some = moves[screenable[profiled:profiled + chunk]]
+            held.append(_Profiles.of_columns(
+                cache.counts[:, column[some]].sum(axis=2)
+                + np.reshape(grown_sums, (-1, 1))))
+            profiled += some.shape[0]
+            continue
+        merged = held[0] if len(held) == 1 else _Profiles.concat(held)
+        count, held = max(1, count), []
+        if count < merged.count:
+            held = [merged.take(np.arange(count, merged.count))]
+            merged = merged.take(np.arange(count))
+        idx = screenable[first:first + count]
+        first += count
+        if sizes is not None:
+            sizes.append(count)
         moved, merging = moves[idx], parts[idx]
-        merged = [_Profiles.of_columns(
-            cache.counts[:, column[some]].sum(axis=2)
-            + np.reshape(grown_sums, (-1, 1)))
-            for some in np.split(moved, range(chunk, idx.size, chunk))]
-        merged = merged[0] if len(merged) == 1 \
-            else _Profiles.concat(merged)
         at = np.arange(idx.size)
         # the outer node: the merged child's weight free
         parts_w = theta[merging].sum(axis=1)
@@ -1169,8 +1237,9 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
             base += inner_aic
         moves = list(combinations(leaves, 2)) if node is None \
             else [(pos,) for pos in leaves]
+        blocks: list = []
         scores = _screen_scores(cache, moves, outer, outer_w, grown, inner,
-                                inner_w)
+                                inner_w, sizes=blocks)
         best = None
         order = np.argsort(scores, kind="stable")  # NaN last
         unscored = np.flatnonzero(np.isnan(scores))
@@ -1193,10 +1262,11 @@ def _grow_node(children: list, cache: _FitCache, trace: list) -> list:
                 best = (delta, i)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("search round at %s, %s: %d moves scored, %d fully "
-                       "fitted, %d unscreenable, best ΔAIC %s", label,
+                       "fitted, %d unscreenable, %d screen blocks, best "
+                       "ΔAIC %s", label,
                        "create" if node is None else "transfer",
                        len(moves) - unscored.size, fitted, unscored.size,
-                       None if best is None else best[0])
+                       len(blocks), None if best is None else best[0])
         if best is None or best[0] >= -AIC_EPSILON:
             if node is None:
                 break

@@ -1,6 +1,7 @@
 import logging
 import math
 import os
+import re
 from itertools import combinations
 
 import mpmath
@@ -848,6 +849,47 @@ class TestFitTreeNodes:
                     "iterations": fit.iterations, "empty": fit.empty})
 
 
+    @staticmethod
+    def _count_passes(monkeypatch):
+        """The shapes of the matrices that _Profiles.of_columns profiles,
+        appended to the returned list as it is called."""
+        passes = []
+        of_columns = fit_module._Profiles.of_columns.__func__
+        monkeypatch.setattr(fit_module._Profiles, "of_columns", classmethod(
+            lambda cls, values: passes.append(values.shape)
+            or of_columns(cls, values)))
+        return passes
+
+    def test_a_fresh_fit_profiles_its_subsets_in_one_pass(self, monkeypatch):
+        """Every node subset of the tree is profiled by one of_columns
+        call (the Poisson sum law profiles no totals), whether its subsums
+        are summed bottom-up or, where the counts may wrap, gathered and
+        checked subset by subset; both give the same report bits."""
+        passes = self._count_passes(monkeypatch)
+        for tree, counts in _ten_leaf_and_cascade():
+            passes.clear()
+            _, summed = fit_tree(tree, counts, family="poisson")
+            assert passes == [(counts.shape[0], len(tree))]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fit_module, "_may_wrap", lambda counts: True)
+                passes.clear()
+                _, gathered = fit_tree(tree, counts, family="poisson")
+            assert passes == [(counts.shape[0], len(tree))]
+            assert repr(gathered) == repr(summed)
+
+    def test_the_search_report_reuses_the_search_store(self, monkeypatch):
+        counts = _three_node_model().sample_many(
+            300, np.random.default_rng(110))
+        passes = self._count_passes(monkeypatch)
+        fit_nodes = fit_module._fit_nodes
+        in_report = []
+        monkeypatch.setattr(
+            fit_module, "_fit_nodes", lambda *args: in_report.append(
+                len(passes)) or fit_nodes(*args))
+        _, _, trace = search_tree(counts, family="poisson")
+        assert trace and in_report == [len(passes)]
+
+
 class TestRowSumsPastInt64:
     """Row sums that pass int64 wrapped to negative totals, which the
     count gate then rejected as "counts must be nonnegative"."""
@@ -1249,11 +1291,22 @@ _SCREEN_MISS_COUNTS = np.array([
     [3, 3, 0, 0, 0, 0]])
 
 
+def _planted_thirty():
+    """200 rows of three planted groups of ten leaves."""
+    groups = [list(range(k, k + 10)) for k in (1, 11, 21)]
+    tree = PartitionTree.from_nested(groups)
+    splits = {tree.ROOT: SplitSpec(1, (4 / 3,) * 3)}
+    splits.update({tree.node_by_subset(tuple(g)): SplitSpec(1, (2.0,) * 10)
+                   for g in groups})
+    return TreePolyaModel(tree, splits, NegativeBinomial(1.5, 0.995)
+                          )._sample_conditional(200, np.random.default_rng(4))
+
+
 class TestScreen:
     """The search's move screen: its scores against fully fitted moves,
     its lockstep maxima against the DM fit, the fits' independence of
-    the round that makes them, and the screened search against the
-    exhaustive oracle."""
+    the round that makes them and of the screen's blocks, and the
+    screened search against the exhaustive oracle."""
 
     @staticmethod
     def _true_deltas(cache, moves, outer, grown, inner):
@@ -1291,6 +1344,84 @@ class TestScreen:
             cache.fit(inner)[1])
         true = self._true_deltas(cache, moves, outer, [(1, 2)], inner)
         assert np.abs(scores - true).max() < 0.5
+
+    @pytest.mark.parametrize("block", [1, 2 ** 30])
+    def test_scores_do_not_depend_on_the_block_cut(self, monkeypatch,
+                                                   block):
+        """A block of one move each, or the whole round in one: the
+        same score bits in a create and a transfer round."""
+        counts = _three_node_model().sample_many(
+            1_000, np.random.default_rng(110))
+        cache = fit_module._FitCache(counts)
+        create = ([(j,) for j in range(1, 7)], [], [])
+        transfer = ([(3,), (4,), (5,), (6,), (1, 2)], [(1, 2)], [(1,), (2,)])
+        rounds = []
+        for outer, grown, inner in (create, transfer):
+            moves = list(combinations(range(6), 2)) if not grown \
+                else [(pos,) for pos in range(4)]
+            rounds.append((moves, outer, cache.fit(outer)[1], grown, inner,
+                           cache.fit(inner)[1] if inner else None))
+        default = [fit_module._screen_scores(cache, *r) for r in rounds]
+        monkeypatch.setattr(fit_module, "SCREEN_BLOCK", block)
+        for scores, round_ in zip(default, rounds):
+            sizes = []
+            cut = fit_module._screen_scores(cache, *round_, sizes=sizes)
+            assert cut.tobytes() == scores.tobytes()
+            assert sizes == ([1] * len(round_[0]) if block == 1
+                             else [len(round_[0])])
+            assert not np.isnan(scores).any()
+
+    def test_search_does_not_depend_on_the_block_cut(self, monkeypatch):
+        counts = _planted_thirty()
+        trace, _ = _search_trace(counts)
+        assert len(trace) > 10
+        for block in (1, 2 ** 30):
+            monkeypatch.setattr(fit_module, "SCREEN_BLOCK", block)
+            assert _search_trace(counts)[0] == trace
+
+    def test_no_screen_call_holds_more_than_a_block(self, monkeypatch):
+        """Every evaluation in a screen lockstep call holds at most
+        SCREEN_BLOCK profile entries (head entries plus tail pairs, a
+        one-row profile's once per shift), unless the call's block is a
+        single move.  A block takes moves up to the bound, so the fullest
+        comes within a tenth of it."""
+        held, seen, block, screening = [], [], [0], []
+        kernel_sums = fit_module._Profiles.kernel_sums
+        evaluate = fit_module._evaluate
+        lockstep = fit_module._lockstep_max
+        screen = fit_module._screen_scores
+
+        def counted(profiles, x):
+            held.append(int((profiles.h + profiles.tails).sum())
+                        * (x.size // profiles.count))
+            return kernel_sums(profiles, x)
+
+        def evaluated(*args):
+            held.clear()
+            out = evaluate(*args)
+            if screening:
+                seen.append((block[0], sum(held)))
+            return out
+
+        def solved(rows, fixed, x0, tot=None):
+            block[0] = len(x0)
+            return lockstep(rows, fixed, x0, tot)
+
+        def screened(*args, **kwargs):
+            screening.append(True)
+            try:
+                return screen(*args, **kwargs)
+            finally:
+                screening.pop()
+
+        monkeypatch.setattr(fit_module._Profiles, "kernel_sums", counted)
+        monkeypatch.setattr(fit_module, "_evaluate", evaluated)
+        monkeypatch.setattr(fit_module, "_lockstep_max", solved)
+        monkeypatch.setattr(fit_module, "_screen_scores", screened)
+        _search_trace(_planted_thirty())
+        shared = [entries for moves, entries in seen if moves > 1]
+        assert shared and max(shared) <= fit_module.SCREEN_BLOCK
+        assert max(shared) > 0.9 * fit_module.SCREEN_BLOCK
 
     def test_moves_of_a_multinomial_base_are_not_scored(self):
         counts = _three_node_model().sample_many(
@@ -1418,6 +1549,27 @@ class TestScreen:
                 move = next(accepted, None)
         assert move is None
         assert len(rounds) > len(trace)
+
+    @pytest.mark.parametrize("block", [1, None])
+    def test_each_round_logs_its_screen_blocks(self, monkeypatch, caplog,
+                                               block):
+        """The record counts the round's screen blocks: one block per
+        screenable move when SCREEN_BLOCK is 1, and on these six leaves
+        one block a round by default."""
+        if block is not None:
+            monkeypatch.setattr(fit_module, "SCREEN_BLOCK", block)
+        counts = _three_node_model().sample_many(
+            1_000, np.random.default_rng(110))
+        with caplog.at_level(logging.DEBUG, logger="treepolya"):
+            search_tree(counts)
+        rounds = [r for r in caplog.records if r.name == "treepolya.fit"]
+        assert rounds
+        for record in rounds:
+            scored, blocks = (int(re.search(pattern, record.getMessage())[1])
+                              for pattern in (r"(\d+) moves scored",
+                                              r"unscreenable, (\d+) screen "
+                                              r"blocks, best"))
+            assert blocks == (scored if block == 1 else min(scored, 1))
 
     def test_rounds_are_not_logged_below_debug(self, monkeypatch, caplog):
         def fail(*args, **kwargs):
