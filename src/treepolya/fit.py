@@ -64,7 +64,8 @@ MAX_MOVES = 10_000  # the search's move budget
 # the search's move screen: the count-profile entries (head entries plus
 # tail pairs) that each lockstep call of one screen block holds at most,
 # and the stop rule's margin in AIC units, max(SCREEN_MARGIN,
-# SCREEN_SHARE * |best ΔAIC|)
+# SCREEN_SHARE * |best ΔAIC|); SCREEN_BLOCK also bounds the subsums
+# (rows x subsets) of one profiling pass of the leaf-subset store
 SCREEN_BLOCK = 1 << 16
 SCREEN_MARGIN = 2.0
 SCREEN_SHARE = 0.1
@@ -725,8 +726,8 @@ def fit_tree(tree: PartitionTree, counts: np.ndarray, family: str = "nb"):
 def _fit_nodes(tree: PartitionTree, cache: "_FitCache", law_fit: FitResult):
     """:func:`fit_tree`'s model and report, given its sum-law fit, with
     every node built from the leaf-subset store ``cache``, whose missing
-    subsets are profiled in one pass, and every DM node fitted in one
-    batch (:func:`_fit_dm_nodes`)."""
+    subsets are profiled together (:meth:`_FitCache._store_tree`), and
+    every DM node fitted in one batch (:func:`_fit_dm_nodes`)."""
     cache._store_tree(tree)
     nodes = [cache._aggregates([tree.subset(c) for c in tree.children(nid)])
              for nid in tree.internal_ids]
@@ -792,42 +793,42 @@ class _FitCache:
                            self._checked)
 
     def _store(self, new: Sequence[Tuple[int, ...]],
-               subsums: np.ndarray) -> None:
-        """Profile the subsets ``new``, whose subsums are the columns of
-        ``subsums``, in one pass, into the store."""
-        built = _Profiles.of_columns(subsums)
+               subsums: Sequence[np.ndarray]) -> None:
+        """Profile the subsets ``new``, whose subsums are ``subsums``, in
+        one pass, into the store."""
+        built = _Profiles.of_columns(np.column_stack(subsums))
         small = np.min_scalar_type(self.counts.shape[0])
         for leaves, entry in zip(new, built.split()):
             entry.head = entry.head.astype(small)
             self.subsets[leaves] = entry
 
     def _store_tree(self, tree: PartitionTree) -> None:
-        """Profile every node subset of ``tree`` not yet in the store in
-        one pass.  Where the counts cannot wrap, a node's subsums are its
-        children's, summed bottom-up; otherwise each subset's are gathered
-        from the counts and checked (:meth:`_subsums`)."""
-        new = [nid for nid in range(len(tree))
-               if tree.subset(nid) not in self.subsets]
-        if not new:
+        """Profile the node subsets of ``tree`` not yet in the store, in
+        passes of at most ``SCREEN_BLOCK`` subsums (one subset at least).
+        A node's subsums are the row totals of its children's, a
+        DomainError where one is past int64, so a node costs O(rows x
+        children) where gathering its leaves' columns costs O(rows x
+        leaves)."""
+        if all(tree.subset(nid) in self.subsets for nid in range(len(tree))):
             return
-        if not self._checked:
-            subsums = np.column_stack(
-                [self._subsums(tree.subset(nid)) for nid in new])
-        else:
-            at = {nid: i for i, nid in enumerate(new)}
-            subsums = np.empty((self.counts.shape[0], len(new)),
-                               dtype=np.int64)
-            # node ids are in preorder, so from the last one on, a node's
-            # children come before it; ``below`` holds the subsums of the
-            # nodes whose parent is not reached yet
-            below: Dict[int, np.ndarray] = {}
-            for nid in range(len(tree) - 1, -1, -1):
-                children = tree.children(nid)
-                below[nid] = np.add.reduce([below.pop(c) for c in children]) \
-                    if children else self.counts[:, tree.subset(nid)[0] - 1]
-                if nid in at:
-                    subsums[:, at[nid]] = below[nid]
-        self._store([tree.subset(nid) for nid in new], subsums)
+        chunk = max(1, SCREEN_BLOCK // max(self.counts.shape[0], 1))
+        new: List[Tuple[int, ...]] = []
+        subsums: List[np.ndarray] = []
+        # node ids are in preorder, so from the last one on, a node's
+        # children come before it; ``below`` holds the subsums of the
+        # nodes whose parent is not reached yet
+        below: Dict[int, np.ndarray] = {}
+        for nid in range(len(tree) - 1, -1, -1):
+            children = tree.children(nid)
+            below[nid] = _row_totals(np.column_stack(
+                [below.pop(c) for c in children]), self._checked) \
+                if children else self.counts[:, tree.subset(nid)[0] - 1]
+            if tree.subset(nid) not in self.subsets:
+                new.append(tree.subset(nid))
+                subsums.append(below[nid])
+            if new and (len(new) == chunk or nid == 0):
+                self._store(new, subsums)
+                new, subsums = [], []
 
     def _aggregates(self, order: Sequence[Tuple[int, ...]]) -> _DmAggregates:
         """The node over the child subsets ``order``; the subsets not yet
@@ -836,8 +837,7 @@ class _FitCache:
         new = [s for s in dict.fromkeys([*order, total])
                if s not in self.subsets]
         if new:
-            self._store(new, np.column_stack(
-                [self._subsums(leaves) for leaves in new]))
+            self._store(new, [self._subsums(leaves) for leaves in new])
         return _DmAggregates([self.subsets[c] for c in order],
                              self.subsets[total], self.counts.shape[0])
 

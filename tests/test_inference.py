@@ -862,20 +862,39 @@ class TestFitTreeNodes:
 
     def test_a_fresh_fit_profiles_its_subsets_in_one_pass(self, monkeypatch):
         """Every node subset of the tree is profiled by one of_columns
-        call (the Poisson sum law profiles no totals), whether its subsums
-        are summed bottom-up or, where the counts may wrap, gathered and
-        checked subset by subset; both give the same report bits."""
+        call (the Poisson sum law profiles no totals), its subsums
+        summed from its children's."""
         passes = self._count_passes(monkeypatch)
         for tree, counts in _ten_leaf_and_cascade():
             passes.clear()
-            _, summed = fit_tree(tree, counts, family="poisson")
+            fit_tree(tree, counts, family="poisson")
             assert passes == [(counts.shape[0], len(tree))]
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(fit_module, "_may_wrap", lambda counts: True)
-                passes.clear()
-                _, gathered = fit_tree(tree, counts, family="poisson")
-            assert passes == [(counts.shape[0], len(tree))]
-            assert repr(gathered) == repr(summed)
+
+    @pytest.mark.parametrize("block", [1, 2_000])
+    def test_a_profiling_pass_holds_at_most_a_block(self, monkeypatch,
+                                                    block):
+        """With SCREEN_BLOCK cut down, the store profiles the subsets in
+        passes of at most SCREEN_BLOCK subsums, one subset at least, and
+        the report keeps its bits."""
+        tree, counts = _ten_leaf_and_cascade()[1]
+        _, whole = fit_tree(tree, counts, family="poisson")
+        passes = self._count_passes(monkeypatch)
+        monkeypatch.setattr(fit_module, "SCREEN_BLOCK", block)
+        _, cut = fit_tree(tree, counts, family="poisson")
+        assert repr(cut) == repr(whole)
+        assert sum(cols for _, cols in passes) == len(tree)
+        assert max(rows * cols for rows, cols in passes) == \
+            max(counts.shape[0], block // counts.shape[0] * counts.shape[0])
+
+    def test_a_node_subsum_past_int64_is_a_domain_error(self):
+        """The store sums a node's subsums from its children's, checked:
+        here {1, 2} passes int64 in row 2 (fit_tree's root total would
+        reject these counts first)."""
+        cache = fit_module._FitCache(
+            np.array([[1, 2, 3], [2 ** 62, 2 ** 62, 0]]))
+        with pytest.raises(DomainError, match=f"row 2 sum to {2 ** 63}, "
+                           "past the int64 range"):
+            cache._store_tree(PartitionTree.from_nested([[1, 2], 3]))
 
     def test_the_search_report_reuses_the_search_store(self, monkeypatch):
         counts = _three_node_model().sample_many(
